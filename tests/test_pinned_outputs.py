@@ -1,0 +1,164 @@
+"""Seeded outputs pinned by sha256 digest.
+
+Each case runs a protocol path from fixed seeds and hashes everything it
+returns: aggregate bytes, decoded items and estimates (as exact float hex),
+candidates, histograms, and the CSV and manifest bytes of harness runs.
+A digest moves whenever the order of rng draws, the public coins or the
+estimator arithmetic changes, so refactors of these paths must leave every
+digest as recorded here.  Harness manifests use the reference code only:
+the concatenated code's header is not part of what is pinned.
+"""
+
+import hashlib
+import math
+
+import numpy as np
+import pytest
+
+from ldphist.codec import build_code
+from ldphist.core import PublicRandomness, derive_fo_params, derive_hh_params
+from ldphist.freq_oracle import fo_simulate_reports
+from ldphist.harness import DatasetSpec, ExperimentConfig, run_experiment
+from ldphist.heavy_hitter import BOT, hh_execute, pp_aggregate, pp_run
+
+PUB = PublicRandomness.from_any("pinned-outputs")
+
+
+def _digest(*parts) -> str:
+    h = hashlib.sha256()
+    for p in parts:
+        if isinstance(p, float):
+            p = p.hex()
+        if isinstance(p, np.ndarray):
+            p = p.tobytes()
+        if not isinstance(p, bytes):
+            p = repr(p).encode("utf-8")
+        h.update(len(p).to_bytes(8, "little") + p)
+    return h.hexdigest()
+
+
+def _items(seed: int, d: int, n: int, idle_frac: float) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    items = rng.integers(0, d, n)
+    items[rng.random(n) < idle_frac] = BOT
+    return items
+
+
+def _pp_result(res) -> tuple:
+    item = None if res.item is None else int(res.item)
+    flips = None if res.flips is None else int(res.flips)
+    return (item, float(res.estimate), flips)
+
+
+def fo_digest(eps: float) -> str:
+    items = _items(1, 64, 3000, 0.25)
+    agg = fo_simulate_reports(items, 512, eps, PUB, np.random.default_rng(2))
+    return _digest(agg.to_bytes())
+
+
+def pp_digest(kind: str) -> str:
+    code = build_code(256, kind)
+    items = np.full(4000, BOT, dtype=np.int64)
+    items[:1600] = 77
+    items[1600:1700] = 5
+    agg = pp_aggregate(items, code, 2.0, np.random.default_rng(3))
+    res = pp_run(items, code, 2.0, np.random.default_rng(4))
+    idle = pp_run(np.full(500, BOT, dtype=np.int64), code, 2.0, np.random.default_rng(5))
+    return _digest(agg.to_bytes(), _pp_result(res), _pp_result(idle))
+
+
+def hh_digest(k: int, mode: str) -> str:
+    d, n, eps, beta = 32, 2000, 4.0, 0.2
+    hh = derive_hh_params(d, n, eps, beta, k)
+    fo = derive_fo_params(d, n, hh.eps_channel, beta / 3)
+    code = build_code(d, "reference")
+    items = _items(6, d, n, 0.2)
+    items[:500] = 3
+    items[500:800] = 11
+    res = hh_execute(items, code, hh, fo, PUB, np.random.default_rng(7), mode=mode)
+    parts = [
+        [(int(v), float(f)) for v, f in res.histogram.entries],
+        [(int(v), float(f)) for v, f in res.candidates],
+        [(int(t), int(kk), int(v), float(f)) for t, kk, v, f in res.decodes],
+        [s.bits for s in res.seeds],
+        res.fo_agg.to_bytes(),
+    ]
+    parts += [(int(t), int(kk)) for t, kk in sorted(res.pp_aggs)]
+    parts += [res.pp_aggs[key].to_bytes() for key in sorted(res.pp_aggs)]
+    return _digest(*parts)
+
+
+def harness_digest(tmp_path, name: str) -> str:
+    configs = {
+        "fo": ExperimentConfig(
+            protocol="fo", dataset=DatasetSpec(kind="uniform", d=32, n=2000, seed=8),
+            eps=1.0, beta=0.2, seed=8, trials=2,
+        ),
+        "pp": ExperimentConfig(
+            protocol="pp",
+            dataset=DatasetSpec(kind="promise", d=256, n=3000, seed=9, eta=0.6, item=77),
+            eps=2.0, beta=0.2, seed=9, trials=2,
+        ),
+        "hist": ExperimentConfig(
+            protocol="hist",
+            dataset=DatasetSpec(kind="planted", d=32, n=2000, seed=10,
+                                planted=((3, 0.3), (11, 0.2))),
+            eps=4.0, beta=0.2, seed=10, trials=2,
+        ),
+        "fo-one-bit": ExperimentConfig(
+            protocol="fo", dataset=DatasetSpec(kind="uniform", d=16, n=1500, seed=11),
+            eps=math.log(2), beta=0.2, seed=11, trials=1, one_bit=True,
+        ),
+        "hist-one-bit": ExperimentConfig(
+            protocol="hist",
+            dataset=DatasetSpec(kind="planted", d=16, n=1000, seed=12, planted=((3, 0.9),)),
+            eps=math.log(2), beta=0.5, seed=12, trials=1, k_override=8, one_bit=True,
+        ),
+    }
+    csv_path, manifest_path = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+    run_experiment(configs[name], out_csv=str(csv_path), out_manifest=str(manifest_path))
+    return _digest(csv_path.read_bytes(), manifest_path.read_bytes())
+
+
+FO = {
+    0.5: "73930fb9d9c67fde09c8f11c51313267f7f21290c1f678b59de4a42680120172",
+    1.0: "4ca61c516d1ca16418eac3dad7a569a91a1919d31a3272b79b300281670577ac",
+    2.5: "943e9348a5659ae82bbe73b86fbc49da4a0ac384ef9515dcfe3d6b426d7e9353",
+}
+PP = {
+    "reference": "c4b710da1b42ee6431cc8f339969b47e7715cd2d3c448421a0a703555a42f812",
+    "concatenated": "9b1dc94c666fa5af4a6e28e3df9aed71f3c8c3e97d87699d16522d0ad640cf0e",
+}
+HH = {
+    ("10n", "fast"): "e95657635da1358a94349a79a60689e417e39784eda7cd0916f38b112138aad7",
+    (8, "fast"): "570c47ecf2591e58276ed24449dcbe3894ffeb6b5ed1cdceb0672a4a2adedb96",
+    (8, "faithful"): "72df78165d7329743615f73b4aa73dae77bac81064c7f034bcf711e310da14e9",
+    (64, "faithful"): "32d0ecdf09131a541b439a1687e46d692a5436663d848c34cb0e0d366aa1d5b8",
+}
+HARNESS = {
+    "fo": "6354a80337bc38e820abe586c2736ed18b2cd8b72cc0757485f8bf8d59779680",
+    "pp": "954cea231f1e6b7f0a113a3ca5d66101b758262a8827bf361462b09cde82a350",
+    "hist": "7d89a542341e008d9a6779ff44fbc8df76a9478b9e6c89823c496f9b9696e29b",
+    "fo-one-bit": "3bbf7bbd2431444688076654bad0570ad4c21abe7e3a1b481908276ef86bda79",
+    "hist-one-bit": "079c7c1136619f4c992de427d32652de6530c405c2d29ae5d7443fc452442247",
+}
+
+
+@pytest.mark.parametrize("eps", sorted(FO))
+def test_fo_simulate_reports(eps):
+    assert fo_digest(eps) == FO[eps]
+
+
+@pytest.mark.parametrize("kind", sorted(PP))
+def test_promise_protocol(kind):
+    assert pp_digest(kind) == PP[kind]
+
+
+@pytest.mark.parametrize("k, mode", sorted(HH, key=str))
+def test_hh_execute(k, mode):
+    assert hh_digest(10 * 2000 if k == "10n" else k, mode) == HH[(k, mode)]
+
+
+@pytest.mark.parametrize("name", sorted(HARNESS))
+def test_harness_outputs(tmp_path, name):
+    assert harness_digest(tmp_path, name) == HARNESS[name]
