@@ -34,6 +34,6 @@ print(f"all users idle: decoded item = {noise_only.item}, estimate {noise_only.e
 # the rounded vector's distance to the decoded codeword is what a
 # verifying caller checks against the correction radius
 agg = pp_aggregate(np.full(n, secret, dtype=np.int64), code, eps, rng)
-res = pp_decode(agg, code, eps, verify=True)
+res = pp_decode(agg, code, verify=True)
 print(f"verified decode at full support: item {res.item}, "
       f"{res.flips} flipped coordinates (radius {code.correctable_flips():.0f})")

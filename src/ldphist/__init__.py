@@ -12,9 +12,7 @@ processes.
 from .core import (
     FoParams,
     HhParams,
-    PrivacyBudget,
     PublicRandomness,
-    Universe,
     c_eps,
     derive_fo_params,
     derive_hh_params,

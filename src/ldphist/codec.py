@@ -68,19 +68,14 @@ class Code:
         raise NotImplementedError
 
     def decode(self, y: np.ndarray) -> Optional[int]:
-        raise NotImplementedError
+        return self.decode_many(np.asarray(y)[None, :])[0]
 
     def decode_many(self, Y: np.ndarray) -> list:
-        return [self.decode(y) for y in np.asarray(Y)]
+        raise NotImplementedError
 
     def correctable_flips(self) -> float:
         """Strict upper limit on correctable coordinate corruptions, m*zeta/2."""
         return self.m * self.zeta_eff / 2.0
-
-    def within_radius(self, y: np.ndarray, v: int) -> bool:
-        """Whether y lies strictly inside the guaranteed decoding radius of
-        codeword v."""
-        return hamming(y, self.encode(v)) < self.correctable_flips()
 
     def header(self) -> dict:
         return {
@@ -89,7 +84,6 @@ class Code:
             "t": self.t,
             "m": self.m,
             "zeta_eff": self.zeta_eff,
-            "build_tag": REFERENCE_CODE_TAG.decode(),
         }
 
     def _check_item(self, v: int) -> None:
@@ -156,6 +150,9 @@ class ReferenceCode(Code):
             )
         return G
 
+    def header(self) -> dict:
+        return {**super().header(), "build_tag": REFERENCE_CODE_TAG.decode()}
+
     def encode(self, v: int) -> np.ndarray:
         self._check_item(v)
         return self._codebook[v]
@@ -165,9 +162,6 @@ class ReferenceCode(Code):
         if np.any(vs < 0) or np.any(vs >= self.d):
             raise ValueError("item outside universe")
         return self._codebook[vs]
-
-    def decode(self, y: np.ndarray) -> Optional[int]:
-        return self.decode_many(np.asarray(y)[None, :])[0]
 
     def decode_many(self, Y: np.ndarray) -> list:
         """Nearest codeword by correlation; ties resolve to the smallest item."""
@@ -406,9 +400,6 @@ class ConcatenatedCode(Code):
 
     def encode_many(self, vs: Sequence[int]) -> np.ndarray:
         return np.stack([self.encode(int(v)) for v in vs])
-
-    def decode(self, y: np.ndarray) -> Optional[int]:
-        return self.decode_many(np.asarray(y)[None, :])[0]
 
     def decode_many(self, Y: np.ndarray) -> list:
         Y = np.asarray(Y, dtype=np.float32)

@@ -19,8 +19,6 @@ from typing import Iterable, Tuple, Union
 import numpy as np
 
 __all__ = [
-    "Universe",
-    "PrivacyBudget",
     "FoParams",
     "HhParams",
     "PublicRandomness",
@@ -33,38 +31,6 @@ __all__ = [
 
 
 LabelPart = Union[str, int, bytes]
-
-
-@dataclass(frozen=True)
-class Universe:
-    """The item universe: items are the integers 0 .. d-1."""
-
-    d: int
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise ValueError(f"universe size must be >= 2, got {self.d}")
-
-    def contains(self, v: int) -> bool:
-        return 0 <= v < self.d
-
-
-@dataclass(frozen=True)
-class PrivacyBudget:
-    """Privacy loss epsilon (nats) and approximation term delta.
-
-    Protocol execution always uses delta = 0 (pure local privacy); a nonzero
-    delta is meaningful only for audit queries.
-    """
-
-    epsilon: float
-    delta: float = 0.0
-
-    def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-        if not (0 <= self.delta < 1):
-            raise ValueError(f"delta must be in [0, 1), got {self.delta}")
 
 
 @dataclass(frozen=True)
@@ -280,10 +246,6 @@ class PublicRandomness:
         byte = self.byte_at(label, index // 8)
         bit = (byte >> (index % 8)) & 1
         return 1 - 2 * bit
-
-    def u64_array(self, label: Tuple[LabelPart, ...], count: int) -> np.ndarray:
-        raw = self.bytes_at(label, 8 * count)
-        return np.frombuffer(raw, dtype="<u8").copy()
 
     def int_below(self, label: Tuple[LabelPart, ...], bound: int) -> int:
         """Exactly uniform integer in [0, bound) via 64-bit rejection sampling."""

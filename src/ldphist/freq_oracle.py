@@ -16,21 +16,23 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .core import FoParams, PublicRandomness, c_eps
-from .randomizer import SparseReport, randomize
+from .randomizer import SparseReport, randomize, randomize_many
 
 __all__ = [
     "phi_column",
     "phi_sign_at",
     "AggregateState",
-    "FrequencyOracle",
+    "absorb_groups",
+    "inner_estimates",
     "fo_client_report",
-    "fo_absorb",
     "fo_simulate_reports",
     "fo_estimate",
+    "fo_estimate_many",
 ]
 
 
@@ -64,22 +66,19 @@ class AggregateState:
         if self.minus is None:
             self.minus = np.zeros(self.m, dtype=np.int64)
 
-    def absorb(self, report: SparseReport) -> None:
-        if not (0 <= report.position < self.m):
-            raise ValueError(f"position {report.position} out of range [0, {self.m})")
-        if report.sign > 0:
-            self.plus[report.position] += 1
-        else:
-            self.minus[report.position] += 1
-        self.n_total += 1
-
     def absorb_batch(self, positions: np.ndarray, signs: np.ndarray) -> None:
+        """Count one report per (position, sign) pair; signs must be -1 or +1."""
         positions = np.asarray(positions)
         signs = np.asarray(signs)
+        if positions.ndim != 1 or positions.shape != signs.shape:
+            raise ValueError(f"need equal-length 1-d positions and signs, got {signs.shape}")
         if positions.size and (positions.min() < 0 or positions.max() >= self.m):
             raise ValueError("position out of range")
-        np.add.at(self.plus, positions[signs > 0], 1)
-        np.add.at(self.minus, positions[signs < 0], 1)
+        up, down = positions[signs == 1], positions[signs == -1]
+        if len(up) + len(down) != len(positions):
+            raise ValueError("report signs must be -1 or +1")
+        np.add.at(self.plus, up, 1)
+        np.add.at(self.minus, down, 1)
         self.n_total += len(positions)
 
     def add_count_deltas(self, plus_delta: np.ndarray, minus_delta: np.ndarray) -> None:
@@ -141,9 +140,33 @@ def fo_client_report(
     return randomize(phi_column(pub, v, params.m_fo), params.m_fo, eps, rng)
 
 
-def fo_absorb(agg: AggregateState, report: SparseReport) -> AggregateState:
-    agg.absorb(report)
+def absorb_groups(
+    agg: AggregateState,
+    groups: Iterable,
+    column_of: Callable[[int], np.ndarray],
+    rng: np.random.Generator,
+) -> AggregateState:
+    """Randomize and absorb the reports of grouped users.
+
+    groups yields (item, count) pairs, drawn in the order given (seeded
+    runs depend on it); the count users holding item run the basic
+    randomizer on column_of(item), and a negative item stands for users
+    holding nothing, who randomize the zero input."""
+    for v, count in groups:
+        x = None if v < 0 else column_of(int(v))
+        agg.absorb_batch(*randomize_many(x, int(count), agg.eps, agg.m, rng))
     return agg
+
+
+def inner_estimates(agg: AggregateState, columns: Iterable[np.ndarray]) -> np.ndarray:
+    """c_eps(eps) / n_total * <column, plus - minus> for every sign column:
+    the inner product of each column with the mean report vector, which
+    estimates the frequency of the item the column encodes."""
+    if agg.n_total < 1:
+        raise ValueError("no reports absorbed")
+    diff = agg.count_diff().astype(np.float64)
+    scale = c_eps(agg.eps) / agg.n_total
+    return np.array([scale * float(col @ diff) for col in columns], dtype=np.float64)
 
 
 def fo_simulate_reports(
@@ -160,69 +183,18 @@ def fo_simulate_reports(
     fo_client_report in a loop.  Items equal to -1 denote users with no
     item, whose reports are uniform.
     """
-    items = np.asarray(items)
+    values, counts = np.unique(np.asarray(items), return_counts=True)
     agg = AggregateState(m=m, eps=eps)
-    p_keep = np.exp(eps) / (np.exp(eps) + 1.0)
-    values, counts = np.unique(items, return_counts=True)
-    for v, cnt in zip(values, counts):
-        j = rng.integers(0, m, size=cnt)
-        if v < 0:
-            signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=cnt)
-        else:
-            col = phi_column(pub, int(v), m)
-            keep = rng.random(cnt) < p_keep
-            signs = np.where(keep, col[j], -col[j])
-        agg.absorb_batch(j, signs)
-    return agg
+    return absorb_groups(agg, zip(values, counts), lambda v: phi_column(pub, v, m), rng)
 
 
 def fo_estimate(agg: AggregateState, pub: PublicRandomness, v: int) -> float:
     """Estimate f(v) as the inner product of v's column with the mean
     report vector, computed exactly from integer counts.  May fall outside
     [0, 1]; consumers clip where a proportion is required."""
-    if agg.n_total < 1:
-        raise ValueError("no reports absorbed")
-    col = phi_column(pub, v, agg.m).astype(np.float64)
-    diff = agg.count_diff().astype(np.float64)
-    return float(c_eps(agg.eps) / agg.n_total * (col @ diff))
+    return float(fo_estimate_many(agg, pub, [v])[0])
 
 
 def fo_estimate_many(agg: AggregateState, pub: PublicRandomness, items) -> np.ndarray:
     """Estimates for several items; identical results to fo_estimate."""
-    diff = agg.count_diff().astype(np.float64)
-    scale = c_eps(agg.eps) / agg.n_total
-    out = np.empty(len(items), dtype=np.float64)
-    for i, v in enumerate(items):
-        col = phi_column(pub, int(v), agg.m).astype(np.float64)
-        out[i] = scale * (col @ diff)
-    return out
-
-
-@dataclass
-class FrequencyOracle:
-    """Bundle of the public randomness handle, derived parameters, and the
-    running aggregate, mirroring the (projection, mean report) pair that
-    the estimator consumes."""
-
-    pub: PublicRandomness
-    params: FoParams
-    eps: float
-    agg: AggregateState = None
-
-    def __post_init__(self):
-        if self.agg is None:
-            self.agg = AggregateState(m=self.params.m_fo, eps=self.eps)
-        if self.agg.m != self.params.m_fo:
-            raise ValueError("aggregate dimension disagrees with parameters")
-
-    def client_report(self, v: int, rng: np.random.Generator) -> SparseReport:
-        return fo_client_report(v, self.params, self.pub, self.eps, rng)
-
-    def absorb(self, report: SparseReport) -> None:
-        self.agg.absorb(report)
-
-    def estimate(self, v: int) -> float:
-        return fo_estimate(self.agg, self.pub, v)
-
-    def estimate_many(self, items) -> np.ndarray:
-        return fo_estimate_many(self.agg, self.pub, items)
+    return inner_estimates(agg, (phi_column(pub, int(v), agg.m) for v in items))

@@ -24,9 +24,9 @@ from .heavy_hitter import BOT, SuccinctHistogram, hh_execute, pp_run
 from .onebit import (
     OneBitStructure,
     PublicString,
-    acceptance_prob,
     collect_fo_aggregate,
     collect_pp_aggregates,
+    onebit_client,
     onebit_server_collect,
 )
 
@@ -254,11 +254,7 @@ def _run_fo_trial(config: ExperimentConfig, items, truth, trial):
     rng = _trial_rng(config.seed, trial)
     if config.one_bit:
         structure = OneBitStructure.fo_only(params.m_fo, config.eps, pub, run_id=trial)
-        bits = {}
-        for user in range(spec.n):
-            y = PublicString(structure=structure, user_id=user)
-            bits[user] = int(rng.random() < acceptance_prob(int(items[user]), y, structure))
-        accepted = onebit_server_collect(sorted(bits.items()), structure)
+        accepted = _one_bit_accepted(items, structure, rng)
         agg = collect_fo_aggregate(accepted, structure)
         acceptance = len(accepted) / spec.n
     else:
@@ -311,7 +307,7 @@ def _run_hist_trial(config: ExperimentConfig, items, truth, trial):
     rng = _trial_rng(config.seed, trial)
     extra = {}
     if config.one_bit:
-        hist, seeds, extra = _run_hist_one_bit(config, items, hh, fo, code, pub, rng, trial)
+        hist, seeds, extra = _run_hist_one_bit(items, hh, fo, code, pub, rng, trial)
         mode = "one-bit"
     else:
         res = hh_execute(items, code, hh, fo, pub, rng, mode=config.mode)
@@ -341,7 +337,7 @@ def _run_hist_trial(config: ExperimentConfig, items, truth, trial):
     return metrics, hist.to_csv(truth), derived
 
 
-def _run_hist_one_bit(config, items, hh, fo, code, pub, rng, trial):
+def _run_hist_one_bit(items, hh, fo, code, pub, rng, trial):
     """Full protocol where each user transmits a single accept bit; the
     server regenerates accepted users' public strings into the unchanged
     aggregation pipeline.  Materializes all K*T channels, so it is meant
@@ -354,16 +350,22 @@ def _run_hist_one_bit(config, items, hh, fo, code, pub, rng, trial):
             f"cap is {FAITHFUL_CHANNEL_CAP}, use a smaller K override"
         )
     structure = OneBitStructure.from_params(code, hh, fo, pub, run_id=trial)
-    bits = {}
-    for user in range(len(items)):
-        y = PublicString(structure=structure, user_id=user)
-        bits[user] = int(rng.random() < acceptance_prob(int(items[user]), y, structure))
-    accepted = onebit_server_collect(sorted(bits.items()), structure)
+    accepted = _one_bit_accepted(items, structure, rng)
     pp_aggs = collect_pp_aggregates(accepted, structure)
     fo_agg = collect_fo_aggregate(accepted, structure)
     hist, _, _ = hh_finalize(pp_aggs, fo_agg, code, hh, pub)
     extra = {"acceptance_rate": len(accepted) / max(1, len(items))}
     return hist, list(structure.seeds), extra
+
+
+def _one_bit_accepted(items, structure: OneBitStructure, rng: np.random.Generator) -> list:
+    """Every user sends the accept bit of its public string, in user order;
+    returns the accepted strings the server regenerates."""
+    bits = []
+    for user, v in enumerate(items):
+        y = PublicString(structure=structure, user_id=user)
+        bits.append((user, onebit_client(int(v), y, structure, rng)))
+    return onebit_server_collect(bits, structure)
 
 
 def fo_scaling_sweep(

@@ -28,7 +28,6 @@ no signal.  Fast mode is the desk-scale default.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from hashlib import blake2b
@@ -36,9 +35,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .codec import Code
-from .core import FoParams, HhParams, PublicRandomness, c_eps
-from .freq_oracle import AggregateState, fo_estimate_many, fo_simulate_reports
+from .codec import Code, hamming, round_to_hypercube
+from .core import FoParams, HhParams, PublicRandomness
+from .freq_oracle import (
+    AggregateState,
+    absorb_groups,
+    fo_estimate_many,
+    fo_simulate_reports,
+    inner_estimates,
+)
 from .randomizer import SparseReport, randomize
 
 __all__ = [
@@ -49,6 +54,7 @@ __all__ = [
     "channel_of",
     "pp_client_report",
     "simulate_idle_noise",
+    "decode_channels",
     "pp_decode",
     "PpDecodeResult",
     "pp_run",
@@ -56,7 +62,6 @@ __all__ = [
     "prune",
     "HhResult",
     "hh_execute",
-    "hh_run",
     "hh_finalize",
 ]
 
@@ -134,24 +139,6 @@ def pp_client_report(
     return randomize(code.encode(v), code.m, eps, rng)
 
 
-def _active_reports_batch(
-    signs: np.ndarray, count: int, eps: float, rng: np.random.Generator
-) -> tuple:
-    """(positions, report signs) for `count` users holding the same codeword;
-    identical in distribution to per-user randomize calls."""
-    m = len(signs)
-    j = rng.integers(0, m, size=count)
-    keep = rng.random(count) < math.exp(eps) / (math.exp(eps) + 1.0)
-    s = np.where(keep, signs[j], -signs[j])
-    return j, s
-
-
-def _idle_reports_batch(count: int, m: int, rng: np.random.Generator) -> tuple:
-    j = rng.integers(0, m, size=count)
-    s = rng.choice(np.array([-1, 1], dtype=np.int8), size=count)
-    return j, s
-
-
 def simulate_idle_noise(k_idle: int, m: int, rng: np.random.Generator) -> tuple:
     """Exact multinomial of k_idle uniform (position, sign) draws, returned
     as (plus, minus) count deltas.  Merging these into an aggregate is
@@ -173,59 +160,61 @@ class PpDecodeResult:
     flips: Optional[int] = None  # Hamming(rounded mean vector, decoded codeword)
 
 
-def pp_decode(
-    agg: AggregateState, code: Code, eps: float, verify: bool = False
-) -> PpDecodeResult:
-    """Round the mean report vector, decode, and estimate the decoded item's
-    frequency as its codeword's inner product with the mean vector.
+def decode_channels(aggs: Sequence[AggregateState], code: Code, verify: bool) -> list:
+    """One PpDecodeResult per aggregate: round its mean report vector to
+    the hypercube from the integer counts (ties at zero go positive),
+    decode, and estimate the decoded item's frequency as its codeword's
+    inner product with the mean vector.  Decoding failure gives item None
+    and estimate 0, and so does, with verify=True, a codeword not strictly
+    inside the correction radius of the rounded vector (which keeps
+    noise-only channels from emitting candidates)."""
+    if any(agg.n_total < 1 for agg in aggs):
+        raise ValueError("no reports absorbed")
+    if not aggs:
+        return []
+    Y = round_to_hypercube(np.stack([agg.count_diff() for agg in aggs]))
+    out = []
+    for agg, y, v in zip(aggs, Y, code.decode_many(Y)):
+        if v is None:
+            out.append(PpDecodeResult(item=None, estimate=0.0))
+            continue
+        cw = code.encode(v)
+        flips = hamming(y, cw)
+        if verify and not flips < code.correctable_flips():
+            out.append(PpDecodeResult(item=None, estimate=0.0, flips=flips))
+            continue
+        est = float(inner_estimates(agg, [cw])[0])
+        out.append(PpDecodeResult(item=v, estimate=est, flips=flips))
+    return out
 
-    Rounding uses the integer counts directly (ties at zero go positive).
-    A decoding failure yields item None and estimate 0.  With verify=True
-    the decoded item is additionally required to lie within the code's
-    guaranteed correction radius of the rounded vector; the full protocol
-    uses this to keep noise-only channels from emitting candidates.
+
+def pp_decode(agg: AggregateState, code: Code, verify: bool = False) -> PpDecodeResult:
+    """Decode one promise-protocol aggregate (see ``decode_channels``).
 
     Below the promise (too few users holding the item for its signal to
     dominate the rounding noise) the result is unspecified: decoding may
     return an arbitrary item or fail even at a single user and huge eps,
     since one report fixes a single coordinate of the mean vector.
     """
-    if agg.n_total < 1:
-        raise ValueError("no reports absorbed")
-    diff = agg.count_diff()
-    y = np.where(diff >= 0, 1, -1).astype(np.int8)
-    v = code.decode(y)
-    if v is None:
-        return PpDecodeResult(item=None, estimate=0.0)
-    flips = int(np.count_nonzero(code.encode(v) != y))
-    if verify and not flips < code.correctable_flips():
-        return PpDecodeResult(item=None, estimate=0.0, flips=flips)
-    est = float(c_eps(eps) / agg.n_total * (code.encode(v).astype(np.float64) @ diff))
-    return PpDecodeResult(item=v, estimate=est, flips=flips)
+    return decode_channels([agg], code, verify)[0]
 
 
 def pp_run(
     items: np.ndarray, code: Code, eps: float, rng: np.random.Generator
 ) -> PpDecodeResult:
     """Run the promise protocol end to end on items (BOT = no item)."""
-    agg = pp_aggregate(items, code, eps, rng)
-    return pp_decode(agg, code, eps)
+    return pp_decode(pp_aggregate(items, code, eps, rng), code)
 
 
 def pp_aggregate(
     items: np.ndarray, code: Code, eps: float, rng: np.random.Generator
 ) -> AggregateState:
     """Aggregate promise-protocol reports for all users, grouped by item."""
-    items = np.asarray(items)
+    values, counts = np.unique(np.asarray(items), return_counts=True)
+    if values.size and values[0] < BOT:
+        raise ValueError("items must lie in [0, d) or be the BOT sentinel")
     agg = AggregateState(m=code.m, eps=eps)
-    values, counts = np.unique(items, return_counts=True)
-    for v, cnt in zip(values, counts):
-        if v == BOT:
-            j, s = _idle_reports_batch(int(cnt), code.m, rng)
-        else:
-            j, s = _active_reports_batch(code.encode(int(v)), int(cnt), eps, rng)
-        agg.absorb_batch(j, s)
-    return agg
+    return absorb_groups(agg, zip(values, counts), code.encode, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -292,12 +281,8 @@ class HhResult:
 
 
 def _channel_map(seeds, distinct_items, K):
-    """channel[t][v] for every distinct item, via exact integer hashing."""
-    out = []
-    for seed in seeds:
-        a, b = seed.hash_pair()
-        out.append({int(v): ((a * int(v) + b) % MERSENNE_P) % K for v in distinct_items})
-    return out
+    """channel[t][v] for every distinct item."""
+    return [{int(v): channel_of(seed, int(v), K) for v in distinct_items} for seed in seeds]
 
 
 def hh_execute(
@@ -341,19 +326,13 @@ def hh_execute(
             by_channel.setdefault(chan[t][int(v)], []).append((int(v), int(cnt)))
         channel_ids = range(K) if mode == "faithful" else sorted(by_channel)
         for k in channel_ids:
-            agg = AggregateState(m=code.m, eps=eps_ch)
-            active = 0
-            for v, cnt in sorted(by_channel.get(k, [])):
-                j, s = _active_reports_batch(code.encode(v), cnt, eps_ch, rng)
-                agg.absorb_batch(j, s)
-                active += cnt
-            idle = n - active
+            groups = sorted(by_channel.get(k, []))
+            idle = n - sum(cnt for _, cnt in groups)
+            if mode == "faithful":
+                groups.append((BOT, idle))
+            agg = absorb_groups(AggregateState(m=code.m, eps=eps_ch), groups, code.encode, rng)
             if mode == "fast":
-                plus_d, minus_d = simulate_idle_noise(idle, code.m, rng)
-                agg.add_count_deltas(plus_d, minus_d)
-            else:
-                j, s = _idle_reports_batch(idle, code.m, rng)
-                agg.absorb_batch(j, s)
+                agg.add_count_deltas(*simulate_idle_noise(idle, code.m, rng))
             pp_aggs[(t, k)] = agg
 
     fo_agg = fo_simulate_reports(items, fo_params.m_fo, eps_ch, pub, rng)
@@ -408,52 +387,20 @@ def hh_finalize(
     (t, k) order and candidate deduplication keeps the first occurrence.
     Used verbatim by both in-process runs and the aggregation service.
     """
-    decodes = []
-    candidate_items = []
-    seen = set()
     keys = sorted(pp_aggs)
-    scale = c_eps(hh_params.eps_channel)
-    if keys:
-        diffs = np.stack([pp_aggs[key].count_diff() for key in keys])
-        Y = np.where(diffs >= 0, 1, -1).astype(np.int8)
-        decoded = code.decode_many(Y)
-        for key, y, diff, v in zip(keys, Y, diffs, decoded):
-            if v is None:
-                continue
-            cw = code.encode(v)
-            if not int(np.count_nonzero(cw != y)) < code.correctable_flips():
-                continue
-            n_ch = pp_aggs[key].n_total
-            pp_est = float(scale / n_ch * (cw.astype(np.float64) @ diff))
-            decodes.append((key[0], key[1], v, pp_est))
-            if v not in seen:
-                seen.add(v)
-                candidate_items.append(v)
+    results = decode_channels([pp_aggs[key] for key in keys], code, verify=True)
+    decodes = [(t, k, r.item, r.estimate) for (t, k), r in zip(keys, results) if r.item is not None]
+    candidate_items = list(dict.fromkeys(v for _, _, v, _ in decodes))
     candidates = []
     if candidate_items:
         ests = [float(e) for e in fo_estimate_many(fo_agg, pub, candidate_items)]
         if hh_params.iso_failure_bound <= hh_params.beta / 3:
-            row = {key: i for i, key in enumerate(keys) if pp_aggs[key].n_total >= 1}
             seeds = draw_hash_seeds(pub, hh_params.T, hh_params.ell)
             chan = _channel_map(seeds, candidate_items, hh_params.K)
             for i, v in enumerate(candidate_items):
-                own = [row[(t, c[v])] for t, c in enumerate(chan) if (t, c[v]) in row]
-                cw = code.encode(v).astype(np.float64)
-                parts = [scale / pp_aggs[keys[r]].n_total * float(cw @ diffs[r]) for r in own]
+                own = [pp_aggs[(t, c[v])] for t, c in enumerate(chan) if (t, c[v]) in pp_aggs]
+                parts = [float(inner_estimates(agg, [code.encode(v)])[0]) for agg in own]
                 ests[i] = (ests[i] + sum(parts)) / (1 + len(parts))
         candidates = list(zip(candidate_items, ests))
     histogram = prune(candidates, hh_params.threshold)
     return histogram, candidates, decodes
-
-
-def hh_run(
-    items: np.ndarray,
-    code: Code,
-    hh_params: HhParams,
-    fo_params: FoParams,
-    pub: PublicRandomness,
-    rng: np.random.Generator,
-    mode: str = "fast",
-) -> SuccinctHistogram:
-    """Full protocol; returns just the succinct histogram."""
-    return hh_execute(items, code, hh_params, fo_params, pub, rng, mode).histogram

@@ -179,32 +179,32 @@ def onebit_server_collect(bits, structure: OneBitStructure) -> list:
     ]
 
 
-def collect_fo_aggregate(accepted: list, structure: OneBitStructure) -> AggregateState:
-    """Aggregate the oracle components of accepted users' strings."""
-    agg = AggregateState(m=structure.m_fo, eps=structure.eps_channel)
+def _absorb_components(accepted: list, m: int, eps: float, component) -> AggregateState:
+    """Aggregate one component, component(y) -> (position, sign), of every
+    accepted user's string."""
     positions = np.empty(len(accepted), dtype=np.int64)
     signs = np.empty(len(accepted), dtype=np.int64)
     for i, (_, y) in enumerate(accepted):
-        positions[i], signs[i] = y.fo_component()
+        positions[i], signs[i] = component(y)
+    agg = AggregateState(m=m, eps=eps)
     agg.absorb_batch(positions, signs)
     return agg
+
+
+def collect_fo_aggregate(accepted: list, structure: OneBitStructure) -> AggregateState:
+    """Aggregate the oracle components of accepted users' strings."""
+    return _absorb_components(
+        accepted, structure.m_fo, structure.eps_channel, PublicString.fo_component
+    )
 
 
 def collect_pp_aggregates(accepted: list, structure: OneBitStructure) -> dict:
     """Aggregate every hash channel of accepted users' strings (the report
     set the histogram pipeline consumes).  Materializes K*T aggregates."""
-    aggs = {
-        (t, k): AggregateState(m=structure.code.m, eps=structure.eps_channel)
+    return {
+        (t, k): _absorb_components(
+            accepted, structure.code.m, structure.eps_channel, lambda y: y.pp_component(t, k)
+        )
         for t in range(structure.T)
         for k in range(structure.K)
     }
-    for _, y in accepted:
-        for t in range(structure.T):
-            for k in range(structure.K):
-                j, s = y.pp_component(t, k)
-                if s > 0:
-                    aggs[(t, k)].plus[j] += 1
-                else:
-                    aggs[(t, k)].minus[j] += 1
-                aggs[(t, k)].n_total += 1
-    return aggs

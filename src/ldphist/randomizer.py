@@ -31,6 +31,7 @@ __all__ = [
     "ChannelMatrix",
     "AuditResult",
     "randomize",
+    "randomize_many",
     "report_distribution",
     "randomizer_channel",
     "position_slice",
@@ -64,6 +65,12 @@ def _check_signs(x: np.ndarray) -> np.ndarray:
     return x.astype(np.int8)
 
 
+def _p_keep(eps: float) -> float:
+    """Probability e^eps / (e^eps + 1) that a report keeps its input sign."""
+    e = math.exp(eps)
+    return e / (e + 1.0)
+
+
 def randomize(
     x: Optional[np.ndarray], m: int, eps: float, rng: np.random.Generator
 ) -> SparseReport:
@@ -77,9 +84,23 @@ def randomize(
         x = _check_signs(x)
         if len(x) != m:
             raise ValueError(f"input length {len(x)} != m {m}")
-        keep = rng.random() < math.exp(eps) / (math.exp(eps) + 1.0)
+        keep = rng.random() < _p_keep(eps)
         sign = int(x[j]) if keep else -int(x[j])
     return SparseReport(position=j, sign=sign)
+
+
+def randomize_many(
+    x: Optional[np.ndarray], count: int, eps: float, m: int, rng: np.random.Generator
+) -> tuple:
+    """(positions, signs) of count users running the basic randomizer on
+    the same input; identical in distribution to count ``randomize`` calls.
+    All positions are drawn first, then the keep-uniforms (or, for the
+    zero input x = None, the uniform signs)."""
+    j = rng.integers(0, m, size=count)
+    if x is None:
+        return j, rng.choice(np.array([-1, 1], dtype=np.int8), size=count)
+    keep = rng.random(count) < _p_keep(eps)
+    return j, np.where(keep, x[j], -x[j])
 
 
 def outcome_labels(m: int) -> list[str]:
@@ -108,8 +129,7 @@ def report_distribution(
     x = _check_signs(x)
     if len(x) != m:
         raise ValueError(f"input length {len(x)} != m {m}")
-    e = math.exp(eps)
-    p_keep = e / (e + 1.0)
+    p_keep = _p_keep(eps)
     plus = np.where(x > 0, p_keep, 1.0 - p_keep) / m
     probs[0::2] = plus
     probs[1::2] = 1.0 / m - plus

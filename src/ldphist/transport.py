@@ -20,8 +20,9 @@ reports (one per user and channel; duplicate submissions get an error
 frame and change nothing, making client retries idempotent), and absorbs
 them into integer count aggregates, so the final state is independent of
 arrival order.  A close request runs the same decode/prune pipeline as an
-in-process run and answers with the histogram result.  The service never
-sees items, only reports.
+in-process run and answers with the histogram result, or with an
+"empty-session" error, leaving the session open, when no oracle report
+arrived.  The service never sees items, only reports.
 """
 
 from __future__ import annotations
@@ -163,8 +164,8 @@ def encode_frame(msg_type: int, payload: bytes) -> bytes:
     return _HEADER.pack(MAGIC, VERSION, msg_type, len(payload)) + payload
 
 
-def decode_frame(buf: bytes) -> tuple:
-    """(msg_type, payload, bytes consumed) for the first frame in buf."""
+def _parse_header(buf: bytes) -> tuple:
+    """(msg_type, payload length) of the header at the start of buf."""
     if len(buf) < _HEADER.size:
         raise TruncatedFrameError(f"need {_HEADER.size} header bytes, have {len(buf)}")
     magic, version, msg_type, length = _HEADER.unpack_from(buf, 0)
@@ -174,6 +175,12 @@ def decode_frame(buf: bytes) -> tuple:
         raise BadVersionError(f"unsupported version {version}")
     if msg_type > 5:
         raise BadTypeError(f"unknown message type {msg_type}")
+    return msg_type, length
+
+
+def decode_frame(buf: bytes) -> tuple:
+    """(msg_type, payload, bytes consumed) for the first frame in buf."""
+    msg_type, length = _parse_header(buf)
     end = _HEADER.size + length
     if len(buf) < end:
         raise TruncatedFrameError(f"payload truncated: need {end} bytes, have {len(buf)}")
@@ -221,23 +228,20 @@ class _SessionState:
     def __init__(self, config: SessionConfig):
         self.config = config
         self.lock = threading.Lock()
-        self.closed = False
-        self.result_csv: Optional[str] = None
+        self.result_csv: Optional[str] = None  # set once, by a successful close
         self.pub = PublicRandomness.from_any(config.seed)
-        self.code = build_code(config.d, config.code_kind) if config.protocol == "hist" else None
         if config.protocol == "hist":
+            self.code = build_code(config.d, config.code_kind)
             self.hh_params = derive_hh_params(
                 config.d, config.n, config.eps, config.beta, config.k_override
             )
             self.fo_params = derive_fo_params(
                 config.d, config.n, self.hh_params.eps_channel, config.beta / 3
             )
-            self.fo_eps = self.hh_params.eps_channel
         else:
-            self.hh_params = None
+            self.code = self.hh_params = None
             self.fo_params = derive_fo_params(config.d, config.n, config.eps, config.beta)
-            self.fo_eps = config.eps
-        self.fo_agg = AggregateState(m=self.fo_params.m_fo, eps=self.fo_eps)
+        self.fo_agg = AggregateState(m=self.fo_params.m_fo, eps=self.fo_params.eps)
         self.pp_aggs: dict = {}
         self.seen: set = set()
         self.bits: dict = {}
@@ -278,23 +282,22 @@ class _SessionState:
         self.bits[payload.user_id] = payload.bit
         return None
 
-    def finalize(self) -> str:
-        cfg = self.config
-        if cfg.one_bit:
+    def finalize(self) -> Optional[str]:
+        """Result CSV, or None when no oracle report (or accepted bit)
+        arrived, which leaves nothing to estimate."""
+        if self.config.one_bit:
             structure = self._structure()
             accepted = onebit_server_collect(sorted(self.bits.items()), structure)
             fo_agg = collect_fo_aggregate(accepted, structure)
-            if cfg.protocol == "hist":
-                pp_aggs = collect_pp_aggregates(accepted, structure)
-                hist, _, _ = hh_finalize(pp_aggs, fo_agg, self.code, self.hh_params, self.pub)
-                return hist.to_csv()
-            return self._fo_csv(fo_agg)
-        if cfg.protocol == "hist":
-            hist, _, _ = hh_finalize(
-                self.pp_aggs, self.fo_agg, self.code, self.hh_params, self.pub
-            )
+            pp_aggs = collect_pp_aggregates(accepted, structure)
+        else:
+            fo_agg, pp_aggs = self.fo_agg, self.pp_aggs
+        if fo_agg.n_total == 0:
+            return None
+        if self.config.protocol == "hist":
+            hist, _, _ = hh_finalize(pp_aggs, fo_agg, self.code, self.hh_params, self.pub)
             return hist.to_csv()
-        return self._fo_csv(self.fo_agg)
+        return self._fo_csv(fo_agg)
 
     def _structure(self) -> OneBitStructure:
         cfg = self.config
@@ -322,14 +325,7 @@ def _read_exact(rfile, count: int) -> bytes:
 
 
 def read_frame(rfile) -> tuple:
-    head = _read_exact(rfile, _HEADER.size)
-    magic, version, msg_type, length = _HEADER.unpack(head)
-    if magic != MAGIC:
-        raise BadMagicError(f"bad magic {magic!r}")
-    if version != VERSION:
-        raise BadVersionError(f"unsupported version {version}")
-    if msg_type > 5:
-        raise BadTypeError(f"unknown message type {msg_type}")
+    msg_type, length = _parse_header(_read_exact(rfile, _HEADER.size))
     return msg_type, _read_exact(rfile, length)
 
 
@@ -353,17 +349,21 @@ class _Handler(socketserver.StreamRequestHandler):
 
     def _dispatch(self, state: _SessionState, msg_type: int, payload: bytes) -> bytes:
         if msg_type == MSG_CONTROL:
-            body = json.loads(payload.decode("utf-8"))
-            if body.get("action") == "close":
+            try:
+                body = json.loads(payload.decode("utf-8"))
+            except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deep JSON
+                return _ack(False, "bad-frame", f"control payload is not UTF-8 JSON: {exc}")
+            if isinstance(body, dict) and body.get("action") == "close":
                 with state.lock:
-                    if not state.closed:
-                        state.closed = True
+                    if state.result_csv is None:
                         state.result_csv = state.finalize()
                     result = state.result_csv
+                if result is None:
+                    return _ack(False, "empty-session", "no reports to estimate from")
                 return encode_frame(MSG_RESULT, result.encode("utf-8"))
             return _ack(False, "bad-frame", f"unknown control action {body!r}")
         with state.lock:
-            if state.closed:
+            if state.result_csv is not None:
                 return _ack(False, "session-closed", "session already closed")
             if msg_type == MSG_FO_REPORT:
                 err = state.absorb_fo(ReportPayload.unpack(payload))
@@ -459,7 +459,7 @@ def client_close(address: tuple) -> str:
             encode_frame(MSG_CONTROL, json.dumps({"action": "close"}).encode("utf-8"))
         )
         if msg_type != MSG_RESULT:
-            raise BadTypeError(f"expected result frame, got type {msg_type}")
+            raise BadTypeError(f"expected result frame, got type {msg_type}: {payload!r}")
         return payload.decode("utf-8")
     finally:
         conn.close()

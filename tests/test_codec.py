@@ -12,6 +12,8 @@ from ldphist.codec import (
     hamming,
     round_to_hypercube,
 )
+from ldphist.freq_oracle import AggregateState
+from ldphist.heavy_hitter import decode_channels
 
 
 def unit(signs):
@@ -42,6 +44,9 @@ class TestBuildCode:
         for kind in ("reference", "concatenated"):
             h = build_code(64, kind).header()
             assert json.loads(json.dumps(h))["kind"] == kind
+            # only the reference code is built from the published tag
+            assert ("build_tag" in h) == (kind == "reference")
+        assert "build_tag" not in build_code(2**20, "concatenated").header()
 
 
 class TestEncode:
@@ -220,9 +225,17 @@ class TestRounding:
 
 class TestRadius:
     def test_within_radius(self):
+        # A verified decode lies strictly inside the correction radius: a
+        # word ceil(radius) flips from codeword 5 never verifies as 5.
         c = build_code(256, "reference")
-        y = c.encode(5).copy()
-        assert c.within_radius(y, 5)
         k = math.ceil(c.correctable_flips())
-        y[:k] = -y[:k]
-        assert not c.within_radius(y, 5)
+        for flips in (0, k - 1, k):
+            y = c.encode(5).copy()
+            y[:flips] = -y[:flips]
+            agg = AggregateState(m=c.m, eps=1.0, n_total=c.m,
+                                 plus=(y > 0).astype(np.int64), minus=(y < 0).astype(np.int64))
+            res = decode_channels([agg], c, verify=True)[0]
+            if flips < k:
+                assert (res.item, res.flips) == (5, flips)
+            else:
+                assert res.item != 5

@@ -4,28 +4,13 @@ import numpy as np
 import pytest
 
 from ldphist.core import (
-    PrivacyBudget,
     PublicRandomness,
-    Universe,
     c_eps,
     derive_fo_params,
     derive_hh_params,
     load_params_file,
     report_magnitude,
 )
-
-
-class TestUniverseAndBudget:
-    def test_universe_rejects_singleton(self):
-        with pytest.raises(ValueError):
-            Universe(1)
-
-    def test_budget_validation(self):
-        PrivacyBudget(0.5)
-        with pytest.raises(ValueError):
-            PrivacyBudget(0.0)
-        with pytest.raises(ValueError):
-            PrivacyBudget(1.0, delta=1.0)
 
 
 class TestFoParams:

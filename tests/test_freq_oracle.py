@@ -6,7 +6,6 @@ import pytest
 from ldphist.core import PublicRandomness, c_eps, derive_fo_params
 from ldphist.freq_oracle import (
     AggregateState,
-    FrequencyOracle,
     fo_client_report,
     fo_estimate,
     fo_estimate_many,
@@ -18,6 +17,10 @@ from ldphist.randomizer import ChannelMatrix, SparseReport, audit_ldp, outcome_l
 
 
 PUB = PublicRandomness.from_any(2024)
+
+
+def absorb_one(agg: AggregateState, report: SparseReport) -> None:
+    agg.absorb_batch(np.array([report.position]), np.array([report.sign]))
 
 
 class TestPhiColumn:
@@ -46,7 +49,7 @@ class TestAggregateState:
     def test_single_report_mean_vector(self):
         eps, m = 1.0, 8
         agg = AggregateState(m=m, eps=eps)
-        agg.absorb(SparseReport(position=3, sign=1))
+        absorb_one(agg, SparseReport(position=3, sign=1))
         z = agg.zbar()
         assert z[3] == pytest.approx(c_eps(eps) * math.sqrt(m), abs=1e-12)
         assert np.all(z[np.arange(m) != 3] == 0)
@@ -60,9 +63,9 @@ class TestAggregateState:
         a = AggregateState(m=16, eps=0.5)
         b = AggregateState(m=16, eps=0.5)
         for r in reports:
-            a.absorb(r)
+            absorb_one(a, r)
         for r in reversed(reports):
-            b.absorb(r)
+            absorb_one(b, r)
         assert np.array_equal(a.plus, b.plus) and np.array_equal(a.minus, b.minus)
 
     def test_merge_equals_sequential(self):
@@ -73,10 +76,10 @@ class TestAggregateState:
         ]
         seq = AggregateState(m=8, eps=1.0)
         for r in reports:
-            seq.absorb(r)
+            absorb_one(seq, r)
         shards = [AggregateState(m=8, eps=1.0) for _ in range(4)]
         for i, r in enumerate(reports):
-            shards[i % 4].absorb(r)
+            absorb_one(shards[i % 4], r)
         merged = shards[0]
         for s in shards[1:]:
             merged.merge(s)
@@ -87,7 +90,16 @@ class TestAggregateState:
     def test_position_bound(self):
         agg = AggregateState(m=4, eps=1.0)
         with pytest.raises(ValueError):
-            agg.absorb(SparseReport(position=4, sign=1))
+            absorb_one(agg, SparseReport(position=4, sign=1))
+
+    def test_rejects_bad_signs_and_lengths(self):
+        # A sign-0 report would count in n_total but in neither count
+        # array, biasing every estimate toward 0.
+        agg = AggregateState(m=4, eps=1.0)
+        for positions, signs in (([1], [0]), ([1, 2], [1, 2]), ([1, 2], [1]), ([1], [1, -1])):
+            with pytest.raises(ValueError):
+                agg.absorb_batch(np.array(positions), np.array(signs))
+        assert agg.n_total == 0 and not agg.plus.any() and not agg.minus.any()
 
     def test_serialization_roundtrip(self):
         rng = np.random.default_rng(2)
@@ -208,15 +220,6 @@ class TestEstimate:
         linf = np.max(np.abs(est - truth))
         bound = 3 * math.sqrt(math.log(2 * d / beta) / (eps * eps * n))
         assert linf <= bound
-
-    def test_oracle_wrapper(self):
-        params = derive_fo_params(16, 50, 1.0, 0.2)
-        fo = FrequencyOracle(pub=PUB, params=params, eps=1.0)
-        rng = np.random.default_rng(10)
-        for _ in range(50):
-            fo.absorb(fo.client_report(4, rng))
-        assert fo.agg.n_total == 50
-        assert isinstance(fo.estimate(4), float)
 
     def test_requires_reports(self):
         agg = AggregateState(m=8, eps=1.0)

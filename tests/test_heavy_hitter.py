@@ -14,7 +14,6 @@ from ldphist.heavy_hitter import (
     draw_hash_seeds,
     hh_execute,
     hh_finalize,
-    hh_run,
     pp_aggregate,
     pp_client_report,
     pp_decode,
@@ -168,7 +167,7 @@ class TestPpDecode:
     def test_requires_reports(self):
         code = build_code(16, "reference")
         with pytest.raises(ValueError):
-            pp_decode(AggregateState(m=code.m, eps=1.0), code, 1.0)
+            pp_decode(AggregateState(m=code.m, eps=1.0), code)
 
     def test_verify_rejects_noise(self):
         code = build_code(1024, "reference")
@@ -176,7 +175,7 @@ class TestPpDecode:
         rejected = 0
         for _ in range(50):
             agg = pp_aggregate(np.full(3000, BOT), code, 1.0, rng)
-            res = pp_decode(agg, code, 1.0, verify=True)
+            res = pp_decode(agg, code, verify=True)
             rejected += res.item is None
         assert rejected >= 48
 
@@ -333,9 +332,11 @@ class TestFullProtocol:
         fo = derive_fo_params(d, n, hh.eps_channel, 0.5 / 3)
         code = build_code(d, "reference")
         with pytest.raises(ValueError):
-            hh_run(np.full(n, 16), code, hh, fo, PUB, np.random.default_rng(0))
+            hh_execute(np.full(n, 16), code, hh, fo, PUB, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            hh_run(np.zeros(50, dtype=int), code, hh, fo, PUB, np.random.default_rng(0))
+            hh_execute(np.zeros(50, dtype=int), code, hh, fo, PUB, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            pp_aggregate(np.array([-2, 3]), code, 2.0, np.random.default_rng(0))
 
 
 class TestBudgetIdentity:

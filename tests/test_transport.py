@@ -13,9 +13,11 @@ from ldphist.heavy_hitter import BOT, channel_of, draw_hash_seeds, hh_finalize, 
 from ldphist.onebit import OneBitStructure, PublicString, acceptance_prob, collect_fo_aggregate, onebit_server_collect
 from ldphist.transport import (
     MSG_ACK,
+    MSG_CONTROL,
     MSG_FO_REPORT,
     MSG_ONE_BIT,
     MSG_PP_REPORT,
+    MSG_RESULT,
     AggregationServer,
     BadMagicError,
     BadTypeError,
@@ -26,6 +28,7 @@ from ldphist.transport import (
     SessionClosedError,
     SessionConfig,
     TruncatedFrameError,
+    _Connection,
     client_close,
     client_submit,
     decode_frame,
@@ -317,3 +320,59 @@ class TestOneBitSession:
         finally:
             server.shutdown()
         assert result == expected
+
+
+CLOSE = encode_frame(MSG_CONTROL, json.dumps({"action": "close"}).encode("utf-8"))
+
+
+def _ack_body(reply) -> dict:
+    msg_type, payload = reply
+    assert msg_type == MSG_ACK
+    return json.loads(payload.decode("utf-8"))
+
+
+class TestRobustness:
+    """A bad control frame or an empty close gets an error ack, and the
+    same connection keeps serving."""
+
+    @pytest.mark.parametrize("payload", [b"{", b"\xff\xfe", b"[1]"])
+    def test_bad_control_payload_acked(self, payload):
+        cfg = SessionConfig(protocol="fo", d=8, n=10, eps=1.0, beta=0.2, seed=3)
+        report = encode_frame(MSG_FO_REPORT, ReportPayload(0, 0, 0, 0, 1).pack())
+        server = AggregationServer(cfg)
+        conn = _Connection(server.start())
+        try:
+            body = _ack_body(conn.roundtrip(encode_frame(MSG_CONTROL, payload)))
+            assert not body["ok"] and body["code"] == "bad-frame"
+            assert _ack_body(conn.roundtrip(report)) == {"ok": True}
+        finally:
+            conn.close()
+            server.shutdown()
+
+    @pytest.mark.parametrize("cfg, before, after", [
+        (SessionConfig(protocol="fo", d=8, n=10, eps=1.0, beta=0.2, seed=3),
+         [],
+         [encode_frame(MSG_FO_REPORT, ReportPayload(0, 0, 0, 0, 1).pack())]),
+        (SessionConfig(protocol="hist", d=16, n=400, eps=0.69, beta=0.5, seed=3,
+                       k_override=8, one_bit=True),
+         [encode_frame(MSG_ONE_BIT, OneBitPayload(0, 0).pack())],
+         [encode_frame(MSG_ONE_BIT, OneBitPayload(1, 1).pack())]),
+    ], ids=["fo", "hist-one-bit"])
+    def test_empty_close_keeps_session_open(self, cfg, before, after):
+        server = AggregationServer(cfg)
+        conn = _Connection(server.start())
+        try:
+            for frame in before:
+                assert _ack_body(conn.roundtrip(frame))["ok"]
+            body = _ack_body(conn.roundtrip(CLOSE))
+            assert not body["ok"] and body["code"] == "empty-session"
+            assert server.state.result_csv is None
+            for frame in after:
+                assert _ack_body(conn.roundtrip(frame)) == {"ok": True}
+            first = conn.roundtrip(CLOSE)
+            assert first[0] == MSG_RESULT
+            assert first[1].decode("utf-8").startswith("item,estimated_frequency\n")
+            assert conn.roundtrip(CLOSE) == first
+        finally:
+            conn.close()
+            server.shutdown()
