@@ -7,6 +7,11 @@ A digest moves whenever the order of rng draws, the public coins or the
 estimator arithmetic changes, so refactors of these paths must leave every
 digest as recorded here.  Harness manifests use the reference code only:
 the concatenated code's header is not part of what is pinned.
+
+The keyed PRF is pinned directly too, in each of its three uses: the
+public coins (``int_below`` at a bound that rejects about a third of the
+64-bit words, including labels whose whole first block is rejected), the
+channel hash's ``(a, b)`` and the reference code's generator matrices.
 """
 
 import hashlib
@@ -15,11 +20,20 @@ import math
 import numpy as np
 import pytest
 
-from ldphist.codec import build_code
+from ldphist.codec import ReferenceCode, build_code
 from ldphist.core import PublicRandomness, derive_fo_params, derive_hh_params
 from ldphist.freq_oracle import fo_simulate_reports
 from ldphist.harness import DatasetSpec, ExperimentConfig, run_experiment
-from ldphist.heavy_hitter import BOT, hh_execute, pp_aggregate, pp_run
+from ldphist.heavy_hitter import (
+    BOT,
+    MERSENNE_P,
+    HashSeed,
+    channel_of,
+    draw_hash_seeds,
+    hh_execute,
+    pp_aggregate,
+    pp_run,
+)
 
 PUB = PublicRandomness.from_any("pinned-outputs")
 
@@ -120,6 +134,33 @@ def harness_digest(tmp_path, name: str) -> str:
     return _digest(csv_path.read_bytes(), manifest_path.read_bytes())
 
 
+# limit = 2 * bound, so about 1/3 of the words are rejected and about one
+# label in 3^8 = 6561 rejects all 8 words of its first block.
+INT_BELOW_BOUND = 2**64 // 3 + 1
+INT_BELOW_LABELS = 20_000
+
+
+def int_below_digest() -> str:
+    draws = [PUB.int_below(("int-below", i), INT_BELOW_BOUND) for i in range(INT_BELOW_LABELS)]
+    return _digest(draws)
+
+
+def hash_pair_digest() -> str:
+    # channel_of(seed, v, p) is (a v + b) mod p, so v = 0 and v = 1 give b
+    # and (a + b) mod p exactly.
+    seeds = [HashSeed(b""), HashSeed(b"\x00"), HashSeed(bytes(range(16)))]
+    seeds += draw_hash_seeds(PUB, 4, 22)
+    return _digest([[channel_of(s, v, MERSENNE_P) for v in (0, 1)] for s in seeds])
+
+
+def reference_code_digest() -> str:
+    parts = []
+    for t in range(1, 17):
+        code = ReferenceCode(2**t)
+        parts += [code.encode_many(range(2**t)), float(code.zeta_eff)]
+    return _digest(*parts)
+
+
 FO = {
     0.5: "73930fb9d9c67fde09c8f11c51313267f7f21290c1f678b59de4a42680120172",
     1.0: "4ca61c516d1ca16418eac3dad7a569a91a1919d31a3272b79b300281670577ac",
@@ -142,6 +183,11 @@ HARNESS = {
     "fo-one-bit": "3bbf7bbd2431444688076654bad0570ad4c21abe7e3a1b481908276ef86bda79",
     "hist-one-bit": "079c7c1136619f4c992de427d32652de6530c405c2d29ae5d7443fc452442247",
 }
+PRF = {
+    "int_below": "6780d45065d4fe06903361ef3864082c698fa5c8532dec92659f678a37cb0083",
+    "hash_pair": "155a8ddbaede67a669b93c43055d150694798968ac9ebc7297cccf68dc94dbd6",
+    "reference_code": "d256bf975c671876ed5641e13ea70cbc20a5ed557bdc58f957bb442102d98d1a",
+}
 
 
 @pytest.mark.parametrize("eps", sorted(FO))
@@ -162,3 +208,25 @@ def test_hh_execute(k, mode):
 @pytest.mark.parametrize("name", sorted(HARNESS))
 def test_harness_outputs(tmp_path, name):
     assert harness_digest(tmp_path, name) == HARNESS[name]
+
+
+def test_int_below_stream():
+    assert int_below_digest() == PRF["int_below"]
+
+
+def test_int_below_steps_to_second_block():
+    limit = 2 * INT_BELOW_BOUND
+
+    def rejects_first_block(i):
+        block = PUB.bytes_at(("int-below", i), 64)
+        return all(int.from_bytes(block[o : o + 8], "little") >= limit for o in range(0, 64, 8))
+
+    assert any(rejects_first_block(i) for i in range(INT_BELOW_LABELS))
+
+
+def test_channel_hash_pair():
+    assert hash_pair_digest() == PRF["hash_pair"]
+
+
+def test_reference_code_generators():
+    assert reference_code_digest() == PRF["reference_code"]
