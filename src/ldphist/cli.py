@@ -3,7 +3,8 @@
 Subcommands: fo, pp, hist (with --one-bit), audit, serve, submit, sweep.
 Common flags mirror the protocol parameters (--d, --n, --eps, --beta,
 --k-override, --mode, --seed); --config loads a key=value parameter file
-whose entries serve as defaults.  Outputs land in --out-dir, defaulting to
+whose entries serve as the subcommand's defaults (flags on the command
+line override them; a key the subcommand lacks is an error).  Outputs land in --out-dir, defaulting to
 the LDPHIST_OUT environment variable or the working directory, and every
 derived quantity is echoed to stdout and the JSON manifest.
 """
@@ -48,14 +49,20 @@ def _out_dir(args) -> str:
     return path
 
 
-def _apply_config_file(args):
-    if getattr(args, "config", None):
-        defaults = load_params_file(args.config)
-        for key, value in defaults.items():
+class _ConfigDefaults(argparse.Action):
+    """--config FILE: the file's key=value entries become the subcommand's
+    defaults, and ``main`` parses again so that the command line overrides
+    them.  A key that names none of the subcommand's options is an error."""
+
+    def __call__(self, parser, namespace, path, option_string=None):
+        defaults = {}
+        for key, value in load_params_file(path).items():
             attr = key.replace("-", "_")
-            if hasattr(args, attr) and getattr(args, attr) is None:
-                setattr(args, attr, value)
-    return args
+            if attr in ("config", "func") or not hasattr(namespace, attr):
+                parser.error(f"{path}: unknown key {key!r}")
+            defaults[attr] = value
+        parser.set_defaults(**defaults)
+        setattr(namespace, self.dest, path)
 
 
 def _echo(tag: str, payload: dict):
@@ -82,7 +89,6 @@ def _dataset_from_args(args) -> DatasetSpec:
 
 
 def cmd_fo(args):
-    args = _apply_config_file(args)
     cfg = ExperimentConfig(
         protocol="fo",
         dataset=_dataset_from_args(args),
@@ -105,7 +111,6 @@ def cmd_fo(args):
 
 
 def cmd_pp(args):
-    args = _apply_config_file(args)
     spec = DatasetSpec(
         kind="promise", d=args.d, n=args.n, seed=args.seed, eta=args.eta, item=args.item
     )
@@ -132,7 +137,6 @@ def cmd_pp(args):
 
 
 def cmd_hist(args):
-    args = _apply_config_file(args)
     if args.one_bit and args.eps > math.log(2) + 1e-12:
         raise SystemExit("one-bit runs require a total eps <= ln 2")
     cfg = ExperimentConfig(
@@ -163,7 +167,6 @@ def cmd_hist(args):
 
 
 def cmd_audit(args):
-    args = _apply_config_file(args)
     out = _out_dir(args)
     rows = ["m,eps,eps_observed,delta_at_eps"]
     for m in args.m_list:
@@ -196,7 +199,6 @@ def cmd_audit(args):
 
 
 def cmd_serve(args):
-    args = _apply_config_file(args)
     cfg = SessionConfig(
         protocol=args.protocol,
         d=args.d,
@@ -254,7 +256,6 @@ def cmd_submit(args):
 
 
 def cmd_sweep(args):
-    args = _apply_config_file(args)
     out = _out_dir(args)
     result = fo_scaling_sweep(
         args.d, args.eps, args.beta, args.n_list, args.trials, seed=args.seed
@@ -274,7 +275,7 @@ def _add_common(p, n_default=10_000):
     p.add_argument("--beta", type=float, default=0.1, help="confidence parameter")
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--out-dir", default=None, help="output directory (default $LDPHIST_OUT or .)")
-    p.add_argument("--config", default=None, help="key=value parameter file")
+    p.add_argument("--config", action=_ConfigDefaults, help="key=value parameter defaults")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -312,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-list", type=int, nargs="+", default=[2, 4, 8])
     p.add_argument("--eps-list", type=float, nargs="+", default=[0.25, 1.0])
     p.add_argument("--out-dir", default=None)
-    p.add_argument("--config", default=None)
+    p.add_argument("--config", action=_ConfigDefaults)
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("serve", help="run the aggregation service")
@@ -340,14 +341,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default=None)
-    p.add_argument("--config", default=None)
+    p.add_argument("--config", action=_ConfigDefaults)
     p.set_defaults(func=cmd_sweep)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None):
+        args = parser.parse_args(argv)  # now with the file's defaults
     return args.func(args)
 
 

@@ -26,6 +26,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .core import prf_bytes
+
 __all__ = [
     "Code",
     "ReferenceCode",
@@ -123,25 +125,14 @@ class ReferenceCode(Code):
 
     @staticmethod
     def _build_generator(t: int, m: int) -> np.ndarray:
-        """Pseudorandom t x m bit matrix from the fixed published tag,
-        with a full-rank guarantee (the tag version is bumped, never the
-        matrix patched, if a size ever comes out rank deficient)."""
-        import hashlib
-
-        nbytes = -(-t * m // 8)
-        h = hashlib.blake2b(
-            t.to_bytes(4, "little") + m.to_bytes(4, "little"),
-            key=REFERENCE_CODE_TAG,
-            digest_size=64,
-        )
-        raw = bytearray()
-        counter = 0
-        while len(raw) < nbytes:
-            hh = h.copy()
-            hh.update(counter.to_bytes(8, "little"))
-            raw += hh.digest()
-            counter += 1
-        bits = np.unpackbits(np.frombuffer(bytes(raw[:nbytes]), dtype=np.uint8), bitorder="little")
+        """Pseudorandom t x m bit matrix: the first t*m bits (little bit
+        order) of the keyed PRF stream of ``core`` under the fixed
+        published tag as key and u32le(t) || u32le(m) as prefix, with a
+        full-rank guarantee (the tag version is bumped, never the matrix
+        patched, if a size ever comes out rank deficient)."""
+        prefix = t.to_bytes(4, "little") + m.to_bytes(4, "little")
+        raw = prf_bytes(REFERENCE_CODE_TAG, prefix, -(-t * m // 8))
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
         G = bits[: t * m].reshape(t, m).astype(np.uint8)
         if _gf2_rank(G) != t:
             raise RuntimeError(

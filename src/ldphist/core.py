@@ -6,11 +6,18 @@ user count ``n``, a privacy budget ``eps`` (nats), and a confidence parameter
 concentration-derived quantity (gamma, projection dimension, pruning
 threshold) and base-2 logarithms for bit lengths (message bits, hash seed
 length, repetition count).  Derived integer parameters round up.
+
+Every coin that clients and server must regenerate comes from one keyed
+PRF, ``prf_bytes`` and its rejection sampler ``prf_below``, under three
+(key, prefix) uses: ``PublicRandomness`` (master seed, encoded label), the
+channel hash's (a, b) in ``heavy_hitter`` and the reference code's
+generator matrix in ``codec``.  The tests pin the v1 bytes of all three.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -22,6 +29,8 @@ __all__ = [
     "FoParams",
     "HhParams",
     "PublicRandomness",
+    "prf_bytes",
+    "prf_below",
     "derive_fo_params",
     "derive_hh_params",
     "c_eps",
@@ -165,6 +174,44 @@ def report_magnitude(eps: float, m: int) -> float:
 # ---------------------------------------------------------------------------
 
 _BLOCK = 64  # bytes per PRF block
+_U64 = struct.Struct("<Q")
+_BLOCK_WORDS = struct.Struct("<8Q")
+
+
+def _prf_state(key: bytes, prefix: bytes):
+    """Keyed BLAKE2b-512 state that has absorbed prefix; every block of the
+    (key, prefix) stream starts from a copy of it."""
+    h = hashlib.blake2b(key=key, digest_size=_BLOCK)
+    h.update(prefix)
+    return h
+
+
+def _prf_block(state, index: int) -> bytes:
+    """Block i of a stream: BLAKE2b-512(key, prefix || u64le(i))."""
+    h = state.copy()
+    h.update(_U64.pack(index))
+    return h.digest()
+
+
+def prf_bytes(key: bytes, prefix: bytes, nbytes: int) -> bytes:
+    """First nbytes bytes of the keyed PRF stream for (key, prefix): the
+    concatenation of blocks BLAKE2b-512(key, prefix || u64le(i)), i = 0, 1, ..."""
+    state = _prf_state(key, prefix)
+    return b"".join([_prf_block(state, i) for i in range(-(-nbytes // _BLOCK))])[:nbytes]
+
+
+def prf_below(key: bytes, prefix: bytes, bound: int) -> int:
+    """Exactly uniform integer in [0, bound) from the (key, prefix) stream:
+    the first little-endian 64-bit word below the largest multiple of bound
+    that fits in 64 bits, reduced mod bound."""
+    if not (1 <= bound <= 1 << 63):
+        raise ValueError(f"bound out of range: {bound}")
+    limit = ((1 << 64) // bound) * bound
+    state = _prf_state(key, prefix)
+    for i in itertools.count():
+        for u in _BLOCK_WORDS.unpack(_prf_block(state, i)):
+            if u < limit:
+                return u % bound
 
 
 def _encode_label(parts: Iterable[LabelPart]) -> bytes:
@@ -184,14 +231,11 @@ def _encode_label(parts: Iterable[LabelPart]) -> bytes:
 
 
 class PublicRandomness:
-    """Deterministic public coin source shared by all protocol parties.
-
-    Construction: a 256-bit master seed keys BLAKE2b; the byte stream for a
-    label is the concatenation of 64-byte blocks
-    ``BLAKE2b(key=master_seed, data=encode(label) || little_endian_u64(i))``
-    for block counter i = 0, 1, ...  Distinct labels give independent
-    streams, and the same seed and label always reproduce identical bytes.
-    """
+    """Deterministic public coin source shared by all protocol parties: the
+    stream for a label is the keyed PRF stream with the 256-bit master seed
+    as key and the label's encoding as prefix.  Distinct labels give
+    independent streams, and the same seed and label always reproduce
+    identical bytes."""
 
     def __init__(self, master_seed: bytes):
         if not isinstance(master_seed, bytes):
@@ -215,24 +259,9 @@ class PublicRandomness:
             raise TypeError(f"unsupported seed type: {type(seed)!r}")
         return cls(hashlib.blake2b(material, digest_size=32).digest())
 
-    def _block(self, label_bytes: bytes, index: int) -> bytes:
-        h = hashlib.blake2b(key=self.master_seed, digest_size=_BLOCK)
-        h.update(label_bytes)
-        h.update(struct.pack("<Q", index))
-        return h.digest()
-
     def bytes_at(self, label: Tuple[LabelPart, ...], nbytes: int) -> bytes:
         """First nbytes bytes of the stream for this label."""
-        lb = _encode_label(label)
-        nblocks = -(-nbytes // _BLOCK)
-        raw = b"".join(self._block(lb, i) for i in range(nblocks))
-        return raw[:nbytes]
-
-    def byte_at(self, label: Tuple[LabelPart, ...], index: int) -> int:
-        """Single byte at a given stream offset, touching only one block."""
-        lb = _encode_label(label)
-        block = self._block(lb, index // _BLOCK)
-        return block[index % _BLOCK]
+        return prf_bytes(self.master_seed, _encode_label(label), nbytes)
 
     def sign_array(self, label: Tuple[LabelPart, ...], count: int) -> np.ndarray:
         """count pseudorandom signs in {-1, +1} as int8 (bit k of byte k//8,
@@ -242,25 +271,15 @@ class PublicRandomness:
         return (1 - 2 * bits[:count].astype(np.int8)).astype(np.int8)
 
     def sign_at(self, label: Tuple[LabelPart, ...], index: int) -> int:
-        """Single sign at a given bit offset of the label's stream."""
-        byte = self.byte_at(label, index // 8)
-        bit = (byte >> (index % 8)) & 1
-        return 1 - 2 * bit
+        """Single sign at a given bit offset of the label's stream, touching
+        only the block that holds it."""
+        state = _prf_state(self.master_seed, _encode_label(label))
+        byte = _prf_block(state, index // (8 * _BLOCK))[index // 8 % _BLOCK]
+        return 1 - 2 * ((byte >> (index % 8)) & 1)
 
     def int_below(self, label: Tuple[LabelPart, ...], bound: int) -> int:
         """Exactly uniform integer in [0, bound) via 64-bit rejection sampling."""
-        if not (1 <= bound <= 1 << 63):
-            raise ValueError(f"bound out of range: {bound}")
-        limit = ((1 << 64) // bound) * bound
-        lb = _encode_label(label)
-        i = 0
-        while True:
-            block = self._block(lb, i)
-            for off in range(0, _BLOCK, 8):
-                u = int.from_bytes(block[off : off + 8], "little")
-                if u < limit:
-                    return u % bound
-            i += 1
+        return prf_below(self.master_seed, _encode_label(label), bound)
 
 
 # ---------------------------------------------------------------------------

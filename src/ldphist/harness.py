@@ -20,7 +20,7 @@ import numpy as np
 from .codec import build_code
 from .core import PublicRandomness, derive_fo_params, derive_hh_params
 from .freq_oracle import fo_estimate_many, fo_simulate_reports
-from .heavy_hitter import BOT, SuccinctHistogram, hh_execute, pp_run
+from .heavy_hitter import BOT, SuccinctHistogram, hh_execute, hh_finalize, pp_run
 from .onebit import (
     OneBitStructure,
     PublicString,
@@ -341,14 +341,7 @@ def _run_hist_one_bit(items, hh, fo, code, pub, rng, trial):
     """Full protocol where each user transmits a single accept bit; the
     server regenerates accepted users' public strings into the unchanged
     aggregation pipeline.  Materializes all K*T channels, so it is meant
-    for service-scale channel counts."""
-    from .heavy_hitter import FAITHFUL_CHANNEL_CAP, hh_finalize
-
-    if hh.K * hh.T > FAITHFUL_CHANNEL_CAP:
-        raise ValueError(
-            f"one-bit collection materializes K*T = {hh.K * hh.T} channels; "
-            f"cap is {FAITHFUL_CHANNEL_CAP}, use a smaller K override"
-        )
+    for service-scale channel counts (``OneBitStructure`` enforces the cap)."""
     structure = OneBitStructure.from_params(code, hh, fo, pub, run_id=trial)
     accepted = _one_bit_accepted(items, structure, rng)
     pp_aggs = collect_pp_aggregates(accepted, structure)

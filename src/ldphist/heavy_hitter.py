@@ -30,13 +30,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from hashlib import blake2b
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .codec import Code, hamming, round_to_hypercube
-from .core import FoParams, HhParams, PublicRandomness
+from .core import FoParams, HhParams, PublicRandomness, prf_below
 from .freq_oracle import (
     AggregateState,
     absorb_groups,
@@ -74,37 +73,20 @@ FAITHFUL_CHANNEL_CAP = 1 << 14
 
 @dataclass(frozen=True)
 class HashSeed:
-    """Public per-repetition seed of the pairwise-independent hash family."""
+    """Public per-repetition seed of the pairwise-independent hash family.
+
+    The hash's (a, b), with a in [1, p) and b in [0, p), are drawn from the
+    keyed PRF of ``core`` under key ``ldphist-channel-hash-v1`` and prefix
+    ``b"a" + bits`` and ``b"b" + bits`` respectively."""
 
     bits: bytes
-
-    def hash_pair(self) -> tuple:
-        """(a, b) with a in [1, p) and b in [0, p), derived from the seed by
-        the fixed keyed PRF with rejection sampling."""
-        return _hash_pair(self.bits)
 
 
 @lru_cache(maxsize=4096)
 def _hash_pair(bits: bytes) -> tuple:
-    a = _draw_below(bits, b"a", MERSENNE_P - 1) + 1
-    b = _draw_below(bits, b"b", MERSENNE_P)
+    a = prf_below(_HASH_PRF_KEY, b"a" + bits, MERSENNE_P - 1) + 1
+    b = prf_below(_HASH_PRF_KEY, b"b" + bits, MERSENNE_P)
     return a, b
-
-
-def _draw_below(seed: bytes, tag: bytes, bound: int) -> int:
-    limit = ((1 << 64) // bound) * bound
-    counter = 0
-    while True:
-        h = blake2b(key=_HASH_PRF_KEY, digest_size=64)
-        h.update(tag)
-        h.update(seed)
-        h.update(counter.to_bytes(8, "little"))
-        block = h.digest()
-        for off in range(0, 64, 8):
-            u = int.from_bytes(block[off : off + 8], "little")
-            if u < limit:
-                return u % bound
-        counter += 1
 
 
 def draw_hash_seeds(pub: PublicRandomness, T: int, ell: int) -> list:
@@ -124,7 +106,7 @@ def channel_of(seed: HashSeed, v: int, K: int) -> int:
     """Channel of item v: ((a v + b) mod p) mod K, p = 2^61 - 1."""
     if v >= MERSENNE_P:
         raise ValueError("item exceeds the hash prime; universe too large")
-    a, b = seed.hash_pair()
+    a, b = _hash_pair(seed.bits)
     return ((a * v + b) % MERSENNE_P) % K
 
 

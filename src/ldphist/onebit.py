@@ -33,7 +33,7 @@ import numpy as np
 from .codec import Code
 from .core import FoParams, HhParams, PublicRandomness
 from .freq_oracle import AggregateState, phi_sign_at
-from .heavy_hitter import BOT, channel_of, draw_hash_seeds
+from .heavy_hitter import BOT, FAITHFUL_CHANNEL_CAP, channel_of, draw_hash_seeds
 
 __all__ = [
     "OneBitStructure",
@@ -54,7 +54,9 @@ class OneBitStructure:
 
     T = 0 with m_fo > 0 describes an oracle-only protocol; m_fo = 0 and
     T = 0 is the degenerate structure with no item-dependent components
-    (acceptance probability exactly 1/2), useful only in tests.
+    (acceptance probability exactly 1/2), useful only in tests.  The
+    server materializes all K*T channels, so K*T may not exceed
+    ``FAITHFUL_CHANNEL_CAP``.
     """
 
     pub: PublicRandomness
@@ -71,6 +73,11 @@ class OneBitStructure:
             raise ValueError("hash channels require a code")
         if self.T > 0 and len(self.seeds) != self.T:
             raise ValueError(f"need {self.T} hash seeds, got {len(self.seeds)}")
+        if self.T > 0 and self.K * self.T > FAITHFUL_CHANNEL_CAP:
+            raise ValueError(
+                f"one-bit collection materializes K*T = {self.K * self.T} channels; "
+                f"cap is {FAITHFUL_CHANNEL_CAP}, use a smaller K override"
+            )
         if self.total_eps() > MAX_TOTAL_EPS + 1e-12:
             raise ValueError(
                 f"total budget {self.total_eps():.4f} exceeds ln 2; the acceptance "

@@ -241,6 +241,15 @@ class _SessionState:
         else:
             self.code = self.hh_params = None
             self.fo_params = derive_fo_params(config.d, config.n, config.eps, config.beta)
+        self.structure: Optional[OneBitStructure] = None
+        if config.one_bit and config.protocol == "hist":
+            self.structure = OneBitStructure.from_params(
+                self.code, self.hh_params, self.fo_params, self.pub, run_id=config.run_id
+            )
+        elif config.one_bit:
+            self.structure = OneBitStructure.fo_only(
+                self.fo_params.m_fo, config.eps, self.pub, run_id=config.run_id
+            )
         self.fo_agg = AggregateState(m=self.fo_params.m_fo, eps=self.fo_params.eps)
         self.pp_aggs: dict = {}
         self.seen: set = set()
@@ -285,8 +294,8 @@ class _SessionState:
     def finalize(self) -> Optional[str]:
         """Result CSV, or None when no oracle report (or accepted bit)
         arrived, which leaves nothing to estimate."""
-        if self.config.one_bit:
-            structure = self._structure()
+        structure = self.structure
+        if structure is not None:
             accepted = onebit_server_collect(sorted(self.bits.items()), structure)
             fo_agg = collect_fo_aggregate(accepted, structure)
             pp_aggs = collect_pp_aggregates(accepted, structure)
@@ -298,16 +307,6 @@ class _SessionState:
             hist, _, _ = hh_finalize(pp_aggs, fo_agg, self.code, self.hh_params, self.pub)
             return hist.to_csv()
         return self._fo_csv(fo_agg)
-
-    def _structure(self) -> OneBitStructure:
-        cfg = self.config
-        if cfg.protocol == "hist":
-            return OneBitStructure.from_params(
-                self.code, self.hh_params, self.fo_params, self.pub, run_id=cfg.run_id
-            )
-        return OneBitStructure.fo_only(
-            self.fo_params.m_fo, cfg.eps, self.pub, run_id=cfg.run_id
-        )
 
     def _fo_csv(self, agg: AggregateState) -> str:
         lines = ["item,estimated_frequency"]

@@ -5,6 +5,7 @@ import sys
 import time
 
 import numpy as np
+import pytest
 
 from ldphist.cli import main
 from ldphist.core import PublicRandomness, derive_fo_params
@@ -53,13 +54,23 @@ class TestCliExperiments:
 
     def test_config_file_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "params.cfg"
-        cfg.write_text("d = 16\nn = 400\neps = 1.0\nbeta = 0.2\n")
-        out = _run(
-            ["fo", "--config", str(cfg), "--out-dir", str(tmp_path),
-             "--d", "16", "--n", "400", "--eps", "1.0", "--beta", "0.2"],
-            capsys,
-        )
-        assert "[derived]" in out
+        cfg.write_text("d = 16\nn = 400\neps = 1.5\nbeta = 0.2\n")
+        out = _run(["fo", "--config", str(cfg), "--out-dir", str(tmp_path)], capsys)
+        derived = json.loads(out.split("[derived] ", 1)[1].split("\n", 1)[0])
+        fo = derived["fo_params"]
+        assert (fo["d"], fo["n"], fo["eps"], fo["beta"]) == (16, 400, 1.5, 0.2)
+        # The command line overrides the file, before or after --config.
+        for argv in (["--n", "300", "--config", str(cfg)], ["--config", str(cfg), "--n", "300"]):
+            out = _run(["fo", *argv, "--out-dir", str(tmp_path)], capsys)
+            derived = json.loads(out.split("[derived] ", 1)[1].split("\n", 1)[0])
+            assert (derived["fo_params"]["d"], derived["fo_params"]["n"]) == (16, 300)
+
+    def test_config_file_rejects_unknown_key(self, tmp_path, capsys):
+        cfg = tmp_path / "params.cfg"
+        cfg.write_text("d = 16\nk-override = 8\n")
+        with pytest.raises(SystemExit):
+            main(["fo", "--config", str(cfg), "--out-dir", str(tmp_path)])
+        assert "'k-override'" in capsys.readouterr().err
 
     def test_pp(self, tmp_path, capsys):
         out = _run(

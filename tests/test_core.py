@@ -116,11 +116,13 @@ class TestPublicRandomness:
         pub = PublicRandomness.from_any(0)
         assert pub.bytes_at(("test",), 8).hex() == _GOLDEN_TEST_PREFIX
 
-    def test_byte_at_matches_stream(self):
+    def test_sign_at_matches_stream(self):
         pub = PublicRandomness.from_any(99)
         stream = pub.bytes_at(("x", 3), 200)
         for idx in (0, 63, 64, 130, 199):
-            assert pub.byte_at(("x", 3), idx) == stream[idx]
+            for bit in (0, 7):
+                expected = 1 - 2 * ((stream[idx] >> bit) & 1)
+                assert pub.sign_at(("x", 3), 8 * idx + bit) == expected
 
     def test_sign_array_matches_sign_at(self):
         pub = PublicRandomness.from_any(7)

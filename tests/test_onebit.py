@@ -8,7 +8,7 @@ import pytest
 from ldphist.codec import build_code
 from ldphist.core import PublicRandomness
 from ldphist.freq_oracle import phi_column
-from ldphist.heavy_hitter import channel_of, draw_hash_seeds
+from ldphist.heavy_hitter import FAITHFUL_CHANNEL_CAP, channel_of, draw_hash_seeds
 from ldphist.onebit import (
     MAX_TOTAL_EPS,
     OneBitStructure,
@@ -78,6 +78,16 @@ class TestStructure:
         with pytest.raises(ValueError, match="seeds"):
             OneBitStructure(pub=PUB, run_id=0, K=2, T=1, eps_channel=0.1,
                             m_fo=4, code=code, seeds=())
+
+
+    def test_channel_cap_enforced(self):
+        code = build_code(4, "reference")
+        T = 3
+        seeds = tuple(draw_hash_seeds(PUB, T, 16))
+        kwargs = dict(pub=PUB, run_id=0, T=T, eps_channel=0.05, m_fo=4, code=code, seeds=seeds)
+        OneBitStructure(K=FAITHFUL_CHANNEL_CAP // T, **kwargs)
+        with pytest.raises(ValueError, match="K\\*T"):
+            OneBitStructure(K=FAITHFUL_CHANNEL_CAP // T + 1, **kwargs)
 
 
 class TestPublicString:

@@ -29,6 +29,7 @@ from ldphist.transport import (
     SessionConfig,
     TruncatedFrameError,
     _Connection,
+    _SessionState,
     client_close,
     client_submit,
     decode_frame,
@@ -320,6 +321,15 @@ class TestOneBitSession:
         finally:
             server.shutdown()
         assert result == expected
+
+
+    def test_one_bit_session_refuses_too_many_channels(self):
+        # The close would regenerate accepted x K*T components under the
+        # session lock, so the config is refused when the session is built.
+        cfg = SessionConfig(protocol="hist", d=16, n=2000, eps=0.69, beta=0.5,
+                            seed=1, k_override=100_000, one_bit=True)
+        with pytest.raises(ValueError, match="K\\*T"):
+            _SessionState(cfg)
 
 
 CLOSE = encode_frame(MSG_CONTROL, json.dumps({"action": "close"}).encode("utf-8"))
