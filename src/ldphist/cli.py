@@ -4,9 +4,10 @@ Subcommands: fo, pp, hist (with --one-bit), audit, serve, submit, sweep.
 Common flags mirror the protocol parameters (--d, --n, --eps, --beta,
 --k-override, --mode, --seed); --config loads a key=value parameter file
 whose entries serve as the subcommand's defaults (flags on the command
-line override them; a key the subcommand lacks is an error).  Outputs land in --out-dir, defaulting to
-the LDPHIST_OUT environment variable or the working directory, and every
-derived quantity is echoed to stdout and the JSON manifest.
+line override them; a key the subcommand lacks is an error).  Outputs
+land in --out-dir, defaulting to the LDPHIST_OUT environment variable or
+the working directory, and every derived quantity is echoed to stdout and
+the JSON manifest.
 """
 
 from __future__ import annotations
@@ -50,18 +51,26 @@ def _out_dir(args) -> str:
 
 
 class _ConfigDefaults(argparse.Action):
-    """--config FILE: the file's key=value entries become the subcommand's
-    defaults, and ``main`` parses again so that the command line overrides
-    them.  A key that names none of the subcommand's options is an error."""
+    """--config FILE: each key=value entry is parsed as the option it names
+    (an error if the subcommand has none) and becomes its default; ``main``
+    parses again so that the command line overrides the file."""
 
     def __call__(self, parser, namespace, path, option_string=None):
-        defaults = {}
+        tokens, attrs = [], []
         for key, value in load_params_file(path).items():
             attr = key.replace("-", "_")
             if attr in ("config", "func") or not hasattr(namespace, attr):
                 parser.error(f"{path}: unknown key {key!r}")
-            defaults[attr] = value
-        parser.set_defaults(**defaults)
+            flag, default = "--" + attr.replace("_", "-"), getattr(namespace, attr)
+            if isinstance(default, bool):  # store_true: 1 or 0, any other value is refused
+                tokens += {1: [flag], 0: []}.get(value, [flag, str(value)])
+            elif isinstance(default, list):  # nargs="+"
+                tokens += [flag, *str(value).split()]
+            else:
+                tokens += [flag, str(value)]
+            attrs.append(attr)
+        from_file = parser.parse_args(tokens)
+        parser.set_defaults(**{attr: getattr(from_file, attr) for attr in attrs})
         setattr(namespace, self.dest, path)
 
 

@@ -174,13 +174,11 @@ def report_magnitude(eps: float, m: int) -> float:
 # ---------------------------------------------------------------------------
 
 _BLOCK = 64  # bytes per PRF block
-_U64 = struct.Struct("<Q")
 _BLOCK_WORDS = struct.Struct("<8Q")
 
 
 def _prf_state(key: bytes, prefix: bytes):
-    """Keyed BLAKE2b-512 state that has absorbed prefix; every block of the
-    (key, prefix) stream starts from a copy of it."""
+    """Keyed BLAKE2b-512 state after prefix; each block starts from a copy."""
     h = hashlib.blake2b(key=key, digest_size=_BLOCK)
     h.update(prefix)
     return h
@@ -189,7 +187,7 @@ def _prf_state(key: bytes, prefix: bytes):
 def _prf_block(state, index: int) -> bytes:
     """Block i of a stream: BLAKE2b-512(key, prefix || u64le(i))."""
     h = state.copy()
-    h.update(_U64.pack(index))
+    h.update(index.to_bytes(8, "little"))
     return h.digest()
 
 

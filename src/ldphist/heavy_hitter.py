@@ -73,11 +73,9 @@ FAITHFUL_CHANNEL_CAP = 1 << 14
 
 @dataclass(frozen=True)
 class HashSeed:
-    """Public per-repetition seed of the pairwise-independent hash family.
-
-    The hash's (a, b), with a in [1, p) and b in [0, p), are drawn from the
-    keyed PRF of ``core`` under key ``ldphist-channel-hash-v1`` and prefix
-    ``b"a" + bits`` and ``b"b" + bits`` respectively."""
+    """Public per-repetition seed of the pairwise-independent hash family;
+    its (a, b), a in [1, p) and b in [0, p), come from the keyed PRF of
+    ``core`` under key ``_HASH_PRF_KEY`` and prefixes b"a" + bits, b"b" + bits."""
 
     bits: bytes
 

@@ -54,9 +54,7 @@ class OneBitStructure:
 
     T = 0 with m_fo > 0 describes an oracle-only protocol; m_fo = 0 and
     T = 0 is the degenerate structure with no item-dependent components
-    (acceptance probability exactly 1/2), useful only in tests.  The
-    server materializes all K*T channels, so K*T may not exceed
-    ``FAITHFUL_CHANNEL_CAP``.
+    (acceptance probability exactly 1/2), useful only in tests.
     """
 
     pub: PublicRandomness

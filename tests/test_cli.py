@@ -55,22 +55,41 @@ class TestCliExperiments:
     def test_config_file_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "params.cfg"
         cfg.write_text("d = 16\nn = 400\neps = 1.5\nbeta = 0.2\n")
-        out = _run(["fo", "--config", str(cfg), "--out-dir", str(tmp_path)], capsys)
-        derived = json.loads(out.split("[derived] ", 1)[1].split("\n", 1)[0])
-        fo = derived["fo_params"]
+
+        def fo_params(argv):
+            out = _run(["fo", *argv, "--out-dir", str(tmp_path)], capsys)
+            return json.loads(out.split("[derived] ", 1)[1].split("\n", 1)[0])["fo_params"]
+
+        fo = fo_params(["--config", str(cfg)])
         assert (fo["d"], fo["n"], fo["eps"], fo["beta"]) == (16, 400, 1.5, 0.2)
         # The command line overrides the file, before or after --config.
         for argv in (["--n", "300", "--config", str(cfg)], ["--config", str(cfg), "--n", "300"]):
-            out = _run(["fo", *argv, "--out-dir", str(tmp_path)], capsys)
-            derived = json.loads(out.split("[derived] ", 1)[1].split("\n", 1)[0])
-            assert (derived["fo_params"]["d"], derived["fo_params"]["n"]) == (16, 300)
+            fo = fo_params(argv)
+            assert (fo["d"], fo["n"]) == (16, 300)
 
-    def test_config_file_rejects_unknown_key(self, tmp_path, capsys):
+    @pytest.mark.parametrize("entry, named", [
+        ("k-override = 8", "'k-override'"),  # not an option of fo
+        ("d = 16.5", "--d"),
+        ("code = concatenated", "'code'"),
+        ("one-bit = false", "unrecognized arguments: false"),
+    ])
+    def test_config_file_rejects_bad_entry(self, tmp_path, capsys, entry, named):
         cfg = tmp_path / "params.cfg"
-        cfg.write_text("d = 16\nk-override = 8\n")
+        cfg.write_text(f"n = 400\n{entry}\n")
         with pytest.raises(SystemExit):
             main(["fo", "--config", str(cfg), "--out-dir", str(tmp_path)])
-        assert "'k-override'" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
+
+    def test_config_file_list_and_flag_options(self, tmp_path, capsys):
+        cfg = tmp_path / "params.cfg"
+        cfg.write_text("m-list = 2 4\neps-list = 1.0\n")
+        _run(["audit", "--config", str(cfg), "--out-dir", str(tmp_path)], capsys)
+        table = (tmp_path / "audit_randomizer.csv").read_text().split()
+        assert [row.split(",")[0] for row in table[1:]] == ["2", "4"]
+        cfg.write_text("d = 8\nn = 1500\neps = 0.69\nbeta = 0.2\none-bit = 1\n")
+        _run(["fo", "--config", str(cfg), "--out-dir", str(tmp_path)], capsys)
+        manifest = json.loads((tmp_path / "fo_manifest.json").read_text())
+        assert manifest["config"]["one_bit"] is True
 
     def test_pp(self, tmp_path, capsys):
         out = _run(
