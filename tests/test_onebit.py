@@ -79,7 +79,6 @@ class TestStructure:
             OneBitStructure(pub=PUB, run_id=0, K=2, T=1, eps_channel=0.1,
                             m_fo=4, code=code, seeds=())
 
-
     def test_channel_cap_enforced(self):
         code = build_code(4, "reference")
         T = 3

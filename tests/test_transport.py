@@ -322,7 +322,6 @@ class TestOneBitSession:
             server.shutdown()
         assert result == expected
 
-
     def test_one_bit_session_refuses_too_many_channels(self):
         # The close would regenerate accepted x K*T components under the
         # session lock, so the config is refused when the session is built.
