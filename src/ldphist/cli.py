@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -34,13 +34,13 @@ from .transport import (
     MSG_FO_REPORT,
     MSG_ONE_BIT,
     MSG_PP_REPORT,
+    AggregationServer,
     OneBitPayload,
     ReportPayload,
     SessionConfig,
     client_close,
     client_submit,
     encode_frame,
-    serve_aggregation,
 )
 
 
@@ -146,8 +146,6 @@ def cmd_pp(args):
 
 
 def cmd_hist(args):
-    if args.one_bit and args.eps > math.log(2) + 1e-12:
-        raise SystemExit("one-bit runs require a total eps <= ln 2")
     cfg = ExperimentConfig(
         protocol="hist",
         dataset=_dataset_from_args(args),
@@ -219,13 +217,11 @@ def cmd_serve(args):
         code_kind=args.code,
         one_bit=args.one_bit,
     )
-    server = serve_aggregation((args.host, args.port), cfg)
-    host, port = server.address
+    server = AggregationServer(cfg, args.host, args.port)
+    host, port = server.start()
     _echo("serving", {"host": host, "port": port, "config": cfg.to_json()})
     try:
         while server.state.result_csv is None:
-            import time
-
             time.sleep(0.1)
         print(server.state.result_csv, end="")
     except KeyboardInterrupt:
@@ -361,7 +357,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
         args = parser.parse_args(argv)  # now with the file's defaults
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # a parameter set the library refuses
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

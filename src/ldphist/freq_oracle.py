@@ -150,9 +150,12 @@ def absorb_groups(
 
     groups yields (item, count) pairs, drawn in the order given (seeded
     runs depend on it); the count users holding item run the basic
-    randomizer on column_of(item), and a negative item stands for users
-    holding nothing, who randomize the zero input."""
+    randomizer on column_of(item), and item -1 stands for users holding
+    nothing, who randomize the zero input.  Any other negative item is
+    refused when its group is reached."""
     for v, count in groups:
+        if v < -1:
+            raise ValueError(f"item {v}: items must lie in [0, d) or be -1 (no item)")
         x = None if v < 0 else column_of(int(v))
         agg.absorb_batch(*randomize_many(x, int(count), agg.eps, agg.m, rng))
     return agg
@@ -181,7 +184,8 @@ def fo_simulate_reports(
     Sampling is grouped by distinct item so each column is generated once;
     per-user draws are identical in distribution to calling
     fo_client_report in a loop.  Items equal to -1 denote users with no
-    item, whose reports are uniform.
+    item, whose reports are uniform; items below -1 are refused before
+    any draw (np.unique sorts them first).
     """
     values, counts = np.unique(np.asarray(items), return_counts=True)
     agg = AggregateState(m=m, eps=eps)

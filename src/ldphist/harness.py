@@ -21,14 +21,7 @@ from .codec import build_code
 from .core import PublicRandomness, derive_fo_params, derive_hh_params
 from .freq_oracle import fo_estimate_many, fo_simulate_reports
 from .heavy_hitter import BOT, SuccinctHistogram, hh_execute, hh_finalize, pp_run
-from .onebit import (
-    OneBitStructure,
-    PublicString,
-    collect_fo_aggregate,
-    collect_pp_aggregates,
-    onebit_client,
-    onebit_server_collect,
-)
+from .onebit import OneBitStructure, PublicString, collect_aggregates, onebit_client
 
 __all__ = [
     "DatasetSpec",
@@ -254,9 +247,8 @@ def _run_fo_trial(config: ExperimentConfig, items, truth, trial):
     rng = _trial_rng(config.seed, trial)
     if config.one_bit:
         structure = OneBitStructure.fo_only(params.m_fo, config.eps, pub, run_id=trial)
-        accepted = _one_bit_accepted(items, structure, rng)
-        agg = collect_fo_aggregate(accepted, structure)
-        acceptance = len(accepted) / spec.n
+        agg, _ = collect_aggregates(_one_bit_bits(items, structure, rng), structure)
+        acceptance = agg.n_total / spec.n
     else:
         agg = fo_simulate_reports(items, params.m_fo, config.eps, pub, rng)
         acceptance = 1.0
@@ -307,8 +299,12 @@ def _run_hist_trial(config: ExperimentConfig, items, truth, trial):
     rng = _trial_rng(config.seed, trial)
     extra = {}
     if config.one_bit:
-        hist, seeds, extra = _run_hist_one_bit(items, hh, fo, code, pub, rng, trial)
-        mode = "one-bit"
+        # Materializes all K*T channels; OneBitStructure enforces the cap.
+        structure = OneBitStructure.from_params(code, hh, fo, pub, run_id=trial)
+        fo_agg, pp_aggs = collect_aggregates(_one_bit_bits(items, structure, rng), structure)
+        hist, _, _ = hh_finalize(pp_aggs, fo_agg, code, hh, pub)
+        seeds, mode = structure.seeds, "one-bit"
+        extra = {"acceptance_rate": fo_agg.n_total / spec.n}
     else:
         res = hh_execute(items, code, hh, fo, pub, rng, mode=config.mode)
         hist, seeds, mode = res.histogram, res.seeds, res.mode
@@ -337,28 +333,13 @@ def _run_hist_trial(config: ExperimentConfig, items, truth, trial):
     return metrics, hist.to_csv(truth), derived
 
 
-def _run_hist_one_bit(items, hh, fo, code, pub, rng, trial):
-    """Full protocol where each user transmits a single accept bit; the
-    server regenerates accepted users' public strings into the unchanged
-    aggregation pipeline.  Materializes all K*T channels, so it is meant
-    for service-scale channel counts (``OneBitStructure`` enforces the cap)."""
-    structure = OneBitStructure.from_params(code, hh, fo, pub, run_id=trial)
-    accepted = _one_bit_accepted(items, structure, rng)
-    pp_aggs = collect_pp_aggregates(accepted, structure)
-    fo_agg = collect_fo_aggregate(accepted, structure)
-    hist, _, _ = hh_finalize(pp_aggs, fo_agg, code, hh, pub)
-    extra = {"acceptance_rate": len(accepted) / max(1, len(items))}
-    return hist, list(structure.seeds), extra
-
-
-def _one_bit_accepted(items, structure: OneBitStructure, rng: np.random.Generator) -> list:
-    """Every user sends the accept bit of its public string, in user order;
-    returns the accepted strings the server regenerates."""
+def _one_bit_bits(items, structure: OneBitStructure, rng: np.random.Generator) -> list:
+    """(user, accept bit) of every user's public string, in user order."""
     bits = []
     for user, v in enumerate(items):
         y = PublicString(structure=structure, user_id=user)
         bits.append((user, onebit_client(int(v), y, structure, rng)))
-    return onebit_server_collect(bits, structure)
+    return bits
 
 
 def fo_scaling_sweep(

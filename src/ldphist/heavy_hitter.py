@@ -191,8 +191,6 @@ def pp_aggregate(
 ) -> AggregateState:
     """Aggregate promise-protocol reports for all users, grouped by item."""
     values, counts = np.unique(np.asarray(items), return_counts=True)
-    if values.size and values[0] < BOT:
-        raise ValueError("items must lie in [0, d) or be the BOT sentinel")
     agg = AggregateState(m=code.m, eps=eps)
     return absorb_groups(agg, zip(values, counts), code.encode, rng)
 

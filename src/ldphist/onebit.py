@@ -43,6 +43,7 @@ __all__ = [
     "onebit_server_collect",
     "collect_fo_aggregate",
     "collect_pp_aggregates",
+    "collect_aggregates",
 ]
 
 MAX_TOTAL_EPS = math.log(2)
@@ -171,15 +172,12 @@ def onebit_client(
 
 
 def onebit_server_collect(bits, structure: OneBitStructure) -> list:
-    """Regenerate the public strings of accepting users; each returned
-    (user_id, PublicString) stands in for that user's full report.
-
-    bits is a mapping user_id -> bit or an iterable of (user_id, bit).
-    """
-    pairs = bits.items() if hasattr(bits, "items") else bits
+    """Regenerate the public strings of accepting users from an iterable
+    of (user_id, bit); each returned (user_id, PublicString) stands in for
+    that user's full report."""
     return [
         (user_id, PublicString(structure=structure, user_id=user_id))
-        for user_id, bit in pairs
+        for user_id, bit in bits
         if bit == 1
     ]
 
@@ -213,3 +211,10 @@ def collect_pp_aggregates(accepted: list, structure: OneBitStructure) -> dict:
         for t in range(structure.T)
         for k in range(structure.K)
     }
+
+
+def collect_aggregates(bits, structure: OneBitStructure) -> tuple:
+    """(oracle aggregate, hash-channel aggregates) of the users whose
+    (user_id, bit) pairs accept: the server side of a one-bit run."""
+    accepted = onebit_server_collect(bits, structure)
+    return collect_fo_aggregate(accepted, structure), collect_pp_aggregates(accepted, structure)

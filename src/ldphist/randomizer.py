@@ -16,8 +16,6 @@ positive-part mass.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -43,7 +41,7 @@ __all__ = [
     "mutual_information",
 ]
 
-DEFAULT_OUTCOME_CAP = 1 << 20
+OUTCOME_CAP = 1 << 20  # largest outcome count report_distribution enumerates
 
 
 class SparseReport(NamedTuple):
@@ -112,16 +110,14 @@ def outcome_labels(m: int) -> list[str]:
     return labels
 
 
-def report_distribution(
-    x: Optional[np.ndarray], m: int, eps: float, outcome_cap: int = DEFAULT_OUTCOME_CAP
-) -> np.ndarray:
+def report_distribution(x: Optional[np.ndarray], m: int, eps: float) -> np.ndarray:
     """Exact pmf of the randomizer output over the 2m outcomes (j, sign).
 
     Outcomes are ordered (0,+), (0,-), (1,+), (1,-), ...  Raises when 2m
-    exceeds the enumeration cap.
+    exceeds OUTCOME_CAP.
     """
-    if 2 * m > outcome_cap:
-        raise ValueError(f"2m = {2 * m} outcomes exceed enumeration cap {outcome_cap}")
+    if 2 * m > OUTCOME_CAP:
+        raise ValueError(f"2m = {2 * m} outcomes exceed enumeration cap {OUTCOME_CAP}")
     probs = np.empty(2 * m, dtype=np.float64)
     if x is None:
         probs[:] = 1.0 / (2 * m)
@@ -153,22 +149,6 @@ class ChannelMatrix:
         rows = self.probs.sum(axis=1)
         if np.any(np.abs(rows - 1.0) > 1e-12):
             raise ValueError("channel rows must sum to 1 within 1e-12")
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["input"] + [str(o) for o in self.outputs])
-        for label, row in zip(self.inputs, self.probs):
-            writer.writerow([str(label)] + [f"{p:.17g}" for p in row])
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "ChannelMatrix":
-        rows = list(csv.reader(io.StringIO(text)))
-        outputs = rows[0][1:]
-        inputs = [r[0] for r in rows[1:]]
-        probs = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
-        return cls(inputs=inputs, outputs=outputs, probs=probs)
 
 
 def randomizer_channel(

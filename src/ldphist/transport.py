@@ -5,8 +5,7 @@ Frame layout (all integers little-endian):
     magic   4 bytes  "LDPH"
     version u8       1
     type    u8       0 oracle report, 1 channel report, 2 one-bit,
-                     3 session config / control, 4 histogram result,
-                     5 ack or error
+                     3 control, 4 histogram result, 5 ack or error
     length  u32      payload byte count
     payload
 
@@ -15,14 +14,16 @@ sign u8 (0 minus, 1 plus); one-bit payload: user_id u64, bit u8.  Control
 and ack payloads are UTF-8 JSON; the histogram result is the UTF-8 CSV
 produced by the histogram pipeline.
 
-The service accepts concurrent connections, validates and deduplicates
-reports (one per user and channel; duplicate submissions get an error
-frame and change nothing, making client retries idempotent), and absorbs
-them into integer count aggregates, so the final state is independent of
-arrival order.  A close request runs the same decode/prune pipeline as an
-in-process run and answers with the histogram result, or with an
-"empty-session" error, leaving the session open, when no oracle report
-arrived.  The service never sees items, only reports.
+The service (``AggregationServer``) accepts concurrent connections,
+validates and deduplicates reports (one per user and channel; duplicate
+submissions get an error frame and change nothing, making client retries
+idempotent), and absorbs them into integer count aggregates, so the final
+state is independent of arrival order.  It refuses a frame whose header
+declares more than MAX_REQUEST_PAYLOAD bytes before reading the payload.
+A close request runs the same decode/prune pipeline as an in-process run
+and answers with the histogram result, or with an "empty-session" error,
+leaving the session open, when no oracle report arrived.  The service
+never sees items, only reports.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .codec import build_code
 from .core import PublicRandomness, derive_fo_params, derive_hh_params
 from .freq_oracle import AggregateState, fo_estimate_many
 from .heavy_hitter import hh_finalize
-from .onebit import OneBitStructure, collect_fo_aggregate, collect_pp_aggregates, onebit_server_collect
+from .onebit import OneBitStructure, collect_aggregates
 
 __all__ = [
     "MAGIC",
@@ -52,20 +53,19 @@ __all__ = [
     "MSG_CONTROL",
     "MSG_RESULT",
     "MSG_ACK",
+    "MAX_REQUEST_PAYLOAD",
     "TransportError",
     "TruncatedFrameError",
     "BadMagicError",
     "BadVersionError",
     "BadTypeError",
     "PayloadBoundsError",
-    "SessionClosedError",
     "ReportPayload",
     "OneBitPayload",
     "SessionConfig",
     "encode_frame",
     "decode_frame",
     "AggregationServer",
-    "serve_aggregation",
     "client_submit",
     "client_close",
 ]
@@ -79,6 +79,10 @@ MSG_ONE_BIT = 2
 MSG_CONTROL = 3
 MSG_RESULT = 4
 MSG_ACK = 5
+
+# Largest payload the service reads from a client frame; the largest
+# legitimate one is a small control JSON.
+MAX_REQUEST_PAYLOAD = 64 * 1024
 
 _HEADER = struct.Struct("<4sBBI")
 _REPORT = struct.Struct("<QHIIB")
@@ -106,10 +110,6 @@ class BadTypeError(TransportError):
 
 
 class PayloadBoundsError(TransportError):
-    pass
-
-
-class SessionClosedError(TransportError):
     pass
 
 
@@ -200,18 +200,13 @@ class SessionConfig:
     k_override: Optional[int] = None
     code_kind: str = "reference"
     one_bit: bool = False
-    run_id: int = 0
+
+    def __post_init__(self):
+        if self.protocol not in ("hist", "fo"):
+            raise ValueError(f"unknown protocol {self.protocol!r}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SessionConfig":
-        data = json.loads(text)
-        cfg = cls(**data)
-        if cfg.protocol not in ("hist", "fo"):
-            raise ValueError(f"unknown protocol {cfg.protocol!r}")
-        return cfg
 
 
 def _ack(ok: bool, code: str = "", error: str = "") -> bytes:
@@ -244,12 +239,10 @@ class _SessionState:
         self.structure: Optional[OneBitStructure] = None
         if config.one_bit and config.protocol == "hist":
             self.structure = OneBitStructure.from_params(
-                self.code, self.hh_params, self.fo_params, self.pub, run_id=config.run_id
+                self.code, self.hh_params, self.fo_params, self.pub
             )
         elif config.one_bit:
-            self.structure = OneBitStructure.fo_only(
-                self.fo_params.m_fo, config.eps, self.pub, run_id=config.run_id
-            )
+            self.structure = OneBitStructure.fo_only(self.fo_params.m_fo, config.eps, self.pub)
         self.fo_agg = AggregateState(m=self.fo_params.m_fo, eps=self.fo_params.eps)
         self.pp_aggs: dict = {}
         self.seen: set = set()
@@ -294,11 +287,8 @@ class _SessionState:
     def finalize(self) -> Optional[str]:
         """Result CSV, or None when no oracle report (or accepted bit)
         arrived, which leaves nothing to estimate."""
-        structure = self.structure
-        if structure is not None:
-            accepted = onebit_server_collect(sorted(self.bits.items()), structure)
-            fo_agg = collect_fo_aggregate(accepted, structure)
-            pp_aggs = collect_pp_aggregates(accepted, structure)
+        if self.structure is not None:
+            fo_agg, pp_aggs = collect_aggregates(sorted(self.bits.items()), self.structure)
         else:
             fo_agg, pp_aggs = self.fo_agg, self.pp_aggs
         if fo_agg.n_total == 0:
@@ -323,17 +313,21 @@ def _read_exact(rfile, count: int) -> bytes:
     return data
 
 
-def read_frame(rfile) -> tuple:
+def read_frame(rfile, max_payload: Optional[int] = None) -> tuple:
+    """(msg_type, payload) of the next frame; a declared payload longer
+    than max_payload is refused before it is read."""
     msg_type, length = _parse_header(_read_exact(rfile, _HEADER.size))
+    if max_payload is not None and length > max_payload:
+        raise PayloadBoundsError(f"declared payload of {length} bytes exceeds {max_payload}")
     return msg_type, _read_exact(rfile, length)
 
 
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self):
-        state: _SessionState = self.server.state  # type: ignore[attr-defined]
+        state: _SessionState = self.server.state
         while True:
             try:
-                msg_type, payload = read_frame(self.rfile)
+                msg_type, payload = read_frame(self.rfile, MAX_REQUEST_PAYLOAD)
             except TruncatedFrameError:
                 return  # client went away
             except TransportError as exc:
@@ -377,39 +371,27 @@ class _Handler(socketserver.StreamRequestHandler):
         return _ack(True)
 
 
-class AggregationServer:
-    """Threaded aggregation service bound to a host/port."""
+class AggregationServer(socketserver.ThreadingTCPServer):
+    """Threaded aggregation service for one session, bound to (host, port).
+
+    ``start`` serves in a daemon thread until ``shutdown``; a close request
+    does not stop it, and later close requests get the same result."""
+
+    allow_reuse_address = True
+    daemon_threads = True
 
     def __init__(self, config: SessionConfig, host: str = "127.0.0.1", port: int = 0):
         self.state = _SessionState(config)
-
-        class _Server(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
-
-        self._server = _Server((host, port), _Handler)
-        self._server.state = self.state  # type: ignore[attr-defined]
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
-
-    @property
-    def address(self) -> tuple:
-        return self._server.server_address
+        super().__init__((host, port), _Handler)
 
     def start(self) -> tuple:
-        self._thread.start()
-        return self.address
+        """Serve in the background; returns the bound (host, port)."""
+        threading.Thread(target=self.serve_forever, daemon=True).start()
+        return self.server_address
 
     def shutdown(self):
-        self._server.shutdown()
-        self._server.server_close()
-
-
-def serve_aggregation(listen: tuple, config: SessionConfig) -> AggregationServer:
-    """Start the service on (host, port); it runs until a close request
-    arrives and keeps answering the result afterwards."""
-    server = AggregationServer(config, host=listen[0], port=listen[1])
-    server.start()
-    return server
+        super().shutdown()
+        self.server_close()
 
 
 class _Connection:
@@ -429,7 +411,7 @@ class _Connection:
         self.sock.close()
 
 
-def client_submit(address: tuple, frames: list, raise_on_closed: bool = False) -> list:
+def client_submit(address: tuple, frames: list) -> list:
     """Submit frames over one connection; returns the parsed ack per frame.
 
     Duplicate rejections come back as acks with code "duplicate", so a
@@ -441,10 +423,7 @@ def client_submit(address: tuple, frames: list, raise_on_closed: bool = False) -
             msg_type, payload = conn.roundtrip(frame)
             if msg_type != MSG_ACK:
                 raise BadTypeError(f"expected ack, got type {msg_type}")
-            body = json.loads(payload.decode("utf-8"))
-            if raise_on_closed and body.get("code") == "session-closed":
-                raise SessionClosedError(body.get("error", ""))
-            acks.append(body)
+            acks.append(json.loads(payload.decode("utf-8")))
     finally:
         conn.close()
     return acks

@@ -91,6 +91,19 @@ class TestCliExperiments:
         manifest = json.loads((tmp_path / "fo_manifest.json").read_text())
         assert manifest["config"]["one_bit"] is True
 
+    @pytest.mark.parametrize("argv, refused", [
+        (["hist", "--d", "16", "--n", "1000", "--eps", "0.6"], "threshold 1.465"),
+        (["serve", "--one-bit", "--eps", "2.0", "--port", "0"], "budget 2.0000"),
+        (["fo", "--one-bit", "--eps", "1.0"], "budget 1.0000"),
+    ], ids=["hist", "serve-one-bit", "fo-one-bit"])
+    def test_refused_parameters_exit_with_message(self, tmp_path, capsys, argv, refused):
+        # The library's ValueError becomes a one-line usage error, not a traceback.
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert refused in err and "Traceback" not in err
+
     def test_pp(self, tmp_path, capsys):
         out = _run(
             ["pp", "--d", "256", "--n", "20000", "--eps", "2.0", "--beta", "0.1",

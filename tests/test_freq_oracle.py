@@ -145,6 +145,14 @@ class TestClientReport:
         target = phi_column(PUB, 9, m).astype(np.float64) / math.sqrt(m)
         assert np.max(np.abs(zbar - target)) < 5 * c_eps(eps) / math.sqrt(n) * math.sqrt(m)
 
+    def test_simulate_refuses_items_below_bot(self):
+        # -1 is the only "no item" value; the refusal comes before any draw.
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="item -7"):
+            fo_simulate_reports(np.array([-5, -7, 3, 3]), 16, 1.0, PUB, rng)
+        assert rng.bit_generator.state == before
+
 
 class TestEstimate:
     def test_estimator_formula_exact(self):

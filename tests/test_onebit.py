@@ -14,6 +14,7 @@ from ldphist.onebit import (
     OneBitStructure,
     PublicString,
     acceptance_prob,
+    collect_aggregates,
     collect_fo_aggregate,
     collect_pp_aggregates,
     onebit_client,
@@ -202,14 +203,25 @@ class TestPrivacy:
 class TestServerCollect:
     def test_all_rejected_empty(self):
         s = composite_toy()
-        assert onebit_server_collect({0: 0, 1: 0}, s) == []
+        assert onebit_server_collect([(0, 0), (1, 0)], s) == []
 
     def test_accepted_strings_regenerated(self):
         s = composite_toy()
-        accepted = onebit_server_collect({0: 1, 1: 0, 2: 1}, s)
+        accepted = onebit_server_collect([(0, 1), (1, 0), (2, 1)], s)
         assert [u for u, _ in accepted] == [0, 2]
         agg = collect_fo_aggregate(accepted, s)
         assert agg.n_total == 2
+
+    def test_collect_aggregates_matches_parts(self):
+        s = composite_toy()
+        bits = [(u, u % 2) for u in range(10)]
+        fo_agg, pp_aggs = collect_aggregates(bits, s)
+        accepted = onebit_server_collect(bits, s)
+        assert fo_agg.n_total == 5
+        assert fo_agg.to_bytes() == collect_fo_aggregate(accepted, s).to_bytes()
+        parts = collect_pp_aggregates(accepted, s)
+        assert {key: agg.to_bytes() for key, agg in pp_aggs.items()} == {
+            key: agg.to_bytes() for key, agg in parts.items()}
 
     def test_conditional_distribution_matches_randomizer(self):
         # Oracle-only toy: the accepted strings' empirical distribution over
@@ -254,7 +266,7 @@ class TestServerCollect:
 
     def test_pp_aggregates_sizes(self):
         s = composite_toy()
-        accepted = onebit_server_collect({u: 1 for u in range(10)}, s)
+        accepted = onebit_server_collect([(u, 1) for u in range(10)], s)
         aggs = collect_pp_aggregates(accepted, s)
         assert set(aggs) == {(0, 0), (0, 1)}
         assert all(a.n_total == 10 for a in aggs.values())

@@ -152,14 +152,6 @@ class TestAudit:
         assert abs(audit_ldp(ch).eps_observed - eps) < 1e-9
 
 
-class TestChannelCsv:
-    def test_roundtrip(self):
-        ch = randomizer_channel(all_sign_vectors(3), 3, 0.9)
-        back = ChannelMatrix.from_csv(ch.to_csv())
-        assert back.outputs == [str(o) for o in ch.outputs]
-        assert np.array_equal(back.probs, ch.probs)
-
-
 class TestDegrade:
     def test_eta_one_identity(self):
         rng = np.random.default_rng(4)
