@@ -5,25 +5,39 @@ Frame layout (all integers little-endian):
     magic   4 bytes  "LDPH"
     version u8       1
     type    u8       0 oracle report, 1 channel report, 2 one-bit,
-                     3 control, 4 histogram result, 5 ack or error
+                     3 control, 4 histogram result, 5 ack or error,
+                     6 batch of reports
     length  u32      payload byte count
     payload
 
 Report payload: user_id u64, repetition u16, channel u32, position u32,
 sign u8 (0 minus, 1 plus); one-bit payload: user_id u64, bit u8.  Control
 and ack payloads are UTF-8 JSON; the histogram result is the UTF-8 CSV
-produced by the histogram pipeline.
+produced by the histogram pipeline.  A batch payload is whole frames laid
+end to end, all of one size: 29-byte frames of types 0 and 1, or 19-byte
+frames of type 2.  Its ack carries a status per record, as
+{"ok": every record accepted, "errors": [[index, code, message], ...]}.
+``client_submit`` packs its frames into batches of at most
+MAX_REQUEST_PAYLOAD bytes, one round trip each, and expands every batch
+ack back into one ack per frame, in order.
 
-The service (``AggregationServer``) accepts concurrent connections,
-validates and deduplicates reports (one per user and channel; duplicate
-submissions get an error frame and change nothing, making client retries
-idempotent), and absorbs them into integer count aggregates, so the final
-state is independent of arrival order.  It refuses a frame whose header
-declares more than MAX_REQUEST_PAYLOAD bytes before reading the payload.
-A close request runs the same decode/prune pipeline as an in-process run
-and answers with the histogram result, or with an "empty-session" error,
-leaving the session open, when no oracle report arrived.  The service
-never sees items, only reports.
+The service (``AggregationServer``) handles a lone report frame as a
+batch of one.  It checks every record (header, sign byte) and refuses a
+malformed batch whole, with a "bad-frame" ack, before any state changes.
+A record outside the session (user_id >= n, t >= T, k >= K, position >= m,
+or the wrong report kind) gets "bounds", and a repeat of a (user, channel)
+report gets "duplicate" and changes nothing (the first copy wins, within a
+batch too), making client retries idempotent.  Accepted reports are
+absorbed into integer counts, so the final state is independent of arrival
+order.  A "hist" session with K*T above FAITHFUL_CHANNEL_CAP is refused
+when built, which bounds its (K*T + 1) x n dedup bitmap.  A frame header
+declaring more than MAX_REQUEST_PAYLOAD bytes is refused before its
+payload is read, and a connection silent for READ_TIMEOUT_S is dropped.
+{"action": "stats"} is answered with the reports absorbed, the rejections
+by code and the request bytes read.  A close request runs the same
+decode/prune pipeline as an in-process run and answers with the histogram
+result, or with an "empty-session" error, leaving the session open, when
+no oracle report arrived.  The service never sees items, only reports.
 """
 
 from __future__ import annotations
@@ -41,7 +55,7 @@ import numpy as np
 from .codec import build_code
 from .core import PublicRandomness, derive_fo_params, derive_hh_params
 from .freq_oracle import AggregateState, fo_estimate_many
-from .heavy_hitter import hh_finalize
+from .heavy_hitter import FAITHFUL_CHANNEL_CAP, hh_finalize
 from .onebit import OneBitStructure, collect_aggregates
 
 __all__ = [
@@ -53,7 +67,9 @@ __all__ = [
     "MSG_CONTROL",
     "MSG_RESULT",
     "MSG_ACK",
+    "MSG_BATCH",
     "MAX_REQUEST_PAYLOAD",
+    "READ_TIMEOUT_S",
     "TransportError",
     "TruncatedFrameError",
     "BadMagicError",
@@ -79,14 +95,41 @@ MSG_ONE_BIT = 2
 MSG_CONTROL = 3
 MSG_RESULT = 4
 MSG_ACK = 5
+MSG_BATCH = 6
 
-# Largest payload the service reads from a client frame; the largest
-# legitimate one is a small control JSON.
+# Largest payload the service reads from a client frame; a batch of 2,259
+# report frames fits.
 MAX_REQUEST_PAYLOAD = 64 * 1024
+
+# Seconds a handler waits for the next bytes of a client before it drops
+# the connection, so that a stalled client cannot hold a thread forever.
+READ_TIMEOUT_S = 30.0
 
 _HEADER = struct.Struct("<4sBBI")
 _REPORT = struct.Struct("<QHIIB")
 _ONEBIT = struct.Struct("<QB")
+
+# Batch records by whole-frame size: the record layout, and the frame
+# types a record of that size may carry.  A one-bit record's bit is read
+# as its "sign" field, so both kinds share the sign-byte check.
+_HEAD_FIELDS = [("magic", "S4"), ("version", "u1"), ("type", "u1"), ("length", "<u4"),
+                ("user", "<u8")]
+_RECORDS = {
+    _HEADER.size + _REPORT.size: (
+        np.dtype(_HEAD_FIELDS + [("t", "<u2"), ("k", "<u4"), ("position", "<u4"), ("sign", "u1")]),
+        (MSG_FO_REPORT, MSG_PP_REPORT),
+    ),
+    _HEADER.size + _ONEBIT.size: (np.dtype(_HEAD_FIELDS + [("sign", "u1")]), (MSG_ONE_BIT,)),
+}
+
+# Per-record statuses of the batch path, indexed by the ack code they carry.
+_OK, _BOUNDS, _DUPLICATE, _CLOSED = range(4)
+_STATUS_CODES = ("ok", "bounds", "duplicate", "session-closed")
+_REASONS = ("", "is out of range for this session", "was already reported",
+            "arrived after the session closed")
+
+# Mask of dedup flag i within its byte of the packed bitmap, indexed by i % 8.
+_BIT = (1 << np.arange(8)).astype(np.uint8)
 
 
 class TransportError(Exception):
@@ -159,7 +202,7 @@ class OneBitPayload:
 
 
 def encode_frame(msg_type: int, payload: bytes) -> bytes:
-    if not (0 <= msg_type <= 5):
+    if not (0 <= msg_type <= MSG_BATCH):
         raise BadTypeError(f"unknown message type {msg_type}")
     return _HEADER.pack(MAGIC, VERSION, msg_type, len(payload)) + payload
 
@@ -173,7 +216,7 @@ def _parse_header(buf: bytes) -> tuple:
         raise BadMagicError(f"bad magic {magic!r}")
     if version != VERSION:
         raise BadVersionError(f"unsupported version {version}")
-    if msg_type > 5:
+    if msg_type > MSG_BATCH:
         raise BadTypeError(f"unknown message type {msg_type}")
     return msg_type, length
 
@@ -185,6 +228,23 @@ def decode_frame(buf: bytes) -> tuple:
     if len(buf) < end:
         raise TruncatedFrameError(f"payload truncated: need {end} bytes, have {len(buf)}")
     return msg_type, buf[_HEADER.size : end], end
+
+
+def _decode_batch(payload: bytes) -> np.ndarray:
+    """The records of a batch payload, each a well-formed report frame;
+    one malformed record refuses the whole batch."""
+    size = _HEADER.size + (_ONEBIT.size if payload[5:6] == bytes([MSG_ONE_BIT]) else _REPORT.size)
+    dtype, types = _RECORDS[size]
+    if not payload or len(payload) % size:
+        raise PayloadBoundsError(f"batch of {len(payload)} bytes is not whole {size}-byte frames")
+    rec = np.frombuffer(payload, dtype=dtype)
+    bad = ((rec["magic"] != MAGIC) | (rec["version"] != VERSION) | (rec["type"] < types[0])
+           | (rec["type"] > types[-1]) | (rec["length"] != size - _HEADER.size) | (rec["sign"] > 1))
+    if bad.any():
+        raise PayloadBoundsError(
+            f"batch record {int(np.argmax(bad))} is not a well-formed frame of type {types}"
+        )
+    return rec
 
 
 @dataclass
@@ -209,16 +269,19 @@ class SessionConfig:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def _ack(ok: bool, code: str = "", error: str = "") -> bytes:
-    body = {"ok": ok}
-    if not ok:
-        body["code"] = code
-        body["error"] = error
+def _ack(body: dict) -> bytes:
     return encode_frame(MSG_ACK, json.dumps(body).encode("utf-8"))
 
 
 class _SessionState:
-    """Shared aggregation state; every mutation holds the lock."""
+    """Shared aggregation state; every mutation holds the lock.
+
+    The dedup bitmap has one bit per (row, user), little-endian within each
+    byte: row t*K + k for channel reports and row K*T for oracle reports
+    (or one-bit bits).  The counts keep channel (t, k) at
+    cells [(t*K + k)*m, (t*K + k + 1)*m) and the oracle after all channels.
+    Both are allocated whole when the session is built; np.zeros pages are
+    touched only as reports arrive."""
 
     def __init__(self, config: SessionConfig):
         self.config = config
@@ -233,9 +296,16 @@ class _SessionState:
             self.fo_params = derive_fo_params(
                 config.d, config.n, self.hh_params.eps_channel, config.beta / 3
             )
+            self.K, self.T, self.m = self.hh_params.K, self.hh_params.T, self.code.m
+            if self.K * self.T > FAITHFUL_CHANNEL_CAP:
+                raise ValueError(
+                    f"a hist session keeps K*T = {self.K * self.T} channels; "
+                    f"cap is {FAITHFUL_CHANNEL_CAP}, use a smaller K override"
+                )
         else:
             self.code = self.hh_params = None
             self.fo_params = derive_fo_params(config.d, config.n, config.eps, config.beta)
+            self.K = self.T = self.m = 0
         self.structure: Optional[OneBitStructure] = None
         if config.one_bit and config.protocol == "hist":
             self.structure = OneBitStructure.from_params(
@@ -243,54 +313,100 @@ class _SessionState:
             )
         elif config.one_bit:
             self.structure = OneBitStructure.fo_only(self.fo_params.m_fo, config.eps, self.pub)
-        self.fo_agg = AggregateState(m=self.fo_params.m_fo, eps=self.fo_params.eps)
-        self.pp_aggs: dict = {}
-        self.seen: set = set()
-        self.bits: dict = {}
+        self.oracle_row = self.K * self.T
+        self.seen = np.zeros(((self.oracle_row + 1) * config.n + 7) // 8, dtype=np.uint8)
+        self.plus = np.zeros(self.oracle_row * self.m + self.fo_params.m_fo, dtype=np.int64)
+        self.minus = np.zeros_like(self.plus)
+        self.bits = np.zeros(config.n, dtype=np.uint8)
+        self.tally = dict.fromkeys(_STATUS_CODES + ("bad-frame", "bytes_read"), 0)
 
-    def absorb_fo(self, rep: ReportPayload) -> Optional[tuple]:
-        if not rep.position < self.fo_params.m_fo:
-            return ("bounds", f"position {rep.position} >= m {self.fo_params.m_fo}")
-        key = ("fo", rep.user_id)
-        if key in self.seen:
-            return ("duplicate", f"user {rep.user_id} already reported to the oracle")
-        self.seen.add(key)
-        self.fo_agg.absorb_batch(np.array([rep.position]), np.array([rep.sign]))
-        return None
+    def _place(self, rec: np.ndarray) -> tuple:
+        """(fits, user, dedup key, count cell) of each record; user, key and
+        cell are meaningful only where the record fits the session."""
+        n = self.config.n
+        fits = rec["user"] < n
+        user = rec["user"].astype(np.int64)
+        if "position" in rec.dtype.names:
+            fits &= self.structure is None
+            t, k, pos = (rec[name].astype(np.int64) for name in ("t", "k", "position"))
+            pp = rec["type"] == MSG_PP_REPORT
+            fits &= np.where(pp, (t < self.T) & (k < self.K) & (pos < self.m),
+                             pos < self.fo_params.m_fo)
+            row = np.where(pp, t * self.K + k, self.oracle_row)
+            cell = row * self.m + pos
+        else:
+            fits &= self.structure is not None
+            row, cell = self.oracle_row, np.zeros_like(user)
+        return fits, user, row * n + user, cell
 
-    def absorb_pp(self, rep: ReportPayload) -> Optional[tuple]:
-        hh = self.hh_params
-        if hh is None:
-            return ("bounds", "channel reports are invalid in an oracle-only session")
-        if not (rep.t < hh.T and rep.k < hh.K and rep.position < self.code.m):
-            return ("bounds", f"(t={rep.t}, k={rep.k}, j={rep.position}) out of range")
-        key = ("pp", rep.user_id, rep.t, rep.k)
-        if key in self.seen:
-            return ("duplicate", f"user {rep.user_id} already reported in (t={rep.t}, k={rep.k})")
-        self.seen.add(key)
-        agg = self.pp_aggs.get((rep.t, rep.k))
-        if agg is None:
-            agg = self.pp_aggs[(rep.t, rep.k)] = AggregateState(
-                m=self.code.m, eps=hh.eps_channel
+    def absorb(self, rec: np.ndarray) -> np.ndarray:
+        """Status of each record of a decoded batch; accepted ones are counted."""
+        fits, user, key, cell = self._place(rec)
+        status = np.where(fits, _OK, _BOUNDS).astype(np.int8)
+        with self.lock:
+            if self.result_csv is not None:
+                status[:] = _CLOSED
+            else:
+                ok = np.flatnonzero(fits)
+                ok_key = key[ok]
+                # A stable sort puts the first copy of a key before its repeats.
+                order = np.argsort(ok_key, kind="stable")
+                fresh = (self.seen[ok_key >> 3] & _BIT[ok_key & 7]) == 0
+                fresh[order[1:]] &= ok_key[order[1:]] != ok_key[order[:-1]]
+                status[ok[~fresh]] = _DUPLICATE
+                take = ok[fresh]
+                np.bitwise_or.at(self.seen, key[take] >> 3, _BIT[key[take] & 7])
+                sign = rec["sign"][take]
+                if self.structure is not None:
+                    self.bits[user[take]] = sign
+                else:
+                    np.add.at(self.plus, cell[take][sign == 1], 1)
+                    np.add.at(self.minus, cell[take][sign == 0], 1)
+            for code, count in zip(_STATUS_CODES, np.bincount(status, minlength=4).tolist()):
+                self.tally[code] += count
+        return status
+
+    def count(self, key: str, amount: int) -> None:
+        with self.lock:
+            self.tally[key] += amount
+
+    def stats(self) -> dict:
+        with self.lock:
+            rejected = dict(self.tally)
+        return {"ok": True, "absorbed": rejected.pop("ok"),
+                "bytes_read": rejected.pop("bytes_read"), "rejected": rejected}
+
+    def _aggregates(self) -> tuple:
+        """(oracle aggregate, {(t, k): channel aggregate}) of the channels
+        that hold a report, as views of the session counts."""
+        rows, m = self.oracle_row, self.m
+        plus, minus = self.plus[: rows * m].reshape(rows, m), self.minus[: rows * m].reshape(rows, m)
+        totals = plus.sum(axis=1) + minus.sum(axis=1)
+        pp_aggs = {
+            divmod(int(row), self.K): AggregateState(
+                m=m, eps=self.hh_params.eps_channel, n_total=int(totals[row]),
+                plus=plus[row], minus=minus[row],
             )
-        agg.absorb_batch(np.array([rep.position]), np.array([rep.sign]))
-        return None
-
-    def absorb_bit(self, payload: OneBitPayload) -> Optional[tuple]:
-        key = ("bit", payload.user_id)
-        if key in self.seen:
-            return ("duplicate", f"user {payload.user_id} already sent a bit")
-        self.seen.add(key)
-        self.bits[payload.user_id] = payload.bit
-        return None
+            for row in np.flatnonzero(totals)
+        }
+        fo_plus, fo_minus = self.plus[rows * m :], self.minus[rows * m :]
+        fo_agg = AggregateState(
+            m=self.fo_params.m_fo, eps=self.fo_params.eps,
+            n_total=int(fo_plus.sum() + fo_minus.sum()), plus=fo_plus, minus=fo_minus,
+        )
+        return fo_agg, pp_aggs
 
     def finalize(self) -> Optional[str]:
         """Result CSV, or None when no oracle report (or accepted bit)
         arrived, which leaves nothing to estimate."""
         if self.structure is not None:
-            fo_agg, pp_aggs = collect_aggregates(sorted(self.bits.items()), self.structure)
+            seen = np.unpackbits(self.seen, bitorder="little")
+            users = np.flatnonzero(seen[self.oracle_row * self.config.n :][: self.config.n])
+            fo_agg, pp_aggs = collect_aggregates(
+                zip(users.tolist(), self.bits[users].tolist()), self.structure
+            )
         else:
-            fo_agg, pp_aggs = self.fo_agg, self.pp_aggs
+            fo_agg, pp_aggs = self._aggregates()
         if fo_agg.n_total == 0:
             return None
         if self.config.protocol == "hist":
@@ -323,52 +439,68 @@ def read_frame(rfile, max_payload: Optional[int] = None) -> tuple:
 
 
 class _Handler(socketserver.StreamRequestHandler):
+    def setup(self):
+        self.request.settimeout(READ_TIMEOUT_S)
+        super().setup()
+
     def handle(self):
         state: _SessionState = self.server.state
-        while True:
-            try:
-                msg_type, payload = read_frame(self.rfile, MAX_REQUEST_PAYLOAD)
-            except TruncatedFrameError:
-                return  # client went away
-            except TransportError as exc:
-                self.wfile.write(_ack(False, "bad-frame", str(exc)))
-                return
-            try:
-                reply = self._dispatch(state, msg_type, payload)
-            except TransportError as exc:
-                reply = _ack(False, "bad-frame", str(exc))
-            self.wfile.write(reply)
-            self.wfile.flush()
+        try:
+            while True:
+                try:
+                    msg_type, payload = read_frame(self.rfile, MAX_REQUEST_PAYLOAD)
+                except TruncatedFrameError:
+                    return  # client went away
+                except TransportError as exc:
+                    state.count("bad-frame", 1)
+                    self.wfile.write(_ack({"ok": False, "code": "bad-frame", "error": str(exc)}))
+                    return
+                state.count("bytes_read", _HEADER.size + len(payload))
+                try:
+                    reply = self._dispatch(state, msg_type, payload)
+                except TransportError as exc:
+                    state.count("bad-frame", 1)
+                    reply = _ack({"ok": False, "code": "bad-frame", "error": str(exc)})
+                self.wfile.write(reply)
+                self.wfile.flush()
+        except OSError:
+            return  # client went away, or sent nothing for READ_TIMEOUT_S
 
     def _dispatch(self, state: _SessionState, msg_type: int, payload: bytes) -> bytes:
         if msg_type == MSG_CONTROL:
-            try:
-                body = json.loads(payload.decode("utf-8"))
-            except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deep JSON
-                return _ack(False, "bad-frame", f"control payload is not UTF-8 JSON: {exc}")
-            if isinstance(body, dict) and body.get("action") == "close":
-                with state.lock:
-                    if state.result_csv is None:
-                        state.result_csv = state.finalize()
-                    result = state.result_csv
-                if result is None:
-                    return _ack(False, "empty-session", "no reports to estimate from")
-                return encode_frame(MSG_RESULT, result.encode("utf-8"))
-            return _ack(False, "bad-frame", f"unknown control action {body!r}")
+            return self._control(state, payload)
+        if msg_type == MSG_BATCH:
+            rec = _decode_batch(payload)
+        elif msg_type in (MSG_FO_REPORT, MSG_PP_REPORT, MSG_ONE_BIT):
+            rec = _decode_batch(encode_frame(msg_type, payload))
+        else:
+            raise BadTypeError(f"unexpected message type {msg_type}")
+        status = state.absorb(rec)
+        errors = [[i, _STATUS_CODES[status[i]], f"report of user {rec['user'][i]} {_REASONS[status[i]]}"]
+                  for i in np.flatnonzero(status).tolist()]
+        if msg_type == MSG_BATCH:
+            return _ack({"ok": not errors, "errors": errors})
+        if errors:
+            return _ack({"ok": False, "code": errors[0][1], "error": errors[0][2]})
+        return _ack({"ok": True})
+
+    def _control(self, state: _SessionState, payload: bytes) -> bytes:
+        try:
+            body = json.loads(payload.decode("utf-8"))
+        except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deep JSON
+            raise PayloadBoundsError(f"control payload is not UTF-8 JSON: {exc}") from None
+        action = body.get("action") if isinstance(body, dict) else None
+        if action == "stats":
+            return _ack(state.stats())
+        if action != "close":
+            raise PayloadBoundsError(f"unknown control action {body!r}")
         with state.lock:
-            if state.result_csv is not None:
-                return _ack(False, "session-closed", "session already closed")
-            if msg_type == MSG_FO_REPORT:
-                err = state.absorb_fo(ReportPayload.unpack(payload))
-            elif msg_type == MSG_PP_REPORT:
-                err = state.absorb_pp(ReportPayload.unpack(payload))
-            elif msg_type == MSG_ONE_BIT:
-                err = state.absorb_bit(OneBitPayload.unpack(payload))
-            else:
-                return _ack(False, "bad-frame", f"unexpected message type {msg_type}")
-        if err is not None:
-            return _ack(False, err[0], err[1])
-        return _ack(True)
+            if state.result_csv is None:
+                state.result_csv = state.finalize()
+            result = state.result_csv
+        if result is None:
+            return _ack({"ok": False, "code": "empty-session", "error": "no reports to estimate from"})
+        return encode_frame(MSG_RESULT, result.encode("utf-8"))
 
 
 class AggregationServer(socketserver.ThreadingTCPServer):
@@ -382,15 +514,20 @@ class AggregationServer(socketserver.ThreadingTCPServer):
 
     def __init__(self, config: SessionConfig, host: str = "127.0.0.1", port: int = 0):
         self.state = _SessionState(config)
+        self._started = False
         super().__init__((host, port), _Handler)
 
     def start(self) -> tuple:
         """Serve in the background; returns the bound (host, port)."""
         threading.Thread(target=self.serve_forever, daemon=True).start()
+        self._started = True
         return self.server_address
 
     def shutdown(self):
-        super().shutdown()
+        # The base shutdown waits for serve_forever to return, which never
+        # happens when it was never called.
+        if self._started:
+            super().shutdown()
         self.server_close()
 
 
@@ -411,19 +548,46 @@ class _Connection:
         self.sock.close()
 
 
+def _batches(frames: list):
+    """(frame to send, number of frames it carries): runs of report frames
+    of one size go as batch frames of at most MAX_REQUEST_PAYLOAD bytes,
+    any other frame alone."""
+    run = []
+    for frame in frames:
+        size = len(frame)
+        batchable = size in _RECORDS and frame[5] in _RECORDS[size][1]
+        if run and (not batchable or size != len(run[0])
+                    or (len(run) + 1) * size > MAX_REQUEST_PAYLOAD):
+            yield encode_frame(MSG_BATCH, b"".join(run)), len(run)
+            run = []
+        if batchable:
+            run.append(frame)
+        else:
+            yield frame, 1
+    if run:
+        yield encode_frame(MSG_BATCH, b"".join(run)), len(run)
+
+
 def client_submit(address: tuple, frames: list) -> list:
     """Submit frames over one connection; returns the parsed ack per frame.
 
-    Duplicate rejections come back as acks with code "duplicate", so a
-    blind retry of the same frames is idempotent."""
+    Report frames travel in batch frames, one round trip each.  Duplicate
+    rejections come back as acks with code "duplicate", so a blind retry
+    of the same frames is idempotent."""
     conn = _Connection(address)
     acks = []
     try:
-        for frame in frames:
+        for frame, count in _batches(frames):
             msg_type, payload = conn.roundtrip(frame)
             if msg_type != MSG_ACK:
                 raise BadTypeError(f"expected ack, got type {msg_type}")
-            acks.append(json.loads(payload.decode("utf-8")))
+            body = json.loads(payload.decode("utf-8"))
+            # A batch ack lists its rejected records; any other ack answers
+            # every frame sent.
+            batch = [{"ok": True} if "errors" in body else dict(body) for _ in range(count)]
+            for i, code, error in body.get("errors", ()):
+                batch[i] = {"ok": False, "code": code, "error": error}
+            acks += batch
     finally:
         conn.close()
     return acks

@@ -1,3 +1,4 @@
+import functools
 import json
 import threading
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ldphist import transport
 from ldphist.codec import build_code
 from ldphist.core import PublicRandomness, derive_fo_params, derive_hh_params
 from ldphist.freq_oracle import AggregateState, fo_client_report, fo_estimate_many
@@ -13,6 +15,7 @@ from ldphist.heavy_hitter import BOT, channel_of, draw_hash_seeds, hh_finalize, 
 from ldphist.onebit import OneBitStructure, PublicString, acceptance_prob, collect_fo_aggregate, onebit_server_collect
 from ldphist.transport import (
     MSG_ACK,
+    MSG_BATCH,
     MSG_CONTROL,
     MSG_FO_REPORT,
     MSG_ONE_BIT,
@@ -159,18 +162,30 @@ def _finalize_in_process(pub, hh, fo, code, pp_frames, fo_frames):
     return hist.to_csv()
 
 
-class TestLoopback:
-    def test_single_client_matches_in_process(self):
-        cfg = _hist_config()
-        rng = np.random.default_rng(0)
-        pub, hh, fo, code, pp_frames, fo_frames = _generate_hist_reports(cfg, rng)
-        expected = _finalize_in_process(pub, hh, fo, code, pp_frames, fo_frames)
+@functools.lru_cache(maxsize=None)
+def _hist_session(seed: int, rng_seed: int):
+    """(config, every frame, in-process result) of a seeded hist session."""
+    cfg = _hist_config(seed=seed)
+    pub, hh, fo, code, pp_frames, fo_frames = _generate_hist_reports(
+        cfg, np.random.default_rng(rng_seed))
+    expected = _finalize_in_process(pub, hh, fo, code, pp_frames, fo_frames)
+    return cfg, pp_frames + fo_frames, expected
 
+
+class TestLoopback:
+    @given(cuts=st.lists(st.floats(0.0, 1.0), max_size=6))
+    @settings(max_examples=8, deadline=None)
+    def test_single_client_matches_in_process(self, cuts):
+        # The frames go in consecutive client_submit calls split at the
+        # drawn fractions of the stream, so batches start and end anywhere.
+        cfg, frames, expected = _hist_session(42, 0)
+        bounds = [0] + sorted(int(c * len(frames)) for c in cuts) + [len(frames)]
         server = AggregationServer(cfg)
         addr = server.start()
         try:
-            acks = client_submit(addr, pp_frames + fo_frames)
-            assert all(a["ok"] for a in acks)
+            for lo, hi in zip(bounds, bounds[1:]):
+                acks = client_submit(addr, frames[lo:hi])
+                assert len(acks) == hi - lo and all(a["ok"] for a in acks)
             result = client_close(addr)
         finally:
             server.shutdown()
@@ -398,4 +413,191 @@ class TestRobustness:
             assert conn.roundtrip(CLOSE) == first
         finally:
             conn.close()
+            server.shutdown()
+
+
+def _batch(frames) -> bytes:
+    return encode_frame(MSG_BATCH, b"".join(frames))
+
+
+def _report(user, t=0, k=0, position=0, sign=1, msg_type=MSG_PP_REPORT) -> bytes:
+    return encode_frame(msg_type, ReportPayload(user, t, k, position, sign).pack())
+
+
+FO_CONFIG = SessionConfig(protocol="fo", d=8, n=10, eps=1.0, beta=0.2, seed=3)
+
+
+class TestBatch:
+    """Type-6 frames: every record gets its own status, and a malformed
+    batch is refused whole before any state changes."""
+
+    def _roundtrip(self, cfg, *frames) -> list:
+        server = AggregationServer(cfg)
+        conn = _Connection(server.start())
+        try:
+            return [_ack_body(conn.roundtrip(frame)) for frame in frames]
+        finally:
+            conn.close()
+            server.shutdown()
+
+    def test_duplicate_inside_one_batch(self):
+        frames = [_report(3, 1, 2, 5), _report(4), _report(3, 1, 2, 6, sign=-1)]
+        (body,) = self._roundtrip(_hist_config(), _batch(frames))
+        assert not body["ok"]
+        assert [(i, code) for i, code, _ in body["errors"]] == [(2, "duplicate")]
+
+    def test_mixed_bounds_and_ok_records(self):
+        cfg = _hist_config()
+        hh = derive_hh_params(cfg.d, cfg.n, cfg.eps, cfg.beta, cfg.k_override)
+        m_fo = derive_fo_params(cfg.d, cfg.n, hh.eps_channel, cfg.beta / 3).m_fo
+        frames = [
+            _report(0),
+            _report(1, t=hh.T),  # t >= T
+            _report(2, k=hh.K),  # k >= K
+            _report(3, position=build_code(cfg.d, cfg.code_kind).m),  # position >= m
+            _report(4, position=m_fo - 1, msg_type=MSG_FO_REPORT),
+            _report(5, position=m_fo, msg_type=MSG_FO_REPORT),  # position >= m_fo
+            _report(cfg.n),  # user_id >= n
+            _report(cfg.n - 1, t=hh.T - 1, k=hh.K - 1),
+        ]
+        (body,) = self._roundtrip(cfg, _batch(frames))
+        assert [(i, code) for i, code, _ in body["errors"]] == [
+            (1, "bounds"), (2, "bounds"), (3, "bounds"), (5, "bounds"), (6, "bounds")]
+        assert body["errors"][4][2] == f"report of user {cfg.n} is out of range for this session"
+
+    def test_user_id_at_n_refused_as_bounds(self):
+        # One-frame submissions take the same record path as batches.
+        bodies = self._roundtrip(
+            FO_CONFIG,
+            _report(FO_CONFIG.n, msg_type=MSG_FO_REPORT),
+            _report(2**64 - 1, msg_type=MSG_FO_REPORT),
+            _report(FO_CONFIG.n - 1, msg_type=MSG_FO_REPORT),
+        )
+        assert [b.get("code") for b in bodies] == ["bounds", "bounds", None]
+        assert bodies[2] == {"ok": True}
+
+    @pytest.mark.parametrize("one_bit, frame", [
+        (False, encode_frame(MSG_ONE_BIT, OneBitPayload(0, 1).pack())),
+        (True, _report(0, msg_type=MSG_FO_REPORT)),
+    ], ids=["bit-to-report-session", "report-to-one-bit-session"])
+    def test_wrong_report_kind_refused_as_bounds(self, one_bit, frame):
+        cfg = SessionConfig(protocol="fo", d=8, n=10, eps=0.5, beta=0.2, seed=3, one_bit=one_bit)
+        (body,) = self._roundtrip(cfg, _batch([frame]))
+        assert [code for _, code, _ in body["errors"]] == ["bounds"]
+
+    def test_batch_after_close(self):
+        frames = [_report(user, msg_type=MSG_FO_REPORT) for user in range(3)]
+        server = AggregationServer(FO_CONFIG)
+        addr = server.start()
+        try:
+            client_submit(addr, frames[:1])
+            client_close(addr)
+            conn = _Connection(addr)
+            body = _ack_body(conn.roundtrip(_batch(frames)))
+            conn.close()
+        finally:
+            server.shutdown()
+        assert [(i, code) for i, code, _ in body["errors"]] == [
+            (0, "session-closed"), (1, "session-closed"), (2, "session-closed")]
+
+    @pytest.mark.parametrize("offset, value", [(0, 0x58), (4, 9), (5, MSG_ACK), (5, MSG_ONE_BIT),
+                                               (6, 18), (28, 7)],
+                             ids=["magic", "version", "type", "bit-type", "length", "sign"])
+    def test_one_garbled_record_refuses_the_batch(self, offset, value):
+        cfg, frames, expected = _hist_session(44, 2)
+        garbled = bytearray(frames[7])
+        garbled[offset] = value
+        server = AggregationServer(cfg)
+        addr = server.start()
+        conn = _Connection(addr)
+        try:
+            body = _ack_body(conn.roundtrip(_batch(frames[:7] + [bytes(garbled)] + frames[8:20])))
+            assert not body["ok"] and body["code"] == "bad-frame"
+            assert "record 7" in body["error"]
+            acks = client_submit(addr, frames)  # nothing was absorbed, so nothing is a duplicate
+            assert all(a["ok"] for a in acks)
+            result = client_close(addr)
+        finally:
+            conn.close()
+            server.shutdown()
+        assert result == expected
+
+    def test_client_submit_expands_acks_in_order(self):
+        # A malformed batch's one ack stands for every frame it carried.
+        garbled = bytearray(_report(1, msg_type=MSG_FO_REPORT))
+        garbled[-1] = 7
+        good = [_report(user, msg_type=MSG_FO_REPORT) for user in range(3)]
+        server = AggregationServer(FO_CONFIG)
+        addr = server.start()
+        try:
+            first = client_submit(addr, good[:1] + [bytes(garbled)] + good[1:])
+            second = client_submit(addr, good + [CLOSE[:-1] + b"x"] + good)
+        finally:
+            server.shutdown()
+        assert [a["code"] for a in first] == ["bad-frame"] * 4
+        assert [a.get("code") for a in second] == [None] * 3 + ["bad-frame"] + ["duplicate"] * 3
+
+    def test_batch_size_limit(self):
+        # client_submit splits 2,300 report frames into batches that fit
+        # MAX_REQUEST_PAYLOAD; a batch header declaring more is refused
+        # before its payload is read, and the connection is closed.
+        cfg = SessionConfig(protocol="fo", d=8, n=3000, eps=1.0, beta=0.2, seed=3)
+        frames = [_report(user, msg_type=MSG_FO_REPORT) for user in range(2300)]
+        over = encode_frame(MSG_BATCH, b"")[:-4] + (MAX_REQUEST_PAYLOAD + 1).to_bytes(4, "little")
+        server = AggregationServer(cfg)
+        addr = server.start()
+        conn = _Connection(addr)
+        try:
+            assert client_submit(addr, frames) == [{"ok": True}] * len(frames)
+            conn.sock.settimeout(5.0)
+            body = _ack_body(conn.roundtrip(over))
+            assert not body["ok"] and body["code"] == "bad-frame"
+            assert conn.rfile.read(1) == b""
+        finally:
+            conn.close()
+            server.shutdown()
+
+    def test_hist_session_with_too_many_channels_refused(self):
+        for k_override in (100_000, None):  # None: K = floor(n^1.5)
+            cfg = SessionConfig(protocol="hist", d=16, n=2000, eps=2.0, beta=0.5,
+                                seed=1, k_override=k_override)
+            with pytest.raises(ValueError, match="K\\*T"):
+                AggregationServer(cfg)
+
+    def test_stats_after_mixed_upload(self):
+        frames = [_report(0, msg_type=MSG_FO_REPORT), _report(0, msg_type=MSG_FO_REPORT),
+                  _report(FO_CONFIG.n, msg_type=MSG_FO_REPORT), _report(1)]
+        stats = encode_frame(MSG_CONTROL, json.dumps({"action": "stats"}).encode("utf-8"))
+        batch, body = self._roundtrip(FO_CONFIG, _batch(frames), stats)
+        assert [(i, code) for i, code, _ in batch["errors"]] == [
+            (1, "duplicate"), (2, "bounds"), (3, "bounds")]
+        assert body == {
+            "ok": True,
+            "absorbed": 1,
+            "bytes_read": len(_batch(frames)) + len(stats),
+            "rejected": {"bounds": 2, "duplicate": 1, "session-closed": 0, "bad-frame": 0},
+        }
+
+
+class TestServerLifetime:
+    def test_shutdown_without_start_returns(self):
+        server = AggregationServer(FO_CONFIG)
+        th = threading.Thread(target=server.shutdown, daemon=True)
+        th.start()
+        th.join(5.0)
+        assert not th.is_alive()
+
+    def test_stalled_client_is_dropped(self, monkeypatch):
+        monkeypatch.setattr(transport, "READ_TIMEOUT_S", 0.2)
+        server = AggregationServer(FO_CONFIG)
+        addr = server.start()
+        stalled = _Connection(addr)
+        try:
+            stalled.sock.settimeout(5.0)
+            stalled.sock.sendall(CLOSE[:5])  # half a header, then silence
+            assert stalled.rfile.read(1) == b""  # the server closed the connection
+            acks = client_submit(addr, [_report(0, msg_type=MSG_FO_REPORT)])
+            assert acks == [{"ok": True}]
+        finally:
+            stalled.close()
             server.shutdown()
