@@ -11,14 +11,13 @@ eps/(2T + 1), for a total privacy cost of exactly eps.
 
 import numpy as np
 
-from ldphist.codec import build_code
-from ldphist.core import PublicRandomness, derive_fo_params, derive_hh_params
-from ldphist.harness import linf_error, truth_frequencies
+from ldphist.core import PublicRandomness
+from ldphist.harness import linf_error, protocol_setup, truth_frequencies
 from ldphist.heavy_hitter import hh_execute
 
 d, n, eps, beta = 1024, 100_000, 2.0, 0.5
-hh = derive_hh_params(d, n, eps, beta, k_override=10 * n)
-fo = derive_fo_params(d, n, hh.eps_channel, beta / 3)
+setup = protocol_setup("hist", d, n, eps, beta, k_override=10 * n)
+hh = setup.hh
 print(f"channels K = {hh.K}, repetitions T = {hh.T}, per-channel budget "
       f"{hh.eps_channel:.4f}, pruning threshold {hh.threshold:.4f}")
 print(f"isolation failure bound {hh.iso_failure_bound:.4f} (want <= beta/3 = {beta/3:.4f})")
@@ -29,9 +28,8 @@ items[: int(0.3 * n)] = d - 2
 items[int(0.3 * n) : int(0.5 * n)] = d - 1
 truth = truth_frequencies(items, d)
 
-code = build_code(d, "reference")
 pub = PublicRandomness.from_any(2718)
-res = hh_execute(items, code, hh, fo, pub, rng, mode="fast")
+res = hh_execute(items, setup.code, hh, setup.fo, pub, rng, mode="fast")
 
 print(f"\ndecoded candidates before pruning: {res.candidates}")
 print("\nfinal histogram (item, estimate, truth):")

@@ -12,10 +12,10 @@ import math
 
 import numpy as np
 
-from ldphist.core import PublicRandomness, derive_fo_params
+from ldphist.core import PublicRandomness
 from ldphist.freq_oracle import fo_estimate_many, fo_simulate_reports
+from ldphist.harness import protocol_setup
 from ldphist.onebit import (
-    OneBitStructure,
     PublicString,
     acceptance_prob,
     collect_fo_aggregate,
@@ -23,7 +23,7 @@ from ldphist.onebit import (
 )
 
 d, n, eps = 256, 20_000, math.log(2)
-params = derive_fo_params(d, n, eps, 0.1)
+setup = protocol_setup("fo", d, n, eps, 0.1)
 pub = PublicRandomness.from_any(5)
 rng = np.random.default_rng(5)
 
@@ -31,7 +31,7 @@ items = rng.integers(0, d, n)
 items[: n // 4] = 7
 truth = np.bincount(items, minlength=d) / n
 
-structure = OneBitStructure.fo_only(params.m_fo, eps, pub, run_id=0)
+structure = setup.one_bit(pub, run_id=0)
 bits = {}
 for user in range(n):
     y = PublicString(structure=structure, user_id=user)
@@ -44,7 +44,7 @@ agg = collect_fo_aggregate(accepted, structure)
 est = fo_estimate_many(agg, pub, np.arange(d))
 print(f"planted item 7: true {truth[7]:.4f}, 1-bit estimate {est[7]:.4f}")
 
-full = fo_simulate_reports(items, params.m_fo, eps, pub, np.random.default_rng(6))
+full = fo_simulate_reports(items, setup.fo.m_fo, eps, pub, np.random.default_rng(6))
 est_full = fo_estimate_many(full, pub, np.arange(d))
 err_bits = np.max(np.abs(est - truth))
 err_full = np.max(np.abs(est_full - truth))

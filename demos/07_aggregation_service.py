@@ -12,9 +12,9 @@ import threading
 
 import numpy as np
 
-from ldphist.codec import build_code
-from ldphist.core import PublicRandomness, derive_fo_params, derive_hh_params
+from ldphist.core import PublicRandomness
 from ldphist.freq_oracle import fo_client_report
+from ldphist.harness import protocol_setup
 from ldphist.heavy_hitter import BOT, channel_of, draw_hash_seeds, pp_client_report
 from ldphist.transport import (
     MSG_FO_REPORT,
@@ -30,9 +30,9 @@ from ldphist.transport import (
 cfg = SessionConfig(protocol="hist", d=16, n=1000, eps=6.0, beta=0.5,
                     seed=99, k_override=8)
 pub = PublicRandomness.from_any(cfg.seed)
-hh = derive_hh_params(cfg.d, cfg.n, cfg.eps, cfg.beta, cfg.k_override)
-fo = derive_fo_params(cfg.d, cfg.n, hh.eps_channel, cfg.beta / 3)
-code = build_code(cfg.d, cfg.code_kind)
+setup = protocol_setup(cfg.protocol, cfg.d, cfg.n, cfg.eps, cfg.beta,
+                       cfg.k_override, cfg.code_kind)
+hh, fo, code = setup.hh, setup.fo, setup.code
 seeds = draw_hash_seeds(pub, hh.T, hh.ell)
 
 rng = np.random.default_rng(1)

@@ -1,4 +1,5 @@
-"""Dataset generators, error metrics, and reproducible experiment runs.
+"""Protocol setup, dataset generators, error metrics, and reproducible
+experiment runs.
 
 Every experiment is a pure function of its configuration and seed: trial
 seeds are derived from the config seed, public randomness comes from a
@@ -17,13 +18,16 @@ from typing import Optional
 
 import numpy as np
 
-from .codec import build_code
-from .core import PublicRandomness, derive_fo_params, derive_hh_params
+from .codec import Code, build_code
+from .core import FoParams, HhParams, PublicRandomness, derive_fo_params, derive_hh_params
 from .freq_oracle import fo_estimate_many, fo_simulate_reports
-from .heavy_hitter import BOT, SuccinctHistogram, hh_execute, hh_finalize, pp_run
+from .heavy_hitter import BOT, MERSENNE_P, SuccinctHistogram, hh_execute, hh_finalize, pp_run
 from .onebit import OneBitStructure, PublicString, collect_aggregates, onebit_client
 
 __all__ = [
+    "FO_UNIVERSE_CAP",
+    "ProtocolSetup",
+    "protocol_setup",
     "DatasetSpec",
     "gen_dataset",
     "truth_frequencies",
@@ -36,6 +40,55 @@ __all__ = [
 ]
 
 CSV_SCHEMA_VERSION = 1
+
+# Largest oracle universe: closing an oracle run estimates every item, about
+# 1.4 s for 2^16 items at m_fo = 2,000.
+FO_UNIVERSE_CAP = 1 << 16
+
+
+@dataclass(frozen=True)
+class ProtocolSetup:
+    """The code and derived parameters of one run; a part is None when the
+    protocol lacks it ("fo" has no code or hh, "pp" only a code)."""
+
+    code: Optional[Code]
+    hh: Optional[HhParams]
+    fo: Optional[FoParams]
+
+    def one_bit(self, pub: PublicRandomness, run_id: int = 0) -> OneBitStructure:
+        """The one-bit structure wrapping this protocol's reports."""
+        if self.hh is None:
+            return OneBitStructure(pub=pub, run_id=run_id, K=1, T=0,
+                                   eps_channel=self.fo.eps, m_fo=self.fo.m_fo)
+        return OneBitStructure.from_params(self.code, self.hh, self.fo, pub, run_id)
+
+    def derived(self) -> dict:
+        """Manifest echo of the parts this setup has."""
+        parts = {"hh_params": self.hh and asdict(self.hh), "fo_params": self.fo and asdict(self.fo),
+                 "code": self.code and self.code.header()}
+        return {key: part for key, part in parts.items() if part is not None}
+
+
+def protocol_setup(protocol: str, d: int, n: int, eps: float, beta: float,
+                   k_override: Optional[int] = None, code_kind: str = "reference") -> ProtocolSetup:
+    """A protocol's code and parameters, for experiment runs and the
+    aggregation service alike.  "hist" runs its hash channels and oracle at
+    eps/(2T+1), the oracle at confidence beta/3.  Refuses (with ValueError)
+    a "hist" d above the channel-hash prime 2^61 - 1, whose larger items
+    cannot be hashed, and an "fo" d above FO_UNIVERSE_CAP."""
+    if protocol == "fo":
+        if d > FO_UNIVERSE_CAP:
+            raise ValueError(f"an fo run estimates all d = {d} items; cap is {FO_UNIVERSE_CAP}")
+        return ProtocolSetup(None, None, derive_fo_params(d, n, eps, beta))
+    if protocol == "pp":
+        return ProtocolSetup(build_code(d, code_kind), None, None)
+    if protocol != "hist":
+        raise ValueError(f"unknown protocol {protocol!r}")
+    if d > MERSENNE_P:
+        raise ValueError(f"a hist universe must have d <= 2^61 - 1 to be hashed, got {d}")
+    hh = derive_hh_params(d, n, eps, beta, k_override)
+    fo = derive_fo_params(d, n, hh.eps_channel, beta / 3)
+    return ProtocolSetup(build_code(d, code_kind), hh, fo)
 
 
 @dataclass(frozen=True)
@@ -191,6 +244,8 @@ def run_experiment(
     spec = config.dataset
     d, n = spec.d, spec.n
     runner = {"fo": _run_fo_trial, "pp": _run_pp_trial, "hist": _run_hist_trial}[config.protocol]
+    setup = protocol_setup(config.protocol, d, n, config.eps, config.beta,
+                           config.k_override, config.code_kind)
 
     derived = {}
     trial_metrics = []
@@ -201,7 +256,8 @@ def run_experiment(
         items = gen_dataset(DatasetSpec(**{**asdict(spec), "seed": spec.seed + trial}))
         checksum = items_checksum(items)
         truth = truth_frequencies(items, d)
-        metrics, rows, derived = runner(config, items, truth, trial)
+        metrics, rows, extra = runner(config, setup, items, truth, trial)
+        derived = {**setup.derived(), **extra}
         final_blob = metrics.pop("aggregate_blob", None)
         metrics["trial"] = trial
         metrics["items_sha256"] = checksum
@@ -236,21 +292,16 @@ def run_experiment(
     return record
 
 
-def _echo_params(obj) -> dict:
-    return {k: (v if not isinstance(v, float) else float(v)) for k, v in asdict(obj).items()}
-
-
-def _run_fo_trial(config: ExperimentConfig, items, truth, trial):
+def _run_fo_trial(config: ExperimentConfig, setup: ProtocolSetup, items, truth, trial):
     spec = config.dataset
-    params = derive_fo_params(spec.d, spec.n, config.eps, config.beta)
     pub = _trial_pub(config.seed, trial)
     rng = _trial_rng(config.seed, trial)
     if config.one_bit:
-        structure = OneBitStructure.fo_only(params.m_fo, config.eps, pub, run_id=trial)
+        structure = setup.one_bit(pub, run_id=trial)
         agg, _ = collect_aggregates(_one_bit_bits(items, structure, rng), structure)
         acceptance = agg.n_total / spec.n
     else:
-        agg = fo_simulate_reports(items, params.m_fo, config.eps, pub, rng)
+        agg = fo_simulate_reports(items, setup.fo.m_fo, config.eps, pub, rng)
         acceptance = 1.0
     est = fo_estimate_many(agg, pub, np.arange(spec.d))
     linf = float(np.max(np.abs(est - truth)))
@@ -262,14 +313,13 @@ def _run_fo_trial(config: ExperimentConfig, items, truth, trial):
         "n_reports": int(agg.n_total),
         "aggregate_blob": agg.to_bytes(),
     }
-    return metrics, "\n".join(rows) + "\n", {"fo_params": _echo_params(params)}
+    return metrics, "\n".join(rows) + "\n", {}
 
 
-def _run_pp_trial(config: ExperimentConfig, items, truth, trial):
+def _run_pp_trial(config: ExperimentConfig, setup: ProtocolSetup, items, truth, trial):
     spec = config.dataset
-    code = build_code(spec.d, config.code_kind)
     rng = _trial_rng(config.seed, trial)
-    res = pp_run(items, code, config.eps, rng)
+    res = pp_run(items, setup.code, config.eps, rng)
     planted = spec.item if spec.kind == "promise" else None
     recovered = planted is not None and res.item == planted
     if planted is None:
@@ -287,26 +337,24 @@ def _run_pp_trial(config: ExperimentConfig, items, truth, trial):
         "decoded_item": res.item,
         "estimate": res.estimate,
     }
-    return metrics, "\n".join(rows) + "\n", {"code": code.header()}
+    return metrics, "\n".join(rows) + "\n", {}
 
 
-def _run_hist_trial(config: ExperimentConfig, items, truth, trial):
+def _run_hist_trial(config: ExperimentConfig, setup: ProtocolSetup, items, truth, trial):
     spec = config.dataset
-    hh = derive_hh_params(spec.d, spec.n, config.eps, config.beta, config.k_override)
-    fo = derive_fo_params(spec.d, spec.n, hh.eps_channel, config.beta / 3)
-    code = build_code(spec.d, config.code_kind)
+    code, hh = setup.code, setup.hh
     pub = _trial_pub(config.seed, trial)
     rng = _trial_rng(config.seed, trial)
     extra = {}
     if config.one_bit:
         # Materializes all K*T channels; OneBitStructure enforces the cap.
-        structure = OneBitStructure.from_params(code, hh, fo, pub, run_id=trial)
+        structure = setup.one_bit(pub, run_id=trial)
         fo_agg, pp_aggs = collect_aggregates(_one_bit_bits(items, structure, rng), structure)
         hist, _, _ = hh_finalize(pp_aggs, fo_agg, code, hh, pub)
         seeds, mode = structure.seeds, "one-bit"
         extra = {"acceptance_rate": fo_agg.n_total / spec.n}
     else:
-        res = hh_execute(items, code, hh, fo, pub, rng, mode=config.mode)
+        res = hh_execute(items, code, hh, setup.fo, pub, rng, mode=config.mode)
         hist, seeds, mode = res.histogram, res.seeds, res.mode
     linf = linf_error(truth, hist)
     precision, recall = hh_precision_recall(truth, hist, hh.threshold)
@@ -323,14 +371,7 @@ def _run_hist_trial(config: ExperimentConfig, items, truth, trial):
         "planted_recovered": all(v in hist.items() for v, _ in spec.planted),
         **extra,
     }
-    derived = {
-        "hh_params": _echo_params(hh),
-        "fo_params": _echo_params(fo),
-        "code": code.header(),
-        "seeds": [s.bits.hex() for s in seeds],
-        "mode": mode,
-    }
-    return metrics, hist.to_csv(truth), derived
+    return metrics, hist.to_csv(truth), {"seeds": [s.bits.hex() for s in seeds], "mode": mode}
 
 
 def _one_bit_bits(items, structure: OneBitStructure, rng: np.random.Generator) -> list:

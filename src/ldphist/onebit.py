@@ -87,31 +87,12 @@ class OneBitStructure:
         return (2 * self.T + 1) * self.eps_channel
 
     @classmethod
-    def from_params(
-        cls,
-        code: Code,
-        hh_params: HhParams,
-        fo_params: FoParams,
-        pub: PublicRandomness,
-        run_id: int = 0,
-    ) -> "OneBitStructure":
+    def from_params(cls, code: Code, hh_params: HhParams, fo_params: FoParams,
+                    pub: PublicRandomness, run_id: int = 0) -> "OneBitStructure":
+        """The structure of the full protocol: K*T hash channels and the oracle."""
         seeds = tuple(draw_hash_seeds(pub, hh_params.T, hh_params.ell))
-        return cls(
-            pub=pub,
-            run_id=run_id,
-            K=hh_params.K,
-            T=hh_params.T,
-            eps_channel=hh_params.eps_channel,
-            m_fo=fo_params.m_fo,
-            code=code,
-            seeds=seeds,
-        )
-
-    @classmethod
-    def fo_only(
-        cls, m_fo: int, eps: float, pub: PublicRandomness, run_id: int = 0
-    ) -> "OneBitStructure":
-        return cls(pub=pub, run_id=run_id, K=1, T=0, eps_channel=eps, m_fo=m_fo)
+        return cls(pub=pub, run_id=run_id, K=hh_params.K, T=hh_params.T,
+                   eps_channel=hh_params.eps_channel, m_fo=fo_params.m_fo, code=code, seeds=seeds)
 
 
 @dataclass(frozen=True)

@@ -29,10 +29,12 @@ or the wrong report kind) gets "bounds", and a repeat of a (user, channel)
 report gets "duplicate" and changes nothing (the first copy wins, within a
 batch too), making client retries idempotent.  Accepted reports are
 absorbed into integer counts, so the final state is independent of arrival
-order.  A "hist" session with K*T above FAITHFUL_CHANNEL_CAP is refused
-when built, which bounds its (K*T + 1) x n dedup bitmap.  A frame header
-declaring more than MAX_REQUEST_PAYLOAD bytes is refused before its
-payload is read, and a connection silent for READ_TIMEOUT_S is dropped.
+order.  A session is refused when built if ``harness.protocol_setup``
+refuses its parameters, or if it is a "hist" session with K*T above
+FAITHFUL_CHANNEL_CAP, which bounds its (K*T + 1) x n dedup bitmap.  A
+frame header declaring more than MAX_REQUEST_PAYLOAD bytes is refused
+before its payload is read, and a connection silent for READ_TIMEOUT_S is
+dropped.
 {"action": "stats"} is answered with the reports absorbed, the rejections
 by code and the request bytes read.  A close request runs the same
 decode/prune pipeline as an in-process run and answers with the histogram
@@ -52,11 +54,11 @@ from typing import Optional
 
 import numpy as np
 
-from .codec import build_code
-from .core import PublicRandomness, derive_fo_params, derive_hh_params
+from .core import PublicRandomness
 from .freq_oracle import AggregateState, fo_estimate_many
+from .harness import protocol_setup
 from .heavy_hitter import FAITHFUL_CHANNEL_CAP, hh_finalize
-from .onebit import OneBitStructure, collect_aggregates
+from .onebit import collect_aggregates
 
 __all__ = [
     "MAGIC",
@@ -128,6 +130,10 @@ _STATUS_CODES = ("ok", "bounds", "duplicate", "session-closed")
 _REASONS = ("", "is out of range for this session", "was already reported",
             "arrived after the session closed")
 
+# Seconds between serve_forever's shutdown checks, so that shutdown()
+# returns within this long (the socketserver default is 0.5 s).
+_POLL_S = 0.05
+
 # Mask of dedup flag i within its byte of the packed bitmap, indexed by i % 8.
 _BIT = (1 << np.arange(8)).astype(np.uint8)
 
@@ -188,17 +194,6 @@ class OneBitPayload:
 
     def pack(self) -> bytes:
         return _ONEBIT.pack(self.user_id, self.bit)
-
-    @classmethod
-    def unpack(cls, payload: bytes) -> "OneBitPayload":
-        if len(payload) != _ONEBIT.size:
-            raise PayloadBoundsError(
-                f"one-bit payload must be {_ONEBIT.size} bytes, got {len(payload)}"
-            )
-        user_id, bit = _ONEBIT.unpack(payload)
-        if bit not in (0, 1):
-            raise PayloadBoundsError(f"bit must be 0 or 1, got {bit}")
-        return cls(user_id=user_id, bit=bit)
 
 
 def encode_frame(msg_type: int, payload: bytes) -> bytes:
@@ -288,34 +283,19 @@ class _SessionState:
         self.lock = threading.Lock()
         self.result_csv: Optional[str] = None  # set once, by a successful close
         self.pub = PublicRandomness.from_any(config.seed)
-        if config.protocol == "hist":
-            self.code = build_code(config.d, config.code_kind)
-            self.hh_params = derive_hh_params(
-                config.d, config.n, config.eps, config.beta, config.k_override
+        self.setup = protocol_setup(config.protocol, config.d, config.n, config.eps,
+                                    config.beta, config.k_override, config.code_kind)
+        hh = self.setup.hh
+        self.K, self.T, self.m = (hh.K, hh.T, self.setup.code.m) if hh else (0, 0, 0)
+        if self.K * self.T > FAITHFUL_CHANNEL_CAP:
+            raise ValueError(
+                f"a hist session keeps K*T = {self.K * self.T} channels; "
+                f"cap is {FAITHFUL_CHANNEL_CAP}, use a smaller K override"
             )
-            self.fo_params = derive_fo_params(
-                config.d, config.n, self.hh_params.eps_channel, config.beta / 3
-            )
-            self.K, self.T, self.m = self.hh_params.K, self.hh_params.T, self.code.m
-            if self.K * self.T > FAITHFUL_CHANNEL_CAP:
-                raise ValueError(
-                    f"a hist session keeps K*T = {self.K * self.T} channels; "
-                    f"cap is {FAITHFUL_CHANNEL_CAP}, use a smaller K override"
-                )
-        else:
-            self.code = self.hh_params = None
-            self.fo_params = derive_fo_params(config.d, config.n, config.eps, config.beta)
-            self.K = self.T = self.m = 0
-        self.structure: Optional[OneBitStructure] = None
-        if config.one_bit and config.protocol == "hist":
-            self.structure = OneBitStructure.from_params(
-                self.code, self.hh_params, self.fo_params, self.pub
-            )
-        elif config.one_bit:
-            self.structure = OneBitStructure.fo_only(self.fo_params.m_fo, config.eps, self.pub)
+        self.structure = self.setup.one_bit(self.pub) if config.one_bit else None
         self.oracle_row = self.K * self.T
         self.seen = np.zeros(((self.oracle_row + 1) * config.n + 7) // 8, dtype=np.uint8)
-        self.plus = np.zeros(self.oracle_row * self.m + self.fo_params.m_fo, dtype=np.int64)
+        self.plus = np.zeros(self.oracle_row * self.m + self.setup.fo.m_fo, dtype=np.int64)
         self.minus = np.zeros_like(self.plus)
         self.bits = np.zeros(config.n, dtype=np.uint8)
         self.tally = dict.fromkeys(_STATUS_CODES + ("bad-frame", "bytes_read"), 0)
@@ -331,7 +311,7 @@ class _SessionState:
             t, k, pos = (rec[name].astype(np.int64) for name in ("t", "k", "position"))
             pp = rec["type"] == MSG_PP_REPORT
             fits &= np.where(pp, (t < self.T) & (k < self.K) & (pos < self.m),
-                             pos < self.fo_params.m_fo)
+                             pos < self.setup.fo.m_fo)
             row = np.where(pp, t * self.K + k, self.oracle_row)
             cell = row * self.m + pos
         else:
@@ -384,14 +364,14 @@ class _SessionState:
         totals = plus.sum(axis=1) + minus.sum(axis=1)
         pp_aggs = {
             divmod(int(row), self.K): AggregateState(
-                m=m, eps=self.hh_params.eps_channel, n_total=int(totals[row]),
+                m=m, eps=self.setup.hh.eps_channel, n_total=int(totals[row]),
                 plus=plus[row], minus=minus[row],
             )
             for row in np.flatnonzero(totals)
         }
         fo_plus, fo_minus = self.plus[rows * m :], self.minus[rows * m :]
         fo_agg = AggregateState(
-            m=self.fo_params.m_fo, eps=self.fo_params.eps,
+            m=self.setup.fo.m_fo, eps=self.setup.fo.eps,
             n_total=int(fo_plus.sum() + fo_minus.sum()), plus=fo_plus, minus=fo_minus,
         )
         return fo_agg, pp_aggs
@@ -410,16 +390,10 @@ class _SessionState:
         if fo_agg.n_total == 0:
             return None
         if self.config.protocol == "hist":
-            hist, _, _ = hh_finalize(pp_aggs, fo_agg, self.code, self.hh_params, self.pub)
+            hist, _, _ = hh_finalize(pp_aggs, fo_agg, self.setup.code, self.setup.hh, self.pub)
             return hist.to_csv()
-        return self._fo_csv(fo_agg)
-
-    def _fo_csv(self, agg: AggregateState) -> str:
-        lines = ["item,estimated_frequency"]
-        ests = fo_estimate_many(agg, self.pub, np.arange(self.config.d))
-        for v in range(self.config.d):
-            lines.append(f"{v},{ests[v]:.17g}")
-        return "\n".join(lines) + "\n"
+        ests = fo_estimate_many(fo_agg, self.pub, np.arange(self.config.d))
+        return "item,estimated_frequency\n" + "".join(f"{v},{e:.17g}\n" for v, e in enumerate(ests))
 
 
 def _read_exact(rfile, count: int) -> bytes:
@@ -519,7 +493,7 @@ class AggregationServer(socketserver.ThreadingTCPServer):
 
     def start(self) -> tuple:
         """Serve in the background; returns the bound (host, port)."""
-        threading.Thread(target=self.serve_forever, daemon=True).start()
+        threading.Thread(target=self.serve_forever, args=(_POLL_S,), daemon=True).start()
         self._started = True
         return self.server_address
 

@@ -348,7 +348,7 @@ class TestCriterion08OneBit:
 
         # (b) TV between accepted strings and the true report distribution
         m_fo, eps_fo = 16, math.log(2)
-        fo_only = OneBitStructure.fo_only(m_fo, eps_fo, pub, run_id=1)
+        fo_only = OneBitStructure(pub=pub, run_id=1, K=1, T=0, eps_channel=eps_fo, m_fo=m_fo)
         v = 3
         counts = np.zeros(2 * m_fo)
         kept = 0
@@ -405,7 +405,8 @@ class TestCriterion08OneBit:
             agg_full = fo_simulate_reports(items_t, params.m_fo, eps, trial_pub, rng_t)
             est_full = fo_estimate_many(agg_full, trial_pub, np.arange(d))
             full_errs.append(float(np.max(np.abs(est_full - truth))))
-            structure = OneBitStructure.fo_only(params.m_fo, eps, trial_pub, run_id=trial)
+            structure = OneBitStructure(pub=trial_pub, run_id=trial, K=1, T=0,
+                                         eps_channel=eps, m_fo=params.m_fo)
             bits = {}
             for u in range(n):
                 y = PublicString(structure=structure, user_id=u)

@@ -95,7 +95,8 @@ class TestCliExperiments:
         (["hist", "--d", "16", "--n", "1000", "--eps", "0.6"], "threshold 1.465"),
         (["serve", "--one-bit", "--eps", "2.0", "--port", "0"], "budget 2.0000"),
         (["fo", "--one-bit", "--eps", "1.0"], "budget 1.0000"),
-    ], ids=["hist", "serve-one-bit", "fo-one-bit"])
+        (["fo", "--d", "65537", "--n", "1000"], "cap is 65536"),
+    ], ids=["hist", "serve-one-bit", "fo-one-bit", "fo-universe"])
     def test_refused_parameters_exit_with_message(self, tmp_path, capsys, argv, refused):
         # The library's ValueError becomes a one-line usage error, not a traceback.
         with pytest.raises(SystemExit) as exc:

@@ -4,17 +4,21 @@ import math
 import numpy as np
 import pytest
 
+from ldphist import harness
+from ldphist.core import PublicRandomness, derive_fo_params
 from ldphist.harness import (
+    FO_UNIVERSE_CAP,
     DatasetSpec,
     ExperimentConfig,
     fo_scaling_sweep,
     gen_dataset,
     hh_precision_recall,
     linf_error,
+    protocol_setup,
     run_experiment,
     truth_frequencies,
 )
-from ldphist.heavy_hitter import BOT, SuccinctHistogram
+from ldphist.heavy_hitter import BOT, MERSENNE_P, SuccinctHistogram
 
 
 class TestDatasets:
@@ -89,6 +93,51 @@ class TestLinfError:
         precision, recall = hh_precision_recall(truth, hist, 0.15)
         assert precision == 0.5
         assert recall == 0.5
+
+
+class TestProtocolSetup:
+    def test_parts_per_protocol(self):
+        fo = protocol_setup("fo", 64, 1000, 1.0, 0.2)
+        assert fo.code is None and fo.hh is None
+        assert fo.fo == derive_fo_params(64, 1000, 1.0, 0.2)
+        assert set(fo.derived()) == {"fo_params"}
+        pp = protocol_setup("pp", 64, 1000, 1.0, 0.2)
+        assert pp.hh is None and pp.fo is None
+        assert pp.derived() == {"code": pp.code.header()}
+        hist = protocol_setup("hist", 64, 10_000, 2.0, 0.5, k_override=8)
+        assert hist.hh.K == 8
+        assert hist.fo == derive_fo_params(64, 10_000, hist.hh.eps_channel, 0.5 / 3)
+        assert set(hist.derived()) == {"hh_params", "fo_params", "code"}
+        with pytest.raises(ValueError, match="unknown protocol"):
+            protocol_setup("hh", 64, 1000, 1.0, 0.2)
+
+    def test_oracle_one_bit_structure(self):
+        setup = protocol_setup("fo", 64, 1000, 0.5, 0.2)
+        s = setup.one_bit(PublicRandomness.from_any(1), run_id=3)
+        assert (s.run_id, s.K, s.T, s.eps_channel, s.m_fo, s.code) == (
+            3, 1, 0, 0.5, setup.fo.m_fo, None)
+
+    def test_universe_caps(self):
+        assert protocol_setup("fo", FO_UNIVERSE_CAP, 1000, 1.0, 0.2).fo.d == FO_UNIVERSE_CAP
+        with pytest.raises(ValueError, match="cap is 65536"):
+            protocol_setup("fo", FO_UNIVERSE_CAP + 1, 1000, 1.0, 0.2)
+        hist = dict(n=1000, eps=2.0, beta=0.5, k_override=8, code_kind="concatenated")
+        assert protocol_setup("hist", MERSENNE_P, **hist).hh.d == MERSENNE_P
+        with pytest.raises(ValueError, match="2\\^61 - 1"):
+            protocol_setup("hist", MERSENNE_P + 1, **hist)
+
+    def test_built_once_per_run(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return protocol_setup(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "protocol_setup", counted)
+        cfg = ExperimentConfig(protocol="fo", dataset=DatasetSpec(kind="uniform", d=16, n=200, seed=6),
+                               eps=1.0, beta=0.2, trials=3)
+        assert len(run_experiment(cfg).trial_metrics) == 3
+        assert len(calls) == 1
 
 
 class TestRunExperiment:

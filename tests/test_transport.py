@@ -99,8 +99,6 @@ class TestFrameLayout:
     def test_payload_bounds(self):
         with pytest.raises(PayloadBoundsError):
             ReportPayload.unpack(b"\x00" * 5)
-        with pytest.raises(PayloadBoundsError):
-            OneBitPayload.unpack(b"\x00" * 9_0)
 
     def test_sign_byte_validation(self):
         raw = bytearray(ReportPayload(user_id=1, t=0, k=0, position=0, sign=1).pack())
@@ -304,7 +302,7 @@ class TestOneBitSession:
                             seed=7, one_bit=True)
         pub = PublicRandomness.from_any(cfg.seed)
         fo = derive_fo_params(cfg.d, cfg.n, cfg.eps, cfg.beta)
-        structure = OneBitStructure.fo_only(fo.m_fo, cfg.eps, pub)
+        structure = OneBitStructure(pub=pub, run_id=0, K=1, T=0, eps_channel=cfg.eps, m_fo=fo.m_fo)
         rng = np.random.default_rng(6)
         items = np.random.default_rng(7).integers(0, cfg.d, cfg.n)
         bits = {}
@@ -563,6 +561,20 @@ class TestBatch:
                                 seed=1, k_override=k_override)
             with pytest.raises(ValueError, match="K\\*T"):
                 AggregationServer(cfg)
+
+    def test_hist_universe_above_hash_prime_refused(self):
+        # The concatenated code reaches 2^64, but channel_of raises for
+        # any item >= 2^61 - 1.
+        cfg = SessionConfig(protocol="hist", d=2**62, n=1000, eps=2.0, beta=0.5,
+                            seed=1, k_override=8, code_kind="concatenated")
+        with pytest.raises(ValueError, match="2\\^61 - 1"):
+            _SessionState(cfg)
+
+    def test_fo_universe_above_cap_refused(self):
+        # A close would estimate every one of the d items under the lock.
+        cfg = SessionConfig(protocol="fo", d=2**16 + 1, n=1000, eps=1.0, beta=0.2, seed=1)
+        with pytest.raises(ValueError, match="cap is 65536"):
+            _SessionState(cfg)
 
     def test_stats_after_mixed_upload(self):
         frames = [_report(0, msg_type=MSG_FO_REPORT), _report(0, msg_type=MSG_FO_REPORT),
