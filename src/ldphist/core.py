@@ -9,7 +9,8 @@ length, repetition count).  Derived integer parameters round up.
 
 Every coin that clients and server must regenerate comes from one keyed
 PRF, ``prf_bytes`` and its rejection sampler ``prf_below``, under three
-(key, prefix) uses: ``PublicRandomness`` (master seed, encoded label), the
+(key, prefix) uses: ``PublicRandomness`` (master seed, encoded label; keyed
+once, and a one-bit public string's draws share their label head), the
 channel hash's (a, b) in ``heavy_hitter`` and the reference code's
 generator matrix in ``codec``.  The tests pin the v1 bytes of all three.
 """
@@ -174,7 +175,7 @@ def report_magnitude(eps: float, m: int) -> float:
 # ---------------------------------------------------------------------------
 
 _BLOCK = 64  # bytes per PRF block
-_BLOCK_WORDS = struct.Struct("<8Q")
+_WORD = struct.Struct("<Q")
 
 
 def _prf_state(key: bytes, prefix: bytes):
@@ -184,38 +185,47 @@ def _prf_state(key: bytes, prefix: bytes):
     return h
 
 
-def _prf_block(state, index: int) -> bytes:
-    """Block i of a stream: BLAKE2b-512(key, prefix || u64le(i))."""
+def _prf_block(state, index: int, suffix: bytes = b"") -> bytes:
+    """Block i: BLAKE2b-512(key, prefix || suffix || u64le(i)), state holding (key, prefix)."""
     h = state.copy()
-    h.update(index.to_bytes(8, "little"))
+    h.update(suffix + index.to_bytes(8, "little"))
     return h.digest()
+
+
+def _prf_stream(state, nbytes: int) -> bytes:
+    return b"".join([_prf_block(state, i) for i in range(-(-nbytes // _BLOCK))])[:nbytes]
 
 
 def prf_bytes(key: bytes, prefix: bytes, nbytes: int) -> bytes:
     """First nbytes bytes of the keyed PRF stream for (key, prefix): the
     concatenation of blocks BLAKE2b-512(key, prefix || u64le(i)), i = 0, 1, ..."""
-    state = _prf_state(key, prefix)
-    return b"".join([_prf_block(state, i) for i in range(-(-nbytes // _BLOCK))])[:nbytes]
+    return _prf_stream(_prf_state(key, prefix), nbytes)
 
 
-def prf_below(key: bytes, prefix: bytes, bound: int) -> int:
-    """Exactly uniform integer in [0, bound) from the (key, prefix) stream:
-    the first little-endian 64-bit word below the largest multiple of bound
-    that fits in 64 bits, reduced mod bound."""
+def _below(state, bound: int, suffix: bytes = b"") -> int:
+    """Rejection sampler on the (state, suffix) stream, read word by word: the
+    first u64le word below the largest multiple of bound in 64 bits, mod bound."""
     if not (1 <= bound <= 1 << 63):
         raise ValueError(f"bound out of range: {bound}")
     limit = ((1 << 64) // bound) * bound
-    state = _prf_state(key, prefix)
     for i in itertools.count():
-        for u in _BLOCK_WORDS.unpack(_prf_block(state, i)):
+        for (u,) in _WORD.iter_unpack(_prf_block(state, i, suffix)):
             if u < limit:
                 return u % bound
+
+
+def prf_below(key: bytes, prefix: bytes, bound: int) -> int:
+    """Exactly uniform integer in [0, bound) from the (key, prefix) stream."""
+    return _below(_prf_state(key, prefix), bound)
 
 
 def _encode_label(parts: Iterable[LabelPart]) -> bytes:
     """Unambiguous byte encoding of a label tuple (type tag + length prefix)."""
     out = bytearray()
     for p in parts:
+        if type(p) is int:  # the common part: tag, length 16, data
+            out += b"i\x10\x00\x00\x00" + p.to_bytes(16, "little", signed=True)
+            continue
         if isinstance(p, bytes):
             tag, data = b"b", p
         elif isinstance(p, str):
@@ -241,6 +251,7 @@ class PublicRandomness:
         if len(master_seed) != 32:
             raise ValueError(f"master seed must be 32 bytes, got {len(master_seed)}")
         self.master_seed = master_seed
+        self._keyed = _prf_state(master_seed, b"")  # every label stream copies it
 
     @classmethod
     def from_any(cls, seed: Union[int, str, bytes]) -> "PublicRandomness":
@@ -259,7 +270,9 @@ class PublicRandomness:
 
     def bytes_at(self, label: Tuple[LabelPart, ...], nbytes: int) -> bytes:
         """First nbytes bytes of the stream for this label."""
-        return prf_bytes(self.master_seed, _encode_label(label), nbytes)
+        state = self._keyed.copy()
+        state.update(_encode_label(label))
+        return _prf_stream(state, nbytes)
 
     def sign_array(self, label: Tuple[LabelPart, ...], count: int) -> np.ndarray:
         """count pseudorandom signs in {-1, +1} as int8 (bit k of byte k//8,
@@ -271,13 +284,18 @@ class PublicRandomness:
     def sign_at(self, label: Tuple[LabelPart, ...], index: int) -> int:
         """Single sign at a given bit offset of the label's stream, touching
         only the block that holds it."""
-        state = _prf_state(self.master_seed, _encode_label(label))
-        byte = _prf_block(state, index // (8 * _BLOCK))[index // 8 % _BLOCK]
-        return 1 - 2 * ((byte >> (index % 8)) & 1)
+        block = _prf_block(self._keyed, index // (8 * _BLOCK), _encode_label(label))
+        return 1 - 2 * ((block[index // 8 % _BLOCK] >> (index % 8)) & 1)
 
     def int_below(self, label: Tuple[LabelPart, ...], bound: int) -> int:
         """Exactly uniform integer in [0, bound) via 64-bit rejection sampling."""
-        return prf_below(self.master_seed, _encode_label(label), bound)
+        return _below(self._keyed, bound, _encode_label(label))
+
+    def ints_below(self, head: tuple, suffixes: Iterable[bytes], bound: int) -> list:
+        """int_below(head + suffix, bound) for each encoded suffix: label
+        encoding is concatenative, so the head is encoded once."""
+        head = _encode_label(head)
+        return [_below(self._keyed, bound, head + suffix) for suffix in suffixes]
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ precisely what keeps p <= 1 for every item and public string.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -31,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .codec import Code
-from .core import FoParams, HhParams, PublicRandomness
+from .core import FoParams, HhParams, PublicRandomness, _encode_label
 from .freq_oracle import AggregateState, phi_sign_at
 from .heavy_hitter import BOT, FAITHFUL_CHANNEL_CAP, channel_of, draw_hash_seeds
 
@@ -47,6 +48,14 @@ __all__ = [
 ]
 
 MAX_TOTAL_EPS = math.log(2)
+
+_REGEN_CHUNK = 1 << 11  # draws held at once while regenerating accepted strings
+
+
+@functools.lru_cache(maxsize=FAITHFUL_CHANNEL_CAP + 1)
+def _suffix(*parts) -> bytes:
+    """Encoded label suffix of a public-string component: ("pp", t, k) or ("fo",)."""
+    return _encode_label(parts)
 
 
 @dataclass(frozen=True)
@@ -103,17 +112,16 @@ class PublicString:
     structure: OneBitStructure
     user_id: int
 
-    def _draw(self, label_suffix: tuple, m: int) -> tuple:
-        pub = self.structure.pub
-        label = ("pub-y", self.structure.run_id, self.user_id) + label_suffix
-        u = pub.int_below(label, 2 * m)
+    def _draw(self, suffix: bytes, m: int) -> tuple:
+        s = self.structure
+        (u,) = s.pub.ints_below(("pub-y", s.run_id, self.user_id), (suffix,), 2 * m)
         return u >> 1, 1 if (u & 1) == 0 else -1
 
     def pp_component(self, t: int, k: int) -> tuple:
-        return self._draw(("pp", t, k), self.structure.code.m)
+        return self._draw(_suffix("pp", t, k), self.structure.code.m)
 
     def fo_component(self) -> tuple:
-        return self._draw(("fo",), self.structure.m_fo)
+        return self._draw(_suffix("fo"), self.structure.m_fo)
 
 
 def _ratio(match: bool, eps: float) -> float:
@@ -163,35 +171,34 @@ def onebit_server_collect(bits, structure: OneBitStructure) -> list:
     ]
 
 
-def _absorb_components(accepted: list, m: int, eps: float, component) -> AggregateState:
-    """Aggregate one component, component(y) -> (position, sign), of every
-    accepted user's string."""
-    positions = np.empty(len(accepted), dtype=np.int64)
-    signs = np.empty(len(accepted), dtype=np.int64)
-    for i, (_, y) in enumerate(accepted):
-        positions[i], signs[i] = component(y)
-    agg = AggregateState(m=m, eps=eps)
-    agg.absorb_batch(positions, signs)
-    return agg
+def _regen_aggregates(accepted: list, structure: OneBitStructure, suffixes: list, m: int) -> list:
+    """One aggregate per component suffix: one pass per accepted user draws
+    each u in [0, 2m), the pair (u >> 1, +1 if u is even else -1), under the
+    user's ("pub-y", run, user) head into a (channels, m, 2) count table."""
+    pub, run, width = structure.pub, structure.run_id, len(suffixes)
+    counts = np.zeros(width * 2 * m, dtype=np.int64)
+    step = max(1, _REGEN_CHUNK // width)
+    for lo in range(0, len(accepted), step):
+        draws = [u for _, y in accepted[lo : lo + step]
+                 for u in pub.ints_below(("pub-y", run, y.user_id), suffixes, 2 * m)]
+        np.add.at(counts, np.reshape(draws, (-1, width)) + np.arange(width) * (2 * m), 1)
+    return [AggregateState(m=m, eps=structure.eps_channel, n_total=len(accepted),
+                           plus=row[:, 0], minus=row[:, 1]) for row in counts.reshape(-1, m, 2)]
 
 
 def collect_fo_aggregate(accepted: list, structure: OneBitStructure) -> AggregateState:
     """Aggregate the oracle components of accepted users' strings."""
-    return _absorb_components(
-        accepted, structure.m_fo, structure.eps_channel, PublicString.fo_component
-    )
+    return _regen_aggregates(accepted, structure, [_suffix("fo")], structure.m_fo)[0]
 
 
 def collect_pp_aggregates(accepted: list, structure: OneBitStructure) -> dict:
     """Aggregate every hash channel of accepted users' strings (the report
     set the histogram pipeline consumes).  Materializes K*T aggregates."""
-    return {
-        (t, k): _absorb_components(
-            accepted, structure.code.m, structure.eps_channel, lambda y: y.pp_component(t, k)
-        )
-        for t in range(structure.T)
-        for k in range(structure.K)
-    }
+    keys = [(t, k) for t in range(structure.T) for k in range(structure.K)]
+    if not keys:
+        return {}
+    suffixes = [_suffix("pp", t, k) for t, k in keys]
+    return dict(zip(keys, _regen_aggregates(accepted, structure, suffixes, structure.code.m)))
 
 
 def collect_aggregates(bits, structure: OneBitStructure) -> tuple:

@@ -5,6 +5,7 @@ import pytest
 
 from ldphist.core import (
     PublicRandomness,
+    _encode_label,
     c_eps,
     derive_fo_params,
     derive_hh_params,
@@ -142,6 +143,25 @@ class TestPublicRandomness:
         assert all(0 <= v < 97 for v in vals)
         assert vals == [pub.int_below(("ab", i), 97) for i in range(200)]
 
+    def test_label_encoding_golden_bytes(self):
+        # Tag, u32le length, data per part; a label encodes as the
+        # concatenation of its parts, so a head and a suffix encoded apart
+        # join to the full label's bytes.
+        for label, expected in _GOLDEN_LABELS:
+            assert _encode_label(label).hex() == expected
+        full = tuple(label[0] for label, _ in _GOLDEN_LABELS)
+        assert _encode_label(full).hex() == "".join(expected for _, expected in _GOLDEN_LABELS)
+        assert _encode_label(full[:2]) + _encode_label(full[2:]) == _encode_label(full)
+
+    def test_ints_below_matches_full_labels(self):
+        pub = PublicRandomness.from_any(42)
+        suffixes = [("s", i) for i in range(5)] + [(b"", -1), (np.int64(3),)]
+        for bound in (1, 97, 2**64 // 3 + 1, 1 << 63):
+            got = pub.ints_below(("ab", 7), [_encode_label(s) for s in suffixes], bound)
+            assert got == [pub.int_below(("ab", 7) + s, bound) for s in suffixes]
+        with pytest.raises(ValueError):
+            pub.ints_below(("ab", 7), [b""], 0)
+
     def test_seed_must_be_32_bytes(self):
         with pytest.raises(ValueError):
             PublicRandomness(b"short")
@@ -149,6 +169,16 @@ class TestPublicRandomness:
 
 # Computed once from the implementation at freeze time; the test above pins it.
 _GOLDEN_TEST_PREFIX = "74287bd786b39a95"
+
+# Label encodings recorded before the encoder gained its plain-int path.
+_GOLDEN_LABELS = [
+    (("pub-y",), "73050000007075622d79"),
+    ((b"\x00\xff",), "620200000000ff"),
+    ((-3,), "6910000000fdffffffffffffffffffffffffffffff"),
+    ((np.int64(7),), "691000000007000000000000000000000000000000"),
+    ((True,), "691000000001000000000000000000000000000000"),
+    ((12345,), "691000000039300000000000000000000000000000"),
+]
 
 
 class TestParamsFile:

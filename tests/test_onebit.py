@@ -5,9 +5,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from ldphist import onebit
 from ldphist.codec import build_code
 from ldphist.core import PublicRandomness
-from ldphist.freq_oracle import phi_column
+from ldphist.freq_oracle import AggregateState, phi_column
 from ldphist.heavy_hitter import FAITHFUL_CHANNEL_CAP, channel_of, draw_hash_seeds
 from ldphist.onebit import (
     MAX_TOTAL_EPS,
@@ -270,3 +271,121 @@ class TestServerCollect:
         aggs = collect_pp_aggregates(accepted, s)
         assert set(aggs) == {(0, 0), (0, 1)}
         assert all(a.n_total == 10 for a in aggs.values())
+
+
+def workload_structure():
+    """The one-bit bench's shape: K = 8, T = 3 and the reference code."""
+    return composite_toy(eps_total=math.log(2), m_fo=2689, d=1024, K=8, T=3)
+
+
+def _channels(s):
+    """(label suffix, bound) of every component of a public string."""
+    pp = [(("pp", t, k), 2 * s.code.m) for t in range(s.T) for k in range(s.K)]
+    return pp + [(("fo",), 2 * s.m_fo)]
+
+
+class TestSharedPrefixDraws:
+    """The shared label-head draws are the v1 per-label draws: every
+    component equals int_below over its full label."""
+
+    USERS = 2_000
+
+    def test_components_match_full_labels(self):
+        s = workload_structure()
+        suffixes = [onebit._suffix("pp", t, k) for t in range(s.T) for k in range(s.K)]
+        for user in range(self.USERS):
+            head = ("pub-y", s.run_id, user)
+            want = [PUB.int_below(head + suffix, bound) for suffix, bound in _channels(s)]
+            got = PUB.ints_below(head, suffixes, 2 * s.code.m)
+            got += PUB.ints_below(head, [onebit._suffix("fo")], 2 * s.m_fo)
+            assert got == want
+            y = PublicString(structure=s, user_id=user)
+            drawn = [y.pp_component(t, k) for t in range(s.T) for k in range(s.K)]
+            drawn.append(y.fo_component())
+            assert drawn == [(u >> 1, 1 if u % 2 == 0 else -1) for u in want]
+
+    def test_rejection_fallback_matches_full_labels(self):
+        # limit = 2 * bound: about 1/3 of the words are rejected, so draws
+        # step past word 0 and, for about one label in 3^8, past block 0.
+        bound = 2**64 // 3 + 1
+        s = workload_structure()
+        suffixes = [onebit._suffix(*suffix) for suffix, _ in _channels(s)]
+        past_word0 = past_block0 = 0
+        for user in range(self.USERS):
+            head = ("pub-y", s.run_id, user)
+            labels = [head + suffix for suffix, _ in _channels(s)]
+            got = PUB.ints_below(head, suffixes, bound)
+            assert got == [PUB.int_below(label, bound) for label in labels]
+            for label, u in zip(labels, got):
+                # The sampler spelled out on the label's byte stream.
+                stream = PUB.bytes_at(label, 4 * 64)
+                words = [int.from_bytes(stream[o : o + 8], "little") for o in range(0, len(stream), 8)]
+                first = next(i for i, w in enumerate(words) if w < 2 * bound)
+                assert u == words[first] % bound
+                past_word0 += first > 0
+                past_block0 += first >= 8
+        assert past_word0 > 0 and past_block0 > 0
+
+
+def _loop_aggregate(accepted, m, eps, component):
+    """The per-channel regeneration loop the one-pass path replaced."""
+    positions = np.empty(len(accepted), dtype=np.int64)
+    signs = np.empty(len(accepted), dtype=np.int64)
+    for i, (_, y) in enumerate(accepted):
+        positions[i], signs[i] = component(y)
+    agg = AggregateState(m=m, eps=eps)
+    agg.absorb_batch(positions, signs)
+    return agg
+
+
+def _loop_collect(accepted, s):
+    def draw(suffix, m):
+        def component(y):
+            u = s.pub.int_below(("pub-y", s.run_id, y.user_id) + suffix, 2 * m)
+            return u >> 1, 1 if (u & 1) == 0 else -1
+        return component
+
+    fo = _loop_aggregate(accepted, s.m_fo, s.eps_channel, draw(("fo",), s.m_fo))
+    pp = {
+        (t, k): _loop_aggregate(accepted, s.code.m, s.eps_channel, draw(("pp", t, k), s.code.m))
+        for t in range(s.T)
+        for k in range(s.K)
+    }
+    return fo, pp
+
+
+def _same(a, b):
+    return (a.m, a.eps, a.n_total) == (b.m, b.eps, b.n_total) and \
+        np.array_equal(a.plus, b.plus) and np.array_equal(a.minus, b.minus)
+
+
+class TestRegenEquivalence:
+    @pytest.mark.parametrize("case, chunk", [
+        ("empty", None),
+        ("oracle-only", None),
+        ("workload", None),
+        ("chunk-boundary", 10),
+    ])
+    def test_matches_per_channel_loop(self, monkeypatch, case, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(onebit, "_REGEN_CHUNK", chunk)
+        if case == "oracle-only":
+            s = OneBitStructure(pub=PUB, run_id=2, K=1, T=0, eps_channel=0.5, m_fo=16)
+        elif case == "workload":
+            s = workload_structure()
+        else:
+            s = composite_toy()  # K*T = 2: with a chunk of 10 draws, 5 users per chunk
+        users = 0 if case == "empty" else 61
+        rng = np.random.default_rng(7)
+        accepted = onebit_server_collect([(u, int(rng.random() < 0.4)) for u in range(3 * users)], s)
+        if case == "empty":
+            assert accepted == []
+        else:  # not a whole number of 5-user or 10-user chunks
+            assert len(accepted) % 5 and len(accepted) % 10
+        fo_want, pp_want = _loop_collect(accepted, s)
+        assert _same(collect_fo_aggregate(accepted, s), fo_want)
+        pp_got = collect_pp_aggregates(accepted, s)
+        assert list(pp_got) == list(pp_want)
+        assert all(_same(pp_got[key], pp_want[key]) for key in pp_want)
+        fo_all, pp_all = collect_aggregates([(u, 1) for u, _ in accepted], s)
+        assert _same(fo_all, fo_want) and list(pp_all) == list(pp_want)

@@ -1,5 +1,6 @@
 import functools
 import json
+import logging
 import threading
 
 import numpy as np
@@ -612,4 +613,29 @@ class TestServerLifetime:
             assert acks == [{"ok": True}]
         finally:
             stalled.close()
+            server.shutdown()
+
+    def test_failed_request_logged_and_server_keeps_serving(self, monkeypatch, caplog):
+        def broken_finalize(state):
+            raise RuntimeError("finalize broke")
+
+        monkeypatch.setattr(_SessionState, "finalize", broken_finalize)
+        server = AggregationServer(FO_CONFIG)
+        addr = server.start()
+        conns = [_Connection(addr) for _ in range(2)]
+        try:
+            conns[0].sock.settimeout(5.0)
+            with caplog.at_level(logging.ERROR, logger="ldphist.service"):
+                conns[0].sock.sendall(CLOSE)
+                # The handler's error is logged before its connection closes.
+                assert conns[0].rfile.read(1) == b""
+            records = [r for r in caplog.records if r.name == "ldphist.service"]
+            assert len(records) == 1 and records[0].levelno == logging.ERROR
+            assert records[0].exc_info[0] is RuntimeError
+            stats = encode_frame(MSG_CONTROL, json.dumps({"action": "stats"}).encode("utf-8"))
+            body = _ack_body(conns[1].roundtrip(stats))
+            assert body["ok"] and body["absorbed"] == 0
+        finally:
+            for conn in conns:
+                conn.close()
             server.shutdown()
