@@ -69,6 +69,9 @@ class Code:
     def encode(self, v: int) -> np.ndarray:
         raise NotImplementedError
 
+    def signs_at(self, v: int, positions: np.ndarray) -> np.ndarray:
+        return self.encode(v)[positions]
+
     def decode(self, y: np.ndarray) -> Optional[int]:
         return self.decode_many(np.asarray(y)[None, :])[0]
 

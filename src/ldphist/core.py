@@ -192,14 +192,20 @@ def _prf_block(state, index: int, suffix: bytes = b"") -> bytes:
     return h.digest()
 
 
-def _prf_stream(state, nbytes: int) -> bytes:
-    return b"".join([_prf_block(state, i) for i in range(-(-nbytes // _BLOCK))])[:nbytes]
+def _prf_blocks(state, indices) -> bytes:
+    """_prf_block(state, i) for each int i in indices, joined, in one tight loop."""
+    copy, pack, out = state.copy, _WORD.pack, []
+    for i in indices:
+        h = copy()
+        h.update(pack(i))
+        out.append(h.digest())
+    return b"".join(out)
 
 
 def prf_bytes(key: bytes, prefix: bytes, nbytes: int) -> bytes:
     """First nbytes bytes of the keyed PRF stream for (key, prefix): the
     concatenation of blocks BLAKE2b-512(key, prefix || u64le(i)), i = 0, 1, ..."""
-    return _prf_stream(_prf_state(key, prefix), nbytes)
+    return _prf_blocks(_prf_state(key, prefix), range(-(-nbytes // _BLOCK)))[:nbytes]
 
 
 def _below(state, bound: int, suffix: bytes = b"") -> int:
@@ -270,9 +276,7 @@ class PublicRandomness:
 
     def bytes_at(self, label: Tuple[LabelPart, ...], nbytes: int) -> bytes:
         """First nbytes bytes of the stream for this label."""
-        state = self._keyed.copy()
-        state.update(_encode_label(label))
-        return _prf_stream(state, nbytes)
+        return prf_bytes(self.master_seed, _encode_label(label), nbytes)
 
     def sign_array(self, label: Tuple[LabelPart, ...], count: int) -> np.ndarray:
         """count pseudorandom signs in {-1, +1} as int8 (bit k of byte k//8,
@@ -287,14 +291,29 @@ class PublicRandomness:
         block = _prf_block(self._keyed, index // (8 * _BLOCK), _encode_label(label))
         return 1 - 2 * ((block[index // 8 % _BLOCK] >> (index % 8)) & 1)
 
+    def signs_at(self, label: Tuple[LabelPart, ...], positions) -> np.ndarray:
+        """The int8 signs sign_array(label, m) holds at an array of positions,
+        hashing only the distinct blocks that the positions fall in."""
+        positions = np.asarray(positions, dtype=np.int64)
+        block = positions // (8 * _BLOCK)
+        touched = np.bincount(block) > 0  # ValueError on a negative position
+        state = self._keyed.copy()
+        state.update(_encode_label(label))
+        raw = _prf_blocks(state, np.flatnonzero(touched).tolist())
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+        # Among the touched blocks' bits, a position sits one block lower
+        # for every untouched block before its own.
+        return 1 - 2 * bits[positions - 8 * _BLOCK * np.cumsum(~touched)[block]].astype(np.int8)
+
     def int_below(self, label: Tuple[LabelPart, ...], bound: int) -> int:
         """Exactly uniform integer in [0, bound) via 64-bit rejection sampling."""
         return _below(self._keyed, bound, _encode_label(label))
 
-    def ints_below(self, head: tuple, suffixes: Iterable[bytes], bound: int) -> list:
+    def ints_below(self, head: Union[tuple, bytes], suffixes: Iterable[bytes], bound: int) -> list:
         """int_below(head + suffix, bound) for each encoded suffix: label
-        encoding is concatenative, so the head is encoded once."""
-        head = _encode_label(head)
+        encoding is concatenative, so the head is encoded once (or passed
+        encoded, as bytes)."""
+        head = head if isinstance(head, bytes) else _encode_label(head)
         return [_below(self._keyed, bound, head + suffix) for suffix in suffixes]
 
 

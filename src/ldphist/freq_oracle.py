@@ -3,10 +3,11 @@
 Each item v is assigned a pseudorandom column of signs with implicit scale
 1/sqrt(m); the column is regenerated on demand from the public randomness
 (label ("phi", v)), never materialized as a d x m matrix.  Clients run the
-basic randomizer on their item's column; the server keeps exact integer
-counts of (position, sign) pairs.  The mean report vector and all frequency
-estimates are derived from those counts, so aggregation is associative,
-order-free, and bit-exact under any partitioning into shards.
+basic randomizer on their item's column, reading only the PRF block of the
+drawn position; the server keeps exact integer counts of (position, sign)
+pairs.  The mean report vector and all frequency estimates are derived
+from those counts, so aggregation is associative, order-free, and
+bit-exact under any partitioning into shards.
 
 The estimate of f(v) is the inner product of v's column with the mean
 report vector; it is intentionally not clipped here.
@@ -14,6 +15,7 @@ report vector; it is intentionally not clipped here.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -137,26 +139,27 @@ def fo_client_report(
         return randomize(None, params.m_fo, eps, rng)
     if not (0 <= v < params.d):
         raise ValueError(f"item {v} outside universe of size {params.d}")
-    return randomize(phi_column(pub, v, params.m_fo), params.m_fo, eps, rng)
+    return randomize(lambda j: pub.signs_at(("phi", v), j), params.m_fo, eps, rng)
 
 
 def absorb_groups(
     agg: AggregateState,
     groups: Iterable,
-    column_of: Callable[[int], np.ndarray],
+    signs_of: Callable[[int, np.ndarray], np.ndarray],
     rng: np.random.Generator,
 ) -> AggregateState:
     """Randomize and absorb the reports of grouped users.
 
     groups yields (item, count) pairs, drawn in the order given (seeded
     runs depend on it); the count users holding item run the basic
-    randomizer on column_of(item), and item -1 stands for users holding
+    randomizer on its input, read only at their positions as
+    signs_of(item, positions), and item -1 stands for users holding
     nothing, who randomize the zero input.  Any other negative item is
     refused when its group is reached."""
     for v, count in groups:
         if v < -1:
             raise ValueError(f"item {v}: items must lie in [0, d) or be -1 (no item)")
-        x = None if v < 0 else column_of(int(v))
+        x = None if v < 0 else functools.partial(signs_of, int(v))
         agg.absorb_batch(*randomize_many(x, int(count), agg.eps, agg.m, rng))
     return agg
 
@@ -181,15 +184,16 @@ def fo_simulate_reports(
 ) -> AggregateState:
     """Aggregate the reports of all users in one pass.
 
-    Sampling is grouped by distinct item so each column is generated once;
-    per-user draws are identical in distribution to calling
-    fo_client_report in a loop.  Items equal to -1 denote users with no
-    item, whose reports are uniform; items below -1 are refused before
-    any draw (np.unique sorts them first).
+    Sampling is grouped by distinct item, and each group hashes only the
+    column blocks its users' positions fall in; per-user draws are
+    identical in distribution to calling fo_client_report in a loop.
+    Items equal to -1 denote users with no item, whose reports are
+    uniform; items below -1 are refused before any draw (np.unique sorts
+    them first).
     """
     values, counts = np.unique(np.asarray(items), return_counts=True)
     agg = AggregateState(m=m, eps=eps)
-    return absorb_groups(agg, zip(values, counts), lambda v: phi_column(pub, v, m), rng)
+    return absorb_groups(agg, zip(values, counts), lambda v, j: pub.signs_at(("phi", v), j), rng)
 
 
 def fo_estimate(agg: AggregateState, pub: PublicRandomness, v: int) -> float:

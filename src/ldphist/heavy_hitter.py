@@ -192,7 +192,7 @@ def pp_aggregate(
     """Aggregate promise-protocol reports for all users, grouped by item."""
     values, counts = np.unique(np.asarray(items), return_counts=True)
     agg = AggregateState(m=code.m, eps=eps)
-    return absorb_groups(agg, zip(values, counts), code.encode, rng)
+    return absorb_groups(agg, zip(values, counts), code.signs_at, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +308,7 @@ def hh_execute(
             idle = n - sum(cnt for _, cnt in groups)
             if mode == "faithful":
                 groups.append((BOT, idle))
-            agg = absorb_groups(AggregateState(m=code.m, eps=eps_ch), groups, code.encode, rng)
+            agg = absorb_groups(AggregateState(m=code.m, eps=eps_ch), groups, code.signs_at, rng)
             if mode == "fast":
                 agg.add_count_deltas(*simulate_idle_noise(idle, code.m, rng))
             pp_aggs[(t, k)] = agg

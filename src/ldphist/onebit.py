@@ -107,14 +107,18 @@ class OneBitStructure:
 @dataclass(frozen=True)
 class PublicString:
     """User's public sample from the no-item distribution, one uniform
-    (position, sign) pair per channel, regenerated lazily on demand."""
+    (position, sign) pair per channel, regenerated lazily on demand under
+    the ("pub-y", run, user) label head, which is encoded once."""
 
     structure: OneBitStructure
     user_id: int
 
+    @functools.cached_property
+    def _head(self) -> bytes:
+        return _encode_label(("pub-y", self.structure.run_id, self.user_id))
+
     def _draw(self, suffix: bytes, m: int) -> tuple:
-        s = self.structure
-        (u,) = s.pub.ints_below(("pub-y", s.run_id, self.user_id), (suffix,), 2 * m)
+        (u,) = self.structure.pub.ints_below(self._head, (suffix,), 2 * m)
         return u >> 1, 1 if (u & 1) == 0 else -1
 
     def pp_component(self, t: int, k: int) -> tuple:

@@ -54,12 +54,14 @@ class SparseReport(NamedTuple):
     sign: int
 
 
-def _check_signs(x: np.ndarray) -> np.ndarray:
+def _check_signs(x: np.ndarray, m: int) -> np.ndarray:
     x = np.asarray(x)
     if x.ndim != 1:
         raise ValueError("input must be a 1-d sign vector")
     if not np.all(np.abs(x) == 1):
         raise ValueError("input entries must be -1 or +1")
+    if len(x) != m:
+        raise ValueError(f"input length {len(x)} != m {m}")
     return x.astype(np.int8)
 
 
@@ -69,36 +71,36 @@ def _p_keep(eps: float) -> float:
     return e / (e + 1.0)
 
 
-def randomize(
-    x: Optional[np.ndarray], m: int, eps: float, rng: np.random.Generator
-) -> SparseReport:
-    """Run the basic randomizer on sign vector x (None means the zero input)."""
+def randomize(x, m: int, eps: float, rng: np.random.Generator) -> SparseReport:
+    """Run the basic randomizer on input x: a sign vector, a function giving
+    its signs at an array of positions (read at the drawn one only), or
+    None (the zero input)."""
     if not eps > 0:
         raise ValueError(f"eps must be > 0, got {eps}")
     j = int(rng.integers(0, m))
     if x is None:
         sign = 1 if rng.random() < 0.5 else -1
     else:
-        x = _check_signs(x)
-        if len(x) != m:
-            raise ValueError(f"input length {len(x)} != m {m}")
+        xj = int(x(np.array([j]))[0] if callable(x) else _check_signs(x, m)[j])
         keep = rng.random() < _p_keep(eps)
-        sign = int(x[j]) if keep else -int(x[j])
+        sign = xj if keep else -xj
     return SparseReport(position=j, sign=sign)
 
 
 def randomize_many(
-    x: Optional[np.ndarray], count: int, eps: float, m: int, rng: np.random.Generator
+    x: Optional[Callable], count: int, eps: float, m: int, rng: np.random.Generator
 ) -> tuple:
     """(positions, signs) of count users running the basic randomizer on
     the same input; identical in distribution to count ``randomize`` calls.
     All positions are drawn first, then the keep-uniforms (or, for the
-    zero input x = None, the uniform signs)."""
+    zero input x = None, the uniform signs); x(positions) gives the input's
+    signs at the drawn positions."""
     j = rng.integers(0, m, size=count)
     if x is None:
         return j, rng.choice(np.array([-1, 1], dtype=np.int8), size=count)
     keep = rng.random(count) < _p_keep(eps)
-    return j, np.where(keep, x[j], -x[j])
+    signs = x(j)
+    return j, np.where(keep, signs, -signs)
 
 
 def outcome_labels(m: int) -> list[str]:
@@ -122,9 +124,7 @@ def report_distribution(x: Optional[np.ndarray], m: int, eps: float) -> np.ndarr
     if x is None:
         probs[:] = 1.0 / (2 * m)
         return probs
-    x = _check_signs(x)
-    if len(x) != m:
-        raise ValueError(f"input length {len(x)} != m {m}")
+    x = _check_signs(x, m)
     p_keep = _p_keep(eps)
     plus = np.where(x > 0, p_keep, 1.0 - p_keep) / m
     probs[0::2] = plus

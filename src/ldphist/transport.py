@@ -36,10 +36,12 @@ frame header declaring more than MAX_REQUEST_PAYLOAD bytes is refused
 before its payload is read, and a connection silent for READ_TIMEOUT_S is
 dropped.
 {"action": "stats"} is answered with the reports absorbed, the rejections
-by code and the request bytes read.  A close request runs the same
-decode/prune pipeline as an in-process run and answers with the histogram
-result, or with an "empty-session" error, leaving the session open, when
-no oracle report arrived.  The service never sees items, only reports.
+by code, the request bytes read, the oracle's n_total, and the number of
+occupied hash channels with their least and greatest n_total.  A close
+request runs the same decode/prune pipeline as an in-process run and
+answers with the histogram result, or with an "empty-session" error,
+leaving the session open, when no oracle report arrived.  The service
+never sees items, only reports.
 A request that fails in the service is logged through "ldphist.service".
 """
 
@@ -354,15 +356,30 @@ class _SessionState:
     def stats(self) -> dict:
         with self.lock:
             rejected = dict(self.tally)
+            totals, fo_total = self._n_totals()
+        busy = totals[totals > 0].tolist()
         return {"ok": True, "absorbed": rejected.pop("ok"),
-                "bytes_read": rejected.pop("bytes_read"), "rejected": rejected}
+                "bytes_read": rejected.pop("bytes_read"), "rejected": rejected,
+                "oracle_n_total": fo_total, "channels_occupied": len(busy),
+                "channel_n_total_min": min(busy, default=None),
+                "channel_n_total_max": max(busy, default=None)}
+
+    def _n_totals(self) -> tuple:
+        """(reports per channel row, oracle reports) in the session counts;
+        in a one-bit session every accepted bit feeds every channel."""
+        if self.structure is not None:
+            return np.full(self.oracle_row, self.bits.sum()), int(self.bits.sum())
+        rows, m = self.oracle_row, self.m
+        totals = self.plus[: rows * m].reshape(rows, m).sum(axis=1)
+        totals += self.minus[: rows * m].reshape(rows, m).sum(axis=1)
+        return totals, int(self.plus[rows * m :].sum() + self.minus[rows * m :].sum())
 
     def _aggregates(self) -> tuple:
         """(oracle aggregate, {(t, k): channel aggregate}) of the channels
         that hold a report, as views of the session counts."""
         rows, m = self.oracle_row, self.m
         plus, minus = self.plus[: rows * m].reshape(rows, m), self.minus[: rows * m].reshape(rows, m)
-        totals = plus.sum(axis=1) + minus.sum(axis=1)
+        totals, fo_total = self._n_totals()
         pp_aggs = {
             divmod(int(row), self.K): AggregateState(
                 m=m, eps=self.setup.hh.eps_channel, n_total=int(totals[row]),
@@ -373,7 +390,7 @@ class _SessionState:
         fo_plus, fo_minus = self.plus[rows * m :], self.minus[rows * m :]
         fo_agg = AggregateState(
             m=self.setup.fo.m_fo, eps=self.setup.fo.eps,
-            n_total=int(fo_plus.sum() + fo_minus.sum()), plus=fo_plus, minus=fo_minus,
+            n_total=fo_total, plus=fo_plus, minus=fo_minus,
         )
         return fo_agg, pp_aggs
 

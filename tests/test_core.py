@@ -162,6 +162,39 @@ class TestPublicRandomness:
         with pytest.raises(ValueError):
             pub.ints_below(("ab", 7), [b""], 0)
 
+    def test_signs_at_matches_sign_array_and_sign_at(self):
+        # m = 1,203 is a multiple of neither 8 nor 512 (one block holds 512
+        # signs), so the last block and the last byte are both partial.
+        pub = PublicRandomness.from_any(31)
+        m = 1_203
+        column = pub.sign_array(("phi", 4), m)
+        cases = {
+            "edges": [0, 511, 512, 513, m - 1],
+            "repeated-unsorted": [m - 1, 3, 513, 3, 0, 1024, 511, 513, m - 1],
+            "every": list(range(m)),
+        }
+        for name, positions in cases.items():
+            got = pub.signs_at(("phi", 4), np.array(positions))
+            assert got.dtype == np.int8, name
+            np.testing.assert_array_equal(got, column[positions], err_msg=name)
+            assert got.tolist() == [pub.sign_at(("phi", 4), j) for j in positions], name
+
+    def test_signs_at_empty_and_negative(self):
+        pub = PublicRandomness.from_any(31)
+        empty = pub.signs_at(("phi", 4), np.array([], dtype=np.int64))
+        assert empty.dtype == np.int8 and empty.shape == (0,)
+        with pytest.raises(ValueError):
+            pub.signs_at(("phi", 4), np.array([5, -1]))
+
+    def test_signs_at_hashes_only_touched_blocks(self, monkeypatch):
+        import ldphist.core as core
+
+        read = []
+        blocks = core._prf_blocks
+        monkeypatch.setattr(core, "_prf_blocks", lambda state, idx: read.append(idx) or blocks(state, idx))
+        PublicRandomness.from_any(31).signs_at(("phi", 4), np.array([5000, 7, 511, 5000, 1536]))
+        assert read == [[0, 3, 9]]
+
     def test_seed_must_be_32_bytes(self):
         with pytest.raises(ValueError):
             PublicRandomness(b"short")

@@ -13,7 +13,9 @@ from ldphist.freq_oracle import (
     phi_column,
     phi_sign_at,
 )
-from ldphist.randomizer import ChannelMatrix, SparseReport, audit_ldp, outcome_labels, report_distribution
+from ldphist.randomizer import (
+    ChannelMatrix, SparseReport, audit_ldp, outcome_labels, randomize, report_distribution,
+)
 
 
 PUB = PublicRandomness.from_any(2024)
@@ -233,3 +235,64 @@ class TestEstimate:
         agg = AggregateState(m=8, eps=1.0)
         with pytest.raises(ValueError):
             fo_estimate(agg, PUB, 0)
+
+
+def _full_column_absorb(agg, groups, column_of, rng):
+    """Reference randomize-and-absorb: the same draws as absorb_groups, but
+    each group's whole column is made and then indexed at its positions."""
+    for v, count in groups:
+        j = rng.integers(0, agg.m, size=count)
+        if v < 0:
+            signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=count)
+        else:
+            x = column_of(int(v))
+            keep = rng.random(count) < math.exp(agg.eps) / (math.exp(agg.eps) + 1.0)
+            signs = np.where(keep, x[j], -x[j])
+        agg.absorb_batch(j, signs)
+    return agg
+
+
+class TestBlockPathEquivalence:
+    """The simulations read only the column blocks they draw, with the
+    same draws, so they count exactly what the full-column path counts."""
+
+    @staticmethod
+    def _assert_same(got, want):
+        np.testing.assert_array_equal(got.plus, want.plus)
+        np.testing.assert_array_equal(got.minus, want.minus)
+        assert got.n_total == want.n_total
+
+    @pytest.mark.parametrize("m", [1, 700, 1_203])
+    def test_fo_simulate_reports(self, m):
+        items = np.random.default_rng(3).integers(-1, 40, 5_000)
+        assert (items == -1).any()
+        got = fo_simulate_reports(items, m, 0.8, PUB, np.random.default_rng(11))
+        values, counts = np.unique(items, return_counts=True)
+        want = _full_column_absorb(AggregateState(m=m, eps=0.8), zip(values, counts),
+                                   lambda v: phi_column(PUB, v, m), np.random.default_rng(11))
+        self._assert_same(got, want)
+
+    def test_pp_aggregate(self):
+        from ldphist.codec import build_code
+        from ldphist.heavy_hitter import BOT, pp_aggregate
+
+        code = build_code(64, "reference")
+        items = np.random.default_rng(4).integers(0, 64, 3_000)
+        items[::7] = BOT
+        got = pp_aggregate(items, code, 1.5, np.random.default_rng(12))
+        values, counts = np.unique(items, return_counts=True)
+        want = _full_column_absorb(AggregateState(m=code.m, eps=1.5), zip(values, counts),
+                                   code.encode, np.random.default_rng(12))
+        self._assert_same(got, want)
+
+    def test_client_report_reads_one_block(self, monkeypatch):
+        import ldphist.core as core
+
+        read = []
+        blocks = core._prf_blocks
+        monkeypatch.setattr(core, "_prf_blocks", lambda state, idx: read.append(idx) or blocks(state, idx))
+        params = derive_fo_params(64, 10_000, 1.0, 0.1)
+        report = fo_client_report(9, params, PUB, 1.0, np.random.default_rng(5))
+        assert read == [[report.position // 512]]
+        full = randomize(phi_column(PUB, 9, params.m_fo), params.m_fo, 1.0, np.random.default_rng(5))
+        assert report == full

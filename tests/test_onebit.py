@@ -326,6 +326,19 @@ class TestSharedPrefixDraws:
                 past_block0 += first >= 8
         assert past_word0 > 0 and past_block0 > 0
 
+    def test_public_string_encodes_its_head_once(self, monkeypatch):
+        # acceptance_prob reads T + 1 components per call; the string's
+        # ("pub-y", run, user) head is encoded on the first read only.
+        s = workload_structure()
+        encoded = []
+        real = onebit._encode_label
+        monkeypatch.setattr(onebit, "_encode_label", lambda parts: encoded.append(parts) or real(parts))
+        y = PublicString(structure=s, user_id=7)
+        probs = [acceptance_prob(v, y, s) for v in range(40)]
+        assert encoded.count(("pub-y", s.run_id, 7)) == 1
+        monkeypatch.undo()
+        assert probs == [acceptance_prob(v, PublicString(structure=s, user_id=7), s) for v in range(40)]
+
 
 def _loop_aggregate(accepted, m, eps, component):
     """The per-channel regeneration loop the one-pass path replaced."""

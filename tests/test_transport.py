@@ -589,7 +589,37 @@ class TestBatch:
             "absorbed": 1,
             "bytes_read": len(_batch(frames)) + len(stats),
             "rejected": {"bounds": 2, "duplicate": 1, "session-closed": 0, "bad-frame": 0},
+            "oracle_n_total": 1,
+            "channels_occupied": 0,
+            "channel_n_total_min": None,
+            "channel_n_total_max": None,
         }
+
+    def test_stats_count_oracle_and_channel_reports(self):
+        # Channel (0, 1) gets two reports, (2, 7) one, the oracle two; the
+        # repeat of user 0's (0, 1) report and the out-of-bounds one count
+        # nowhere.
+        frames = [_report(0, 0, 1), _report(1, 0, 1, sign=-1), _report(0, 2, 7),
+                  _report(0, 0, 1), _report(0, 3, 0), _report(0, msg_type=MSG_FO_REPORT),
+                  _report(5, position=9, msg_type=MSG_FO_REPORT)]
+        stats = encode_frame(MSG_CONTROL, json.dumps({"action": "stats"}).encode("utf-8"))
+        _, body = self._roundtrip(_hist_config(), _batch(frames), stats)
+        assert body["absorbed"] == 5
+        assert (body["oracle_n_total"], body["channels_occupied"]) == (2, 2)
+        assert (body["channel_n_total_min"], body["channel_n_total_max"]) == (1, 2)
+
+    def test_stats_count_accepted_one_bit_users(self):
+        # Every accepted bit stands for one report in the oracle and in
+        # each of the K*T = 24 channels.
+        cfg = SessionConfig(protocol="hist", d=16, n=2000, eps=0.69, beta=0.5,
+                            seed=1, k_override=8, one_bit=True)
+        frames = [encode_frame(MSG_ONE_BIT, OneBitPayload(user, bit).pack())
+                  for user, bit in enumerate([1, 0, 1, 1, 0])]
+        stats = encode_frame(MSG_CONTROL, json.dumps({"action": "stats"}).encode("utf-8"))
+        _, body = self._roundtrip(cfg, _batch(frames), stats)
+        assert body["absorbed"] == 5
+        assert (body["oracle_n_total"], body["channels_occupied"]) == (3, 24)
+        assert (body["channel_n_total_min"], body["channel_n_total_max"]) == (3, 3)
 
 
 class TestServerLifetime:
