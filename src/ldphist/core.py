@@ -282,8 +282,9 @@ class PublicRandomness:
         """count pseudorandom signs in {-1, +1} as int8 (bit k of byte k//8,
         little bit order)."""
         raw = self.bytes_at(label, -(-count // 8))
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-        return (1 - 2 * bits[:count].astype(np.int8)).astype(np.int8)
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=count, bitorder="little")
+        signs = bits.view(np.int8)
+        return np.subtract(1, np.add(signs, signs, out=signs), out=signs)  # 1 - 2 * bit, in place
 
     def sign_at(self, label: Tuple[LabelPart, ...], index: int) -> int:
         """Single sign at a given bit offset of the label's stream, touching

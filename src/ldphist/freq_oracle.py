@@ -119,14 +119,25 @@ class AggregateState:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "AggregateState":
-        m, n_total, eps = cls._HEADER.unpack_from(blob, 0)
+        """Parse to_bytes output, refusing any blob that no aggregate could
+        have written: counts must fit int64 and sum to n_total."""
         off = cls._HEADER.size
+        if len(blob) < off:
+            raise ValueError(f"aggregate blob has {len(blob)} bytes, shorter than its header")
+        m, n_total, eps = cls._HEADER.unpack_from(blob, 0)
+        if m < 1:
+            raise ValueError(f"aggregate blob has m = {m}, need m >= 1")
+        if not 0 < eps < np.inf:
+            raise ValueError(f"aggregate blob has eps = {eps}, need a finite eps > 0")
         need = off + 16 * m
         if len(blob) != need:
             raise ValueError(f"aggregate blob has {len(blob)} bytes, expected {need}")
-        plus = np.frombuffer(blob, dtype="<u8", count=m, offset=off).astype(np.int64)
-        minus = np.frombuffer(blob, dtype="<u8", count=m, offset=off + 8 * m).astype(np.int64)
-        return cls(m=int(m), eps=float(eps), n_total=int(n_total), plus=plus, minus=minus)
+        counts = np.frombuffer(blob, dtype="<i8", count=2 * m, offset=off).astype(np.int64)
+        if (counts < 0).any():
+            raise ValueError("aggregate blob has a count at or above 2^63")
+        if sum(counts.tolist()) != n_total:  # Python ints: an int64 sum could wrap
+            raise ValueError(f"aggregate blob's counts do not sum to n_total = {n_total}")
+        return cls(m=int(m), eps=float(eps), n_total=int(n_total), plus=counts[:m], minus=counts[m:])
 
 
 def fo_client_report(
@@ -167,12 +178,26 @@ def absorb_groups(
 def inner_estimates(agg: AggregateState, columns: Iterable[np.ndarray]) -> np.ndarray:
     """c_eps(eps) / n_total * <column, plus - minus> for every sign column:
     the inner product of each column with the mean report vector, which
-    estimates the frequency of the item the column encodes."""
+    estimates the frequency of the item the column encodes.
+
+    The products are exact.  Every partial sum of <±1 column, diff> is an
+    integer of magnitude at most S = sum(|plus - minus|), so in float32
+    when S <= 2^24, and in float64 otherwise (exact to 2^53), BLAS returns
+    the exact integer in any summation order.  Each column is copied into
+    one buffer of that type; a column whose shape is not (m,) is refused."""
     if agg.n_total < 1:
         raise ValueError("no reports absorbed")
-    diff = agg.count_diff().astype(np.float64)
+    diff = agg.count_diff()
+    weights = diff.astype(np.float32 if np.abs(diff).sum() <= 2**24 else np.float64)
+    buf = np.empty_like(weights)
     scale = c_eps(agg.eps) / agg.n_total
-    return np.array([scale * float(col @ diff) for col in columns], dtype=np.float64)
+    out = []
+    for col in columns:
+        if np.shape(col) != buf.shape:
+            raise ValueError(f"column has shape {np.shape(col)}, expected {buf.shape}")
+        np.copyto(buf, col)
+        out.append(scale * float(buf @ weights))
+    return np.array(out, dtype=np.float64)
 
 
 def fo_simulate_reports(

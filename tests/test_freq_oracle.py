@@ -10,6 +10,7 @@ from ldphist.freq_oracle import (
     fo_estimate,
     fo_estimate_many,
     fo_simulate_reports,
+    inner_estimates,
     phi_column,
     phi_sign_at,
 )
@@ -117,6 +118,49 @@ class TestAggregateState:
         agg = AggregateState(m=8, eps=1.0)
         with pytest.raises(ValueError):
             AggregateState.from_bytes(agg.to_bytes()[:-1])
+
+    @staticmethod
+    def _blob(m=2, n_total=3, eps=1.0, counts=(1, 0, 2, 0)) -> bytes:
+        head = AggregateState._HEADER.pack(m, n_total, eps)
+        return head + np.array(counts, dtype="<u8").tobytes()
+
+    def test_blob_builder_matches_to_bytes(self):
+        agg = AggregateState(m=2, eps=1.0, n_total=3, plus=np.array([1, 0]), minus=np.array([2, 0]))
+        assert self._blob() == agg.to_bytes()
+        assert AggregateState.from_bytes(self._blob()).to_bytes() == self._blob()
+
+    def test_blob_shorter_than_header_rejected(self):
+        for blob in (b"", self._blob()[:23]):
+            with pytest.raises(ValueError, match="header"):
+                AggregateState.from_bytes(blob)
+
+    def test_blob_m_below_one_rejected(self):
+        with pytest.raises(ValueError, match="m = 0"):
+            AggregateState.from_bytes(self._blob(m=0, n_total=0, counts=()))
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_blob_bad_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="eps"):
+            AggregateState.from_bytes(self._blob(eps=eps))
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_blob_count_beyond_int64_rejected(self, index):
+        counts = [0, 0, 0, 0]
+        counts[index] = 2**63
+        with pytest.raises(ValueError, match="2\\^63"):
+            AggregateState.from_bytes(self._blob(n_total=2**63, counts=counts))
+
+    @pytest.mark.parametrize("n_total", [0, 2, 5, 2**64 - 1])
+    def test_blob_n_total_off_count_sum_rejected(self, n_total):
+        with pytest.raises(ValueError, match="n_total"):
+            AggregateState.from_bytes(self._blob(n_total=n_total, counts=(1, 0, 0, 0)))
+
+    def test_blob_counts_wrapping_int64_sum_rejected(self):
+        # Four counts of 2^62 sum to 2^64, which a 64-bit sum wraps to 0:
+        # only an exact sum sees that they do not match n_total = 0.
+        big = 2**62
+        with pytest.raises(ValueError, match="n_total"):
+            AggregateState.from_bytes(self._blob(n_total=0, counts=(big, big, big, big)))
 
 
 class TestClientReport:
@@ -235,6 +279,37 @@ class TestEstimate:
         agg = AggregateState(m=8, eps=1.0)
         with pytest.raises(ValueError):
             fo_estimate(agg, PUB, 0)
+
+    @pytest.mark.parametrize("plus0, minus1", [(2**24 - 1, 1), (2**24 + 1, 0), (2**24, 1)])
+    def test_inner_estimates_exact_at_float32_boundary(self, plus0, minus1):
+        # sum(|plus - minus|) is 2^24, 2^24 + 1 and 2^24 + 1.  float32
+        # holds every integer up to 2^24 but rounds 2^24 + 1: in the last
+        # case the weights fit float32 but the column (+1, -1, ...) sums
+        # them to 2^24 + 1, so only float64 stays exact.
+        m, eps = 40, 1.0
+        plus, minus = np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64)
+        plus[0], minus[1] = plus0, minus1
+        agg = AggregateState(m=m, eps=eps, n_total=plus0 + minus1, plus=plus, minus=minus)
+        ones = np.ones(m, dtype=np.int8)
+        cols = [phi_column(PUB, v, m) for v in range(6)] + [ones, -ones, ones.copy()]
+        cols[-1][1] = -1
+        diff = (plus - minus).tolist()
+        expected = [c_eps(eps) / agg.n_total * sum(int(c) * w for c, w in zip(col, diff))
+                    for col in cols]
+        assert inner_estimates(agg, cols).tolist() == expected
+
+    @pytest.mark.parametrize("shape", [(39,), (41,), (1,), (0,), (1, 40), (40, 1)])
+    def test_inner_estimates_rejects_wrong_shape(self, shape):
+        agg = AggregateState(m=40, eps=1.0)
+        agg.absorb_batch(np.array([3]), np.array([1]))
+        with pytest.raises(ValueError, match="shape"):
+            inner_estimates(agg, [np.ones(shape, dtype=np.int8)])
+
+    def test_estimate_many_of_no_items(self):
+        agg = AggregateState(m=8, eps=1.0)
+        agg.absorb_batch(np.array([3]), np.array([1]))
+        est = fo_estimate_many(agg, PUB, [])
+        assert est.dtype == np.float64 and est.shape == (0,)
 
 
 def _full_column_absorb(agg, groups, column_of, rng):

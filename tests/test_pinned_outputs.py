@@ -22,7 +22,7 @@ import pytest
 
 from ldphist.codec import ReferenceCode, build_code
 from ldphist.core import PublicRandomness, derive_fo_params, derive_hh_params
-from ldphist.freq_oracle import fo_simulate_reports
+from ldphist.freq_oracle import fo_estimate_many, fo_simulate_reports
 from ldphist.harness import DatasetSpec, ExperimentConfig, run_experiment
 from ldphist.heavy_hitter import (
     BOT,
@@ -68,6 +68,17 @@ def fo_digest(eps: float) -> str:
     items = _items(1, 64, 3000, 0.25)
     agg = fo_simulate_reports(items, 512, eps, PUB, np.random.default_rng(2))
     return _digest(agg.to_bytes())
+
+
+# m = 20,001 signs is 2,501 bytes: each column spans 40 PRF blocks, and its
+# last byte (one sign) and last block (5 bytes) are partial.
+FO_ESTIMATE_M = 20_001
+
+
+def fo_estimate_digest() -> str:
+    items = _items(12, 64, 4000, 0.25)
+    agg = fo_simulate_reports(items, FO_ESTIMATE_M, 1.0, PUB, np.random.default_rng(13))
+    return _digest(*[float(f) for f in fo_estimate_many(agg, PUB, range(64))])
 
 
 def pp_digest(kind: str) -> str:
@@ -166,6 +177,7 @@ FO = {
     1.0: "4ca61c516d1ca16418eac3dad7a569a91a1919d31a3272b79b300281670577ac",
     2.5: "943e9348a5659ae82bbe73b86fbc49da4a0ac384ef9515dcfe3d6b426d7e9353",
 }
+FO_ESTIMATES = "c1c20e7f774134d82a49dd9f9d7b0f9510f083664fa460af1fdbd6fd4e16bda1"
 PP = {
     "reference": "c4b710da1b42ee6431cc8f339969b47e7715cd2d3c448421a0a703555a42f812",
     "concatenated": "9b1dc94c666fa5af4a6e28e3df9aed71f3c8c3e97d87699d16522d0ad640cf0e",
@@ -193,6 +205,10 @@ PRF = {
 @pytest.mark.parametrize("eps", sorted(FO))
 def test_fo_simulate_reports(eps):
     assert fo_digest(eps) == FO[eps]
+
+
+def test_fo_estimate_many():
+    assert fo_estimate_digest() == FO_ESTIMATES
 
 
 @pytest.mark.parametrize("kind", sorted(PP))
