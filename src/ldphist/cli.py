@@ -231,27 +231,46 @@ def cmd_serve(args):
     return 0
 
 
+# Largest value + 1 of each report-file field after kind, as the wire
+# carries it (user u64, t u16, k u32, position u32), and the signs of each kind.
+_FIELD_BOUNDS = {"user": 2**64, "t": 2**16, "k": 2**32, "position": 2**32}
+_KIND_SIGNS = {"fo": (-1, 1), "pp": (-1, 1), "bit": (0, 1)}
+
+
+def _report_frame(line: str) -> bytes:
+    """The frame of one report-file line: kind, then user, t, k, position
+    and sign as integers; ValueError for anything the wire cannot carry."""
+    kind, *fields = line.strip().split(",")
+    if kind not in _KIND_SIGNS:
+        raise ValueError(f"unknown report kind {kind!r}")
+    try:
+        user, t, k, j, sign = map(int, fields)
+    except ValueError:
+        raise ValueError(f"need kind and five integer fields, got {line.strip()!r}") from None
+    for (name, bound), value in zip(_FIELD_BOUNDS.items(), (user, t, k, j)):
+        if not 0 <= value < bound:
+            raise ValueError(f"{name} {value} outside [0, {bound})")
+    if sign not in _KIND_SIGNS[kind]:
+        raise ValueError(f"a {kind} sign must be one of {_KIND_SIGNS[kind]}, got {sign}")
+    if kind == "bit":
+        return encode_frame(MSG_ONE_BIT, OneBitPayload(user, sign).pack())
+    if kind == "fo":
+        return encode_frame(MSG_FO_REPORT, ReportPayload(user, 0, 0, j, sign).pack())
+    return encode_frame(MSG_PP_REPORT, ReportPayload(user, t, k, j, sign).pack())
+
+
 def cmd_submit(args):
+    # Every line is checked before the service is contacted.
     frames = []
     with open(args.reports, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "kind,user,t,k,position,sign":
             raise SystemExit(f"unexpected reports header {header!r}")
-        for line in fh:
-            kind, user, t, k, j, sign = line.strip().split(",")
-            if kind == "fo":
-                frames.append(encode_frame(
-                    MSG_FO_REPORT,
-                    ReportPayload(int(user), 0, 0, int(j), int(sign)).pack()))
-            elif kind == "pp":
-                frames.append(encode_frame(
-                    MSG_PP_REPORT,
-                    ReportPayload(int(user), int(t), int(k), int(j), int(sign)).pack()))
-            elif kind == "bit":
-                frames.append(encode_frame(
-                    MSG_ONE_BIT, OneBitPayload(int(user), int(sign)).pack()))
-            else:
-                raise SystemExit(f"unknown report kind {kind!r}")
+        for lineno, line in enumerate(fh, start=2):
+            try:
+                frames.append(_report_frame(line))
+            except ValueError as exc:
+                raise ValueError(f"{args.reports} line {lineno}: {exc}") from None
     acks = client_submit((args.host, args.port), frames)
     rejected = [a for a in acks if not a.get("ok")]
     _echo("submitted", {"frames": len(frames), "rejected": len(rejected)})

@@ -29,6 +29,7 @@ __all__ = [
     "phi_column",
     "phi_sign_at",
     "AggregateState",
+    "channel_aggregates",
     "absorb_groups",
     "inner_estimates",
     "fo_client_report",
@@ -83,11 +84,6 @@ class AggregateState:
         np.add.at(self.minus, down, 1)
         self.n_total += len(positions)
 
-    def add_count_deltas(self, plus_delta: np.ndarray, minus_delta: np.ndarray) -> None:
-        self.plus += plus_delta
-        self.minus += minus_delta
-        self.n_total += int(plus_delta.sum() + minus_delta.sum())
-
     def merge(self, other: "AggregateState") -> None:
         if other.m != self.m or other.eps != self.eps:
             raise ValueError("cannot merge aggregates with different parameters")
@@ -138,6 +134,15 @@ class AggregateState:
         if sum(counts.tolist()) != n_total:  # Python ints: an int64 sum could wrap
             raise ValueError(f"aggregate blob's counts do not sum to n_total = {n_total}")
         return cls(m=int(m), eps=float(eps), n_total=int(n_total), plus=counts[:m], minus=counts[m:])
+
+
+def channel_aggregates(keys, table: np.ndarray, eps: float) -> dict:
+    """{key: aggregate of row i} for the i-th of keys, over a (rows, m, 2)
+    int64 count table: plus counts at [i, :, 0], minus at [i, :, 1] (views
+    that write through to the table) and n_total the row sum."""
+    m, totals = table.shape[1], table.sum(axis=(1, 2)).tolist()
+    return {key: AggregateState(m=m, eps=eps, n_total=n, plus=row[:, 0], minus=row[:, 1])
+            for key, row, n in zip(keys, table, totals, strict=True)}
 
 
 def fo_client_report(

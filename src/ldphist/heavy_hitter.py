@@ -39,6 +39,7 @@ from .core import FoParams, HhParams, PublicRandomness, prf_below
 from .freq_oracle import (
     AggregateState,
     absorb_groups,
+    channel_aggregates,
     fo_estimate_many,
     fo_simulate_reports,
     inner_estimates,
@@ -297,21 +298,26 @@ def hh_execute(
     values, counts = np.unique(items[items != BOT], return_counts=True)
     chan = _channel_map(seeds, values, K)
 
-    pp_aggs = {}
+    by_channel = {}
     for t in range(T):
-        by_channel = {}
         for v, cnt in zip(values, counts):
-            by_channel.setdefault(chan[t][int(v)], []).append((int(v), int(cnt)))
-        channel_ids = range(K) if mode == "faithful" else sorted(by_channel)
-        for k in channel_ids:
-            groups = sorted(by_channel.get(k, []))
-            idle = n - sum(cnt for _, cnt in groups)
-            if mode == "faithful":
-                groups.append((BOT, idle))
-            agg = absorb_groups(AggregateState(m=code.m, eps=eps_ch), groups, code.signs_at, rng)
-            if mode == "fast":
-                agg.add_count_deltas(*simulate_idle_noise(idle, code.m, rng))
-            pp_aggs[(t, k)] = agg
+            by_channel.setdefault((t, chan[t][int(v)]), []).append((int(v), int(cnt)))
+    keys = sorted(by_channel) if mode == "fast" else [(t, k) for t in range(T) for k in range(K)]
+    # One count table, filled row by row in (t, k) order, each channel's
+    # groups and then (fast mode) its idle noise: the draw order seeded runs
+    # pin.  pp_aggs is built once it is full, so n_total counts the noise.
+    table = np.zeros((len(keys), code.m, 2), dtype=np.int64)
+    for key, agg in channel_aggregates(keys, table, eps_ch).items():
+        groups = sorted(by_channel.get(key, []))
+        idle = n - sum(cnt for _, cnt in groups)
+        if mode == "faithful":
+            groups.append((BOT, idle))
+        absorb_groups(agg, groups, code.signs_at, rng)
+        if mode == "fast":
+            plus, minus = simulate_idle_noise(idle, code.m, rng)
+            agg.plus += plus
+            agg.minus += minus
+    pp_aggs = channel_aggregates(keys, table, eps_ch)
 
     fo_agg = fo_simulate_reports(items, fo_params.m_fo, eps_ch, pub, rng)
 

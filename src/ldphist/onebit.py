@@ -33,7 +33,7 @@ import numpy as np
 
 from .codec import Code
 from .core import FoParams, HhParams, PublicRandomness, _encode_label
-from .freq_oracle import AggregateState, phi_sign_at
+from .freq_oracle import AggregateState, channel_aggregates, phi_sign_at
 from .heavy_hitter import BOT, FAITHFUL_CHANNEL_CAP, channel_of, draw_hash_seeds
 
 __all__ = [
@@ -175,34 +175,31 @@ def onebit_server_collect(bits, structure: OneBitStructure) -> list:
     ]
 
 
-def _regen_aggregates(accepted: list, structure: OneBitStructure, suffixes: list, m: int) -> list:
-    """One aggregate per component suffix: one pass per accepted user draws
-    each u in [0, 2m), the pair (u >> 1, +1 if u is even else -1), under the
-    user's ("pub-y", run, user) head into a (channels, m, 2) count table."""
+def _regen_aggregates(accepted: list, structure: OneBitStructure, suffixes: dict, m: int) -> dict:
+    """{key: aggregate} of each key's component suffix: one pass per
+    accepted user draws each u in [0, 2m), the pair (u >> 1, +1 if u is
+    even else -1), under the user's ("pub-y", run, user) head into one
+    (keys, m, 2) count table."""
     pub, run, width = structure.pub, structure.run_id, len(suffixes)
     counts = np.zeros(width * 2 * m, dtype=np.int64)
     step = max(1, _REGEN_CHUNK // width)
     for lo in range(0, len(accepted), step):
         draws = [u for _, y in accepted[lo : lo + step]
-                 for u in pub.ints_below(("pub-y", run, y.user_id), suffixes, 2 * m)]
+                 for u in pub.ints_below(("pub-y", run, y.user_id), suffixes.values(), 2 * m)]
         np.add.at(counts, np.reshape(draws, (-1, width)) + np.arange(width) * (2 * m), 1)
-    return [AggregateState(m=m, eps=structure.eps_channel, n_total=len(accepted),
-                           plus=row[:, 0], minus=row[:, 1]) for row in counts.reshape(-1, m, 2)]
+    return channel_aggregates(suffixes, counts.reshape(width, m, 2), structure.eps_channel)
 
 
 def collect_fo_aggregate(accepted: list, structure: OneBitStructure) -> AggregateState:
     """Aggregate the oracle components of accepted users' strings."""
-    return _regen_aggregates(accepted, structure, [_suffix("fo")], structure.m_fo)[0]
+    return _regen_aggregates(accepted, structure, {"fo": _suffix("fo")}, structure.m_fo)["fo"]
 
 
 def collect_pp_aggregates(accepted: list, structure: OneBitStructure) -> dict:
     """Aggregate every hash channel of accepted users' strings (the report
     set the histogram pipeline consumes).  Materializes K*T aggregates."""
-    keys = [(t, k) for t in range(structure.T) for k in range(structure.K)]
-    if not keys:
-        return {}
-    suffixes = [_suffix("pp", t, k) for t, k in keys]
-    return dict(zip(keys, _regen_aggregates(accepted, structure, suffixes, structure.code.m)))
+    suffixes = {(t, k): _suffix("pp", t, k) for t in range(structure.T) for k in range(structure.K)}
+    return _regen_aggregates(accepted, structure, suffixes, structure.code.m) if suffixes else {}
 
 
 def collect_aggregates(bits, structure: OneBitStructure) -> tuple:

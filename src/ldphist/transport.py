@@ -28,8 +28,10 @@ A record outside the session (user_id >= n, t >= T, k >= K, position >= m,
 or the wrong report kind) gets "bounds", and a repeat of a (user, channel)
 report gets "duplicate" and changes nothing (the first copy wins, within a
 batch too), making client retries idempotent.  Accepted reports are
-absorbed into integer counts, so the final state is independent of arrival
-order.  A session is refused when built if ``harness.protocol_setup``
+absorbed, with one np.add.at per batch, into one interleaved array of
+integer counts (the (K*T, m, 2) channel table, then the oracle's (m_fo, 2)),
+so the final state is independent of arrival order, and a close reads its
+aggregates as views of that array.  A session is refused when built if ``harness.protocol_setup``
 refuses its parameters, or if it is a "hist" session with K*T above
 FAITHFUL_CHANNEL_CAP, which bounds its (K*T + 1) x n dedup bitmap.  A
 frame header declaring more than MAX_REQUEST_PAYLOAD bytes is refused
@@ -58,7 +60,7 @@ from typing import Optional
 import numpy as np
 
 from .core import PublicRandomness
-from .freq_oracle import AggregateState, fo_estimate_many
+from .freq_oracle import channel_aggregates, fo_estimate_many
 from .harness import protocol_setup
 from .heavy_hitter import FAITHFUL_CHANNEL_CAP, hh_finalize
 from .onebit import collect_aggregates
@@ -174,9 +176,9 @@ class ReportPayload:
     sign: int  # -1 or +1
 
     def pack(self) -> bytes:
-        return _REPORT.pack(
-            self.user_id, self.t, self.k, self.position, 1 if self.sign > 0 else 0
-        )
+        if self.sign not in (-1, 1):
+            raise ValueError(f"report sign must be -1 or +1, got {self.sign!r}")
+        return _REPORT.pack(self.user_id, self.t, self.k, self.position, int(self.sign == 1))
 
     @classmethod
     def unpack(cls, payload: bytes) -> "ReportPayload":
@@ -276,8 +278,10 @@ class _SessionState:
 
     The dedup bitmap has one bit per (row, user), little-endian within each
     byte: row t*K + k for channel reports and row K*T for oracle reports
-    (or one-bit bits).  The counts keep channel (t, k) at
-    cells [(t*K + k)*m, (t*K + k + 1)*m) and the oracle after all channels.
+    (or one-bit bits).  The counts are one interleaved int64 array: the
+    (K*T, m, 2) table of the channels, row t*K + k, then the oracle's
+    (m_fo, 2), each cell's plus count before its minus count.  A report
+    at count cell c (row*m + position) adds one at 2c + (sign == minus).
     Both are allocated whole when the session is built; np.zeros pages are
     touched only as reports arrive."""
 
@@ -298,8 +302,7 @@ class _SessionState:
         self.structure = self.setup.one_bit(self.pub) if config.one_bit else None
         self.oracle_row = self.K * self.T
         self.seen = np.zeros(((self.oracle_row + 1) * config.n + 7) // 8, dtype=np.uint8)
-        self.plus = np.zeros(self.oracle_row * self.m + self.setup.fo.m_fo, dtype=np.int64)
-        self.minus = np.zeros_like(self.plus)
+        self.counts = np.zeros(2 * (self.oracle_row * self.m + self.setup.fo.m_fo), dtype=np.int64)
         self.bits = np.zeros(config.n, dtype=np.uint8)
         self.tally = dict.fromkeys(_STATUS_CODES + ("bad-frame", "bytes_read"), 0)
 
@@ -343,8 +346,7 @@ class _SessionState:
                 if self.structure is not None:
                     self.bits[user[take]] = sign
                 else:
-                    np.add.at(self.plus, cell[take][sign == 1], 1)
-                    np.add.at(self.minus, cell[take][sign == 0], 1)
+                    np.add.at(self.counts, 2 * cell[take] + (sign == 0), 1)
             for code, count in zip(_STATUS_CODES, np.bincount(status, minlength=4).tolist()):
                 self.tally[code] += count
         return status
@@ -356,43 +358,27 @@ class _SessionState:
     def stats(self) -> dict:
         with self.lock:
             rejected = dict(self.tally)
-            totals, fo_total = self._n_totals()
-        busy = totals[totals > 0].tolist()
+            if self.structure is not None:  # every accepted bit feeds every channel
+                fo_total = int(self.bits.sum())
+                busy = [fo_total] * self.oracle_row if fo_total else []
+            else:
+                fo_agg, pp_aggs = self._aggregates()
+                fo_total, busy = fo_agg.n_total, [agg.n_total for agg in pp_aggs.values()]
         return {"ok": True, "absorbed": rejected.pop("ok"),
                 "bytes_read": rejected.pop("bytes_read"), "rejected": rejected,
                 "oracle_n_total": fo_total, "channels_occupied": len(busy),
                 "channel_n_total_min": min(busy, default=None),
                 "channel_n_total_max": max(busy, default=None)}
 
-    def _n_totals(self) -> tuple:
-        """(reports per channel row, oracle reports) in the session counts;
-        in a one-bit session every accepted bit feeds every channel."""
-        if self.structure is not None:
-            return np.full(self.oracle_row, self.bits.sum()), int(self.bits.sum())
-        rows, m = self.oracle_row, self.m
-        totals = self.plus[: rows * m].reshape(rows, m).sum(axis=1)
-        totals += self.minus[: rows * m].reshape(rows, m).sum(axis=1)
-        return totals, int(self.plus[rows * m :].sum() + self.minus[rows * m :].sum())
-
     def _aggregates(self) -> tuple:
         """(oracle aggregate, {(t, k): channel aggregate}) of the channels
         that hold a report, as views of the session counts."""
-        rows, m = self.oracle_row, self.m
-        plus, minus = self.plus[: rows * m].reshape(rows, m), self.minus[: rows * m].reshape(rows, m)
-        totals, fo_total = self._n_totals()
-        pp_aggs = {
-            divmod(int(row), self.K): AggregateState(
-                m=m, eps=self.setup.hh.eps_channel, n_total=int(totals[row]),
-                plus=plus[row], minus=minus[row],
-            )
-            for row in np.flatnonzero(totals)
-        }
-        fo_plus, fo_minus = self.plus[rows * m :], self.minus[rows * m :]
-        fo_agg = AggregateState(
-            m=self.setup.fo.m_fo, eps=self.setup.fo.eps,
-            n_total=fo_total, plus=fo_plus, minus=fo_minus,
-        )
-        return fo_agg, pp_aggs
+        rows, eps = self.oracle_row, self.setup.fo.eps
+        cut = 2 * rows * self.m
+        keys = [divmod(row, self.K) for row in range(rows)]
+        pp_aggs = channel_aggregates(keys, self.counts[:cut].reshape(rows, self.m, 2), eps)
+        fo_agg = channel_aggregates(["fo"], self.counts[cut:].reshape(1, -1, 2), eps)["fo"]
+        return fo_agg, {key: agg for key, agg in pp_aggs.items() if agg.n_total}
 
     def finalize(self) -> Optional[str]:
         """Result CSV, or None when no oracle report (or accepted bit)

@@ -204,3 +204,33 @@ class TestCliService:
         finally:
             if proc.poll() is None:
                 proc.kill()
+
+
+class TestCliSubmitChecks:
+    """A report file is checked line by line before the service is
+    contacted, so these need no server (nothing listens on port 1)."""
+
+    @pytest.mark.parametrize("line, named", [
+        ("fo,1,0,0,3,0", "sign"),
+        ("pp,1,0,0,3,7", "sign"),
+        ("bit,1,0,0,0,7", "sign"),
+        ("bit,1,0,0,0,-1", "sign"),
+        ("fo,-1,0,0,3,1", "user -1"),
+        ("fo,18446744073709551616,0,0,3,1", "user"),
+        ("pp,1,65536,0,3,1", "t 65536"),
+        ("pp,1,0,4294967296,3,1", "k 4294967296"),
+        ("fo,1,0,0,-3,1", "position -3"),
+        ("fo,1,0,0,3", "five integer fields"),
+        ("fo,1,0,0,3,1,1", "five integer fields"),
+        ("pp,1,0,x,3,1", "five integer fields"),
+        ("", "unknown report kind"),
+        ("oracle,1,0,0,3,1", "unknown report kind"),
+    ])
+    def test_bad_line_refused_before_connecting(self, tmp_path, capsys, line, named):
+        reports = tmp_path / "reports.csv"
+        reports.write_text("kind,user,t,k,position,sign\nfo,0,0,0,1,-1\n" + line + "\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["submit", "--port", "1", "--reports", str(reports)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "line 3:" in err and named in err and "Traceback" not in err

@@ -6,6 +6,7 @@ import pytest
 from ldphist.core import PublicRandomness, c_eps, derive_fo_params
 from ldphist.freq_oracle import (
     AggregateState,
+    channel_aggregates,
     fo_client_report,
     fo_estimate,
     fo_estimate_many,
@@ -161,6 +162,53 @@ class TestAggregateState:
         big = 2**62
         with pytest.raises(ValueError, match="n_total"):
             AggregateState.from_bytes(self._blob(n_total=0, counts=(big, big, big, big)))
+
+
+class TestChannelAggregates:
+    @staticmethod
+    def _table(rows=3, m=5, seed=6):
+        return np.random.default_rng(seed).integers(0, 9, size=(rows, m, 2))
+
+    def test_counts_are_views_of_the_table(self):
+        table = self._table()
+        aggs = channel_aggregates(["a", "b", "c"], table, 0.5)
+        for i, agg in enumerate(aggs.values()):
+            assert np.shares_memory(agg.plus, table) and np.shares_memory(agg.minus, table)
+            np.testing.assert_array_equal(agg.plus, table[i, :, 0])
+            np.testing.assert_array_equal(agg.minus, table[i, :, 1])
+        aggs["b"].absorb_batch(np.array([4, 4, 0]), np.array([1, -1, -1]))
+        want = self._table()[1]
+        want[4] += 1
+        want[0, 1] += 1
+        np.testing.assert_array_equal(table[1], want)
+        np.testing.assert_array_equal(table[[0, 2]], self._table()[[0, 2]])
+
+    def test_n_total_is_the_row_sum_and_keys_keep_order(self):
+        table = self._table(rows=4)
+        keys = [(1, 3), (0, 2), (1, 0), (0, 0)]
+        aggs = channel_aggregates(keys, table, 0.5)
+        assert list(aggs) == keys
+        assert [agg.n_total for agg in aggs.values()] == table.sum(axis=(1, 2)).tolist()
+        assert all(agg.m == 5 and agg.eps == 0.5 for agg in aggs.values())
+
+    def test_zero_rows(self):
+        assert channel_aggregates([], np.zeros((0, 7, 2), dtype=np.int64), 1.0) == {}
+
+    def test_one_key_per_row(self):
+        with pytest.raises(ValueError):
+            channel_aggregates(["a", "b"], self._table(rows=3), 1.0)
+
+    def test_bytes_match_report_by_report_absorb(self):
+        rng = np.random.default_rng(8)
+        table = np.zeros((2, 6, 2), dtype=np.int64)
+        wants = [AggregateState(m=6, eps=0.9) for _ in range(2)]
+        for i, want in enumerate(wants):
+            for _ in range(40 + 7 * i):
+                j, sign = int(rng.integers(6)), int(rng.choice([-1, 1]))
+                absorb_one(want, SparseReport(position=j, sign=sign))
+                table[i, j, int(sign == -1)] += 1
+        got = channel_aggregates(["x", "y"], table, 0.9)
+        assert [agg.to_bytes() for agg in got.values()] == [w.to_bytes() for w in wants]
 
 
 class TestClientReport:

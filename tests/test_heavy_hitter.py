@@ -317,6 +317,24 @@ class TestFullProtocol:
         assert len(res.pp_aggs) == hh.K * hh.T
         assert all(a.n_total == 20_000 for a in res.pp_aggs.values())
 
+    def test_fast_mode_keeps_occupied_channels_with_all_reports(self):
+        # Fast mode materializes exactly the channels some item hashes to,
+        # in sorted (t, k) order; each holds all n reports, idle ones
+        # included, and n_total is the sum of its counts.
+        n, d = 3000, 64
+        hh = derive_hh_params(d, n, 2.0, 0.5, k_override=16)
+        fo = derive_fo_params(d, n, hh.eps_channel, 0.5 / 3)
+        rng = np.random.default_rng(18)
+        items = rng.integers(0, 5, n)
+        items[: n // 3] = BOT
+        res = hh_execute(items, build_code(d, "reference"), hh, fo, PUB, rng)
+        occupied = {(t, channel_of(seed, v, hh.K)) for t, seed in enumerate(res.seeds)
+                    for v in range(5)}
+        assert list(res.pp_aggs) == sorted(occupied)
+        assert len(occupied) < hh.K * hh.T
+        for agg in res.pp_aggs.values():
+            assert agg.n_total == n == int(agg.plus.sum() + agg.minus.sum())
+
     def test_faithful_channel_cap(self):
         n, d = 10_000, 64
         hh = derive_hh_params(d, n, 2.0, 0.5, k_override=10 * n)

@@ -34,6 +34,7 @@ from ldphist.transport import (
     TruncatedFrameError,
     _Connection,
     _SessionState,
+    _decode_batch,
     client_close,
     client_submit,
     decode_frame,
@@ -100,6 +101,11 @@ class TestFrameLayout:
     def test_payload_bounds(self):
         with pytest.raises(PayloadBoundsError):
             ReportPayload.unpack(b"\x00" * 5)
+
+    @pytest.mark.parametrize("sign", [0, 2, 7, -2])
+    def test_pack_refuses_sign_other_than_plus_minus_one(self, sign):
+        with pytest.raises(ValueError, match="sign"):
+            ReportPayload(user_id=1, t=0, k=0, position=0, sign=sign).pack()
 
     def test_sign_byte_validation(self):
         raw = bytearray(ReportPayload(user_id=1, t=0, k=0, position=0, sign=1).pack())
@@ -607,6 +613,25 @@ class TestBatch:
         assert body["absorbed"] == 5
         assert (body["oracle_n_total"], body["channels_occupied"]) == (2, 2)
         assert (body["channel_n_total_min"], body["channel_n_total_max"]) == (1, 2)
+
+    def test_close_aggregates_are_views_of_the_session_counts(self):
+        state = _SessionState(_hist_config())
+        frames = [_report(0, 0, 1, position=3), _report(1, 0, 1, position=3, sign=-1),
+                  _report(2, 2, 7), _report(0, msg_type=MSG_FO_REPORT),
+                  _report(1, position=5, sign=-1, msg_type=MSG_FO_REPORT)]
+        assert not state.absorb(_decode_batch(b"".join(frames))).any()
+        fo_agg, pp_aggs = state._aggregates()
+        assert sorted(pp_aggs) == [(0, 1), (2, 7)]
+        for agg in [fo_agg, *pp_aggs.values()]:
+            assert np.shares_memory(agg.plus, state.counts)
+            assert np.shares_memory(agg.minus, state.counts)
+        assert (pp_aggs[(0, 1)].plus[3], pp_aggs[(0, 1)].minus[3]) == (1, 1)
+        assert (fo_agg.plus[0], fo_agg.minus[5], fo_agg.n_total) == (1, 1, 2)
+        totals = [agg.n_total for agg in pp_aggs.values()]
+        stats = state.stats()
+        assert (stats["oracle_n_total"], stats["channels_occupied"]) == (fo_agg.n_total, 2)
+        assert (stats["channel_n_total_min"], stats["channel_n_total_max"]) == (
+            min(totals), max(totals))
 
     def test_stats_count_accepted_one_bit_users(self):
         # Every accepted bit stands for one report in the oracle and in
