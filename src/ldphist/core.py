@@ -10,9 +10,11 @@ length, repetition count).  Derived integer parameters round up.
 Every coin that clients and server must regenerate comes from one keyed
 PRF, ``prf_bytes`` and its rejection sampler ``prf_below``, under three
 (key, prefix) uses: ``PublicRandomness`` (master seed, encoded label; keyed
-once, and a one-bit public string's draws share their label head), the
-channel hash's (a, b) in ``heavy_hitter`` and the reference code's
-generator matrix in ``codec``.  The tests pin the v1 bytes of all three.
+once), the channel hash's (a, b) in ``heavy_hitter`` and the reference
+code's generator matrix in ``codec``.  The tests pin the v1 bytes of all
+three.  The sampler costs one digest when word 0 of block 0 is accepted,
+as it almost always is for small bounds; ``ints_below`` draws a grid of
+encoded label heads x suffixes, absorbing each head once.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import itertools
 import math
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Tuple, Union
+from typing import Iterable, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -176,6 +178,7 @@ def report_magnitude(eps: float, m: int) -> float:
 
 _BLOCK = 64  # bytes per PRF block
 _WORD = struct.Struct("<Q")
+_ZERO = bytes(8)  # u64le(0), the index of block 0
 
 
 def _prf_state(key: bytes, prefix: bytes):
@@ -208,12 +211,24 @@ def prf_bytes(key: bytes, prefix: bytes, nbytes: int) -> bytes:
     return _prf_blocks(_prf_state(key, prefix), range(-(-nbytes // _BLOCK)))[:nbytes]
 
 
-def _below(state, bound: int, suffix: bytes = b"") -> int:
-    """Rejection sampler on the (state, suffix) stream, read word by word: the
-    first u64le word below the largest multiple of bound in 64 bits, mod bound."""
+def _limit(bound: int) -> int:
+    """Largest multiple of bound in 64 bits: the sampler keeps words below it."""
     if not (1 <= bound <= 1 << 63):
         raise ValueError(f"bound out of range: {bound}")
-    limit = ((1 << 64) // bound) * bound
+    return ((1 << 64) // bound) * bound
+
+
+def _below(state, bound: int, suffix: bytes = b"") -> int:
+    """Rejection sampler on the (state, suffix) stream, read word by word: the
+    first u64le word below _limit(bound), mod bound.  Word 0 of block 0 is
+    tried by itself; for bound <= 2^32 the loop that follows it runs with
+    probability below 2^-32."""
+    limit = _limit(bound)
+    h = state.copy()
+    h.update(suffix + _ZERO)
+    (u,) = _WORD.unpack_from(h.digest())
+    if u < limit:
+        return u % bound
     for i in itertools.count():
         for (u,) in _WORD.iter_unpack(_prf_block(state, i, suffix)):
             if u < limit:
@@ -306,16 +321,30 @@ class PublicRandomness:
         # for every untouched block before its own.
         return 1 - 2 * bits[positions - 8 * _BLOCK * np.cumsum(~touched)[block]].astype(np.int8)
 
-    def int_below(self, label: Tuple[LabelPart, ...], bound: int) -> int:
-        """Exactly uniform integer in [0, bound) via 64-bit rejection sampling."""
-        return _below(self._keyed, bound, _encode_label(label))
+    def int_below(self, label: Union[Tuple[LabelPart, ...], bytes], bound: int) -> int:
+        """Exactly uniform integer in [0, bound) via 64-bit rejection sampling;
+        the label is a tuple or its encoding (bytes)."""
+        return _below(self._keyed, bound, label if isinstance(label, bytes) else _encode_label(label))
 
-    def ints_below(self, head: Union[tuple, bytes], suffixes: Iterable[bytes], bound: int) -> list:
-        """int_below(head + suffix, bound) for each encoded suffix: label
-        encoding is concatenative, so the head is encoded once (or passed
-        encoded, as bytes)."""
-        head = head if isinstance(head, bytes) else _encode_label(head)
-        return [_below(self._keyed, bound, head + suffix) for suffix in suffixes]
+    def ints_below(self, heads: Sequence[bytes], suffixes: Sequence[bytes], bound: int) -> np.ndarray:
+        """The (len(heads), len(suffixes)) int64 array of int_below(head +
+        suffix, bound) over encoded heads and suffixes (label encoding is
+        concatenative): one digest per entry reads word 0 of block 0, and
+        int_below redraws the rare entries whose word 0 is rejected."""
+        limit, digests = _limit(bound), []
+        tails = [suffix + _ZERO for suffix in suffixes]
+        for head in heads:
+            state = self._keyed.copy()
+            state.update(head)
+            for tail in tails:
+                h = state.copy()
+                h.update(tail)
+                digests.append(h.digest())
+        words = np.frombuffer(b"".join(digests), "<u8")[:: _BLOCK // 8].reshape(len(heads), len(tails))
+        draws = (words % np.uint64(bound)).astype(np.int64)
+        for i, j in zip(*np.nonzero(words > np.uint64(limit - 1))):
+            draws[i, j] = self.int_below(heads[i] + suffixes[j], bound)
+        return draws
 
 
 # ---------------------------------------------------------------------------

@@ -118,7 +118,7 @@ class PublicString:
         return _encode_label(("pub-y", self.structure.run_id, self.user_id))
 
     def _draw(self, suffix: bytes, m: int) -> tuple:
-        (u,) = self.structure.pub.ints_below(self._head, (suffix,), 2 * m)
+        u = self.structure.pub.int_below(self._head + suffix, 2 * m)
         return u >> 1, 1 if (u & 1) == 0 else -1
 
     def pp_component(self, t: int, k: int) -> tuple:
@@ -126,11 +126,6 @@ class PublicString:
 
     def fo_component(self) -> tuple:
         return self._draw(_suffix("fo"), self.structure.m_fo)
-
-
-def _ratio(match: bool, eps: float) -> float:
-    e = math.exp(eps)
-    return 2.0 * e / (e + 1.0) if match else 2.0 / (e + 1.0)
 
 
 def acceptance_prob(v: int, y: PublicString, structure: OneBitStructure) -> float:
@@ -142,15 +137,16 @@ def acceptance_prob(v: int, y: PublicString, structure: OneBitStructure) -> floa
     everywhere and accepts with probability exactly 1/2."""
     if v is None or v == BOT:
         return 0.5
+    e = math.exp(structure.eps_channel)
+    match, miss = 2.0 * e / (e + 1.0), 2.0 / (e + 1.0)
     ratio = 1.0
-    eps = structure.eps_channel
+    word = structure.code.encode(v) if structure.T else None
     for t in range(structure.T):
-        k = channel_of(structure.seeds[t], v, structure.K)
-        j, sign = y.pp_component(t, k)
-        ratio *= _ratio(int(structure.code.encode(v)[j]) == sign, eps)
+        j, sign = y.pp_component(t, channel_of(structure.seeds[t], v, structure.K))
+        ratio *= match if int(word[j]) == sign else miss
     if structure.m_fo > 0:
         j, sign = y.fo_component()
-        ratio *= _ratio(phi_sign_at(structure.pub, v, j) == sign, eps)
+        ratio *= match if phi_sign_at(structure.pub, v, j) == sign else miss
     p = 0.5 * ratio
     if not (0.0 <= p <= 1.0 + 1e-12):
         raise AssertionError(f"acceptance probability {p} outside [0, 1]")
@@ -166,27 +162,35 @@ def onebit_client(
 
 def onebit_server_collect(bits, structure: OneBitStructure) -> list:
     """Regenerate the public strings of accepting users from an iterable
-    of (user_id, bit); each returned (user_id, PublicString) stands in for
-    that user's full report."""
-    return [
-        (user_id, PublicString(structure=structure, user_id=user_id))
-        for user_id, bit in bits
-        if bit == 1
-    ]
+    of (user_id, bit), read once; each returned (user_id, PublicString)
+    stands in for that user's full report.  A bit other than 0 or 1 or a
+    repeated user raises ValueError."""
+    accepted, users = [], []
+    for user_id, bit in bits:
+        if bit not in (0, 1):
+            raise ValueError(f"user {user_id}: bit {bit!r} is not 0 or 1")
+        users.append(user_id)
+        if bit == 1:
+            accepted.append((user_id, PublicString(structure=structure, user_id=user_id)))
+    users.sort()  # a sorted list, not a set: a quarter of the memory
+    for user_id, following in zip(users, users[1:]):
+        if user_id == following:
+            raise ValueError(f"user {user_id} sent more than one bit")
+    return accepted
 
 
 def _regen_aggregates(accepted: list, structure: OneBitStructure, suffixes: dict, m: int) -> dict:
-    """{key: aggregate} of each key's component suffix: one pass per
-    accepted user draws each u in [0, 2m), the pair (u >> 1, +1 if u is
-    even else -1), under the user's ("pub-y", run, user) head into one
-    (keys, m, 2) count table."""
-    pub, run, width = structure.pub, structure.run_id, len(suffixes)
+    """{key: aggregate} of each key's component suffix: each chunk of
+    accepted users draws every u in [0, 2m), the pair (u >> 1, +1 if u is
+    even else -1), under the users' ("pub-y", run, user) heads in one
+    ints_below call, into one (keys, m, 2) count table.  The heads are
+    encoded per chunk, not kept on the strings."""
+    pub, run, tails, width = structure.pub, structure.run_id, list(suffixes.values()), len(suffixes)
     counts = np.zeros(width * 2 * m, dtype=np.int64)
     step = max(1, _REGEN_CHUNK // width)
     for lo in range(0, len(accepted), step):
-        draws = [u for _, y in accepted[lo : lo + step]
-                 for u in pub.ints_below(("pub-y", run, y.user_id), suffixes.values(), 2 * m)]
-        np.add.at(counts, np.reshape(draws, (-1, width)) + np.arange(width) * (2 * m), 1)
+        heads = [_encode_label(("pub-y", run, y.user_id)) for _, y in accepted[lo : lo + step]]
+        np.add.at(counts, pub.ints_below(heads, tails, 2 * m) + np.arange(width) * (2 * m), 1)
     return channel_aggregates(suffixes, counts.reshape(width, m, 2), structure.eps_channel)
 
 

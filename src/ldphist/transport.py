@@ -198,6 +198,8 @@ class OneBitPayload:
     bit: int
 
     def pack(self) -> bytes:
+        if self.bit not in (0, 1):
+            raise ValueError(f"one-bit report bit must be 0 or 1, got {self.bit!r}")
         return _ONEBIT.pack(self.user_id, self.bit)
 
 

@@ -154,13 +154,44 @@ class TestPublicRandomness:
         assert _encode_label(full[:2]) + _encode_label(full[2:]) == _encode_label(full)
 
     def test_ints_below_matches_full_labels(self):
+        # 40 heads x 700 suffixes: at bound 2^64 // 3 + 1 a third of the
+        # words are rejected, and about one label in 3^8 rejects block 0.
         pub = PublicRandomness.from_any(42)
-        suffixes = [("s", i) for i in range(5)] + [(b"", -1), (np.int64(3),)]
+        heads = [("ab", i) for i in range(39)] + [(b"", -1, np.int64(3))]
+        suffixes = [("s", j) for j in range(699)] + [()]
+        encoded_heads = [_encode_label(h) for h in heads]
+        encoded_suffixes = [_encode_label(s) for s in suffixes]
+        labels = [h + s for h in heads for s in suffixes]
         for bound in (1, 97, 2**64 // 3 + 1, 1 << 63):
-            got = pub.ints_below(("ab", 7), [_encode_label(s) for s in suffixes], bound)
-            assert got == [pub.int_below(("ab", 7) + s, bound) for s in suffixes]
-        with pytest.raises(ValueError):
-            pub.ints_below(("ab", 7), [b""], 0)
+            got = pub.ints_below(encoded_heads, encoded_suffixes, bound)
+            assert got.dtype == np.int64 and got.shape == (len(heads), len(suffixes))
+            assert got.ravel().tolist() == [pub.int_below(label, bound) for label in labels]
+        limit = 2 * (2**64 // 3 + 1)
+        first = [next(i for i, w in enumerate(self._words(pub, label)) if w < limit) for label in labels]
+        assert any(f > 0 for f in first) and any(f >= 8 for f in first)
+
+    @staticmethod
+    def _words(pub, label):
+        stream = pub.bytes_at(label, 4 * 64)
+        return [int.from_bytes(stream[o : o + 8], "little") for o in range(0, len(stream), 8)]
+
+    def test_ints_below_empty_and_refused_bounds(self):
+        pub = PublicRandomness.from_any(42)
+        assert pub.ints_below([], [b"x", b"y"], 97).shape == (0, 2)
+        assert pub.ints_below([b"x", b"y", b"z"], [], 97).shape == (3, 0)
+        for bound in (0, (1 << 63) + 1):
+            with pytest.raises(ValueError, match="bound"):
+                pub.ints_below([b""], [b""], bound)
+            with pytest.raises(ValueError, match="bound"):
+                pub.ints_below([], [], bound)
+            with pytest.raises(ValueError, match="bound"):
+                pub.int_below(("ab",), bound)
+
+    def test_int_below_takes_an_encoded_label(self):
+        pub = PublicRandomness.from_any(42)
+        for label in [("ab", i) for i in range(50)] + [(), (b"", "s", np.int64(-5))]:
+            for bound in (1, 97, 2**64 // 3 + 1, 1 << 63):
+                assert pub.int_below(_encode_label(label), bound) == pub.int_below(label, bound)
 
     def test_signs_at_matches_sign_array_and_sign_at(self):
         # m = 1,203 is a multiple of neither 8 nor 512 (one block holds 512

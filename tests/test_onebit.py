@@ -7,7 +7,7 @@ import pytest
 
 from ldphist import onebit
 from ldphist.codec import build_code
-from ldphist.core import PublicRandomness
+from ldphist.core import PublicRandomness, _encode_label
 from ldphist.freq_oracle import AggregateState, phi_column
 from ldphist.heavy_hitter import FAITHFUL_CHANNEL_CAP, channel_of, draw_hash_seeds
 from ldphist.onebit import (
@@ -213,10 +213,23 @@ class TestServerCollect:
         agg = collect_fo_aggregate(accepted, s)
         assert agg.n_total == 2
 
+    @pytest.mark.parametrize("bits, message", [
+        ([(3, 1), (3, 1), (4, 1), (5, 1)], "user 3 sent more than one bit"),
+        ([(3, 0), (4, 1), (3, 1)], "user 3 sent more than one bit"),
+        ([(3, 1), (4, 2), (5, 1)], "user 4: bit 2 is not 0 or 1"),
+        ([(3, 1), (4, -1)], "user 4: bit -1 is not 0 or 1"),
+    ])
+    def test_refuses_repeated_user_and_bad_bit(self, bits, message):
+        s = composite_toy()
+        with pytest.raises(ValueError, match=message):
+            onebit_server_collect(bits, s)
+        with pytest.raises(ValueError, match=message):
+            collect_aggregates(iter(bits), s)
+
     def test_collect_aggregates_matches_parts(self):
         s = composite_toy()
         bits = [(u, u % 2) for u in range(10)]
-        fo_agg, pp_aggs = collect_aggregates(bits, s)
+        fo_agg, pp_aggs = collect_aggregates(iter(bits), s)  # a one-pass iterable, as the service's zip
         accepted = onebit_server_collect(bits, s)
         assert fo_agg.n_total == 5
         assert fo_agg.to_bytes() == collect_fo_aggregate(accepted, s).to_bytes()
@@ -293,11 +306,13 @@ class TestSharedPrefixDraws:
     def test_components_match_full_labels(self):
         s = workload_structure()
         suffixes = [onebit._suffix("pp", t, k) for t in range(s.T) for k in range(s.K)]
+        heads = [_encode_label(("pub-y", s.run_id, user)) for user in range(self.USERS)]
+        pp = PUB.ints_below(heads, suffixes, 2 * s.code.m)
+        fo = PUB.ints_below(heads, [onebit._suffix("fo")], 2 * s.m_fo)
         for user in range(self.USERS):
             head = ("pub-y", s.run_id, user)
             want = [PUB.int_below(head + suffix, bound) for suffix, bound in _channels(s)]
-            got = PUB.ints_below(head, suffixes, 2 * s.code.m)
-            got += PUB.ints_below(head, [onebit._suffix("fo")], 2 * s.m_fo)
+            got = pp[user].tolist() + fo[user].tolist()
             assert got == want
             y = PublicString(structure=s, user_id=user)
             drawn = [y.pp_component(t, k) for t in range(s.T) for k in range(s.K)]
@@ -311,10 +326,12 @@ class TestSharedPrefixDraws:
         s = workload_structure()
         suffixes = [onebit._suffix(*suffix) for suffix, _ in _channels(s)]
         past_word0 = past_block0 = 0
+        draws = PUB.ints_below([_encode_label(("pub-y", s.run_id, user)) for user in range(self.USERS)],
+                               suffixes, bound)
         for user in range(self.USERS):
             head = ("pub-y", s.run_id, user)
             labels = [head + suffix for suffix, _ in _channels(s)]
-            got = PUB.ints_below(head, suffixes, bound)
+            got = draws[user].tolist()
             assert got == [PUB.int_below(label, bound) for label in labels]
             for label, u in zip(labels, got):
                 # The sampler spelled out on the label's byte stream.

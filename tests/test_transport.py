@@ -107,6 +107,11 @@ class TestFrameLayout:
         with pytest.raises(ValueError, match="sign"):
             ReportPayload(user_id=1, t=0, k=0, position=0, sign=sign).pack()
 
+    @pytest.mark.parametrize("bit", [2, 3, 255, -1])
+    def test_one_bit_pack_refuses_bit_other_than_zero_or_one(self, bit):
+        with pytest.raises(ValueError, match="bit"):
+            OneBitPayload(user_id=3, bit=bit).pack()
+
     def test_sign_byte_validation(self):
         raw = bytearray(ReportPayload(user_id=1, t=0, k=0, position=0, sign=1).pack())
         raw[-1] = 7
