@@ -69,6 +69,9 @@ class Code:
     def encode(self, v: int) -> np.ndarray:
         raise NotImplementedError
 
+    def encode_many(self, vs: Sequence[int]) -> np.ndarray:
+        return np.array([self.encode(int(v)) for v in vs], dtype=np.int8).reshape(-1, self.m)
+
     def signs_at(self, v: int, positions: np.ndarray) -> np.ndarray:
         return self.encode(v)[positions]
 
@@ -152,7 +155,7 @@ class ReferenceCode(Code):
         return self._codebook[v]
 
     def encode_many(self, vs: Sequence[int]) -> np.ndarray:
-        vs = np.asarray(vs)
+        vs = np.asarray(vs, dtype=np.int64)
         if np.any(vs < 0) or np.any(vs >= self.d):
             raise ValueError("item outside universe")
         return self._codebook[vs]
@@ -391,9 +394,6 @@ class ConcatenatedCode(Code):
         data = list(int(v).to_bytes(self.sigma, "little"))
         symbols = self._rs.encode(data)
         return np.concatenate([_HADAMARD[s] for s in symbols])
-
-    def encode_many(self, vs: Sequence[int]) -> np.ndarray:
-        return np.stack([self.encode(int(v)) for v in vs])
 
     def decode_many(self, Y: np.ndarray) -> list:
         Y = np.asarray(Y, dtype=np.float32)

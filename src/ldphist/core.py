@@ -19,6 +19,7 @@ encoded label heads x suffixes, absorbing each head once.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -240,6 +241,13 @@ def prf_below(key: bytes, prefix: bytes, bound: int) -> int:
     return _below(_prf_state(key, prefix), bound)
 
 
+@functools.lru_cache(maxsize=2)
+def _tails(suffixes: tuple) -> tuple:
+    """suffix + u64le(0) for each suffix, kept across the ints_below calls
+    of one collection (its oracle and its channel suffixes)."""
+    return tuple(suffix + _ZERO for suffix in suffixes)
+
+
 def _encode_label(parts: Iterable[LabelPart]) -> bytes:
     """Unambiguous byte encoding of a label tuple (type tag + length prefix)."""
     out = bytearray()
@@ -301,10 +309,11 @@ class PublicRandomness:
         signs = bits.view(np.int8)
         return np.subtract(1, np.add(signs, signs, out=signs), out=signs)  # 1 - 2 * bit, in place
 
-    def sign_at(self, label: Tuple[LabelPart, ...], index: int) -> int:
+    def sign_at(self, label: Union[Tuple[LabelPart, ...], bytes], index: int) -> int:
         """Single sign at a given bit offset of the label's stream, touching
-        only the block that holds it."""
-        block = _prf_block(self._keyed, index // (8 * _BLOCK), _encode_label(label))
+        only the block that holds it; the label is a tuple or its encoding."""
+        encoded = label if isinstance(label, bytes) else _encode_label(label)
+        block = _prf_block(self._keyed, index // (8 * _BLOCK), encoded)
         return 1 - 2 * ((block[index // 8 % _BLOCK] >> (index % 8)) & 1)
 
     def signs_at(self, label: Tuple[LabelPart, ...], positions) -> np.ndarray:
@@ -331,8 +340,7 @@ class PublicRandomness:
         suffix, bound) over encoded heads and suffixes (label encoding is
         concatenative): one digest per entry reads word 0 of block 0, and
         int_below redraws the rare entries whose word 0 is rejected."""
-        limit, digests = _limit(bound), []
-        tails = [suffix + _ZERO for suffix in suffixes]
+        limit, digests, tails = _limit(bound), [], _tails(tuple(suffixes))
         for head in heads:
             state = self._keyed.copy()
             state.update(head)

@@ -22,7 +22,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .core import FoParams, PublicRandomness, c_eps
+from .core import FoParams, PublicRandomness, _encode_label, c_eps
 from .randomizer import SparseReport, randomize, randomize_many
 
 __all__ = [
@@ -44,9 +44,15 @@ def phi_column(pub: PublicRandomness, v: int, m: int) -> np.ndarray:
     return pub.sign_array(("phi", v), m)
 
 
+@functools.lru_cache(maxsize=1 << 12)
+def _phi_label(v: int) -> bytes:
+    return _encode_label(("phi", v))
+
+
 def phi_sign_at(pub: PublicRandomness, v: int, j: int) -> int:
-    """Single coordinate of v's column without generating the whole column."""
-    return pub.sign_at(("phi", v), j)
+    """Single coordinate of v's column without generating the whole column;
+    the label of v's column is encoded once while it stays in a bounded cache."""
+    return pub.sign_at(_phi_label(int(v)), j)
 
 
 @dataclass
@@ -159,12 +165,14 @@ def fo_client_report(
 
 
 def absorb_groups(
-    agg: AggregateState,
+    cells: np.ndarray,
     groups: Iterable,
     signs_of: Callable[[int, np.ndarray], np.ndarray],
+    eps: float,
     rng: np.random.Generator,
-) -> AggregateState:
-    """Randomize and absorb the reports of grouped users.
+) -> None:
+    """Randomize grouped users' reports and count them, in place, in cells:
+    an (m, 2) int64 count-table row read flat, cell 2j + (s < 0) for (j, s).
 
     groups yields (item, count) pairs, drawn in the order given (seeded
     runs depend on it); the count users holding item run the basic
@@ -176,8 +184,8 @@ def absorb_groups(
         if v < -1:
             raise ValueError(f"item {v}: items must lie in [0, d) or be -1 (no item)")
         x = None if v < 0 else functools.partial(signs_of, int(v))
-        agg.absorb_batch(*randomize_many(x, int(count), agg.eps, agg.m, rng))
-    return agg
+        positions, signs = randomize_many(x, int(count), eps, len(cells) // 2, rng)
+        np.add.at(cells, 2 * positions + (signs < 0), 1)
 
 
 def inner_estimates(agg: AggregateState, columns: Iterable[np.ndarray]) -> np.ndarray:
@@ -222,8 +230,9 @@ def fo_simulate_reports(
     them first).
     """
     values, counts = np.unique(np.asarray(items), return_counts=True)
-    agg = AggregateState(m=m, eps=eps)
-    return absorb_groups(agg, zip(values, counts), lambda v, j: pub.signs_at(("phi", v), j), rng)
+    cells = np.zeros(2 * m, dtype=np.int64)
+    absorb_groups(cells, zip(values, counts), lambda v, j: pub.signs_at(("phi", v), j), eps, rng)
+    return channel_aggregates(["fo"], cells.reshape(1, m, 2), eps)["fo"]
 
 
 def fo_estimate(agg: AggregateState, pub: PublicRandomness, v: int) -> float:

@@ -34,8 +34,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .codec import Code, hamming, round_to_hypercube
-from .core import FoParams, HhParams, PublicRandomness, prf_below
+from .codec import Code, round_to_hypercube
+from .core import FoParams, HhParams, PublicRandomness, c_eps, prf_below
 from .freq_oracle import (
     AggregateState,
     absorb_groups,
@@ -120,18 +120,15 @@ def pp_client_report(
     return randomize(code.encode(v), code.m, eps, rng)
 
 
-def simulate_idle_noise(k_idle: int, m: int, rng: np.random.Generator) -> tuple:
-    """Exact multinomial of k_idle uniform (position, sign) draws, returned
-    as (plus, minus) count deltas.  Merging these into an aggregate is
-    distributionally indistinguishable from absorbing k_idle reports of
-    users that randomize the zero input."""
+def simulate_idle_noise(k_idle: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """Exact multinomial of k_idle uniform (position, sign) draws (none
+    drawn for k_idle = 0): the (2, m) int64 (plus, minus) count deltas,
+    transposed from an (m, 2) count-table row.  Adding them is the same in
+    distribution as absorbing k_idle reports of zero-input users."""
     if k_idle < 0:
         raise ValueError("idle count must be nonnegative")
-    if k_idle == 0:
-        zero = np.zeros(m, dtype=np.int64)
-        return zero, zero.copy()
     cells = rng.multinomial(k_idle, np.full(2 * m, 1.0 / (2 * m)))
-    return cells[0::2].astype(np.int64), cells[1::2].astype(np.int64)
+    return cells.astype(np.int64, copy=False).reshape(m, 2).T
 
 
 @dataclass
@@ -144,29 +141,29 @@ class PpDecodeResult:
 def decode_channels(aggs: Sequence[AggregateState], code: Code, verify: bool) -> list:
     """One PpDecodeResult per aggregate: round its mean report vector to
     the hypercube from the integer counts (ties at zero go positive),
-    decode, and estimate the decoded item's frequency as its codeword's
-    inner product with the mean vector.  Decoding failure gives item None
-    and estimate 0, and so does, with verify=True, a codeword not strictly
-    inside the correction radius of the rounded vector (which keeps
-    noise-only channels from emitting candidates)."""
+    decode, and estimate the decoded item's frequency as c_eps / n_total
+    times its codeword's exact int64 product with the count differences
+    (all rows at once).  Decoding failure gives item None and estimate 0,
+    and so does, with verify=True, a codeword not strictly inside the
+    correction radius of the rounded vector (which keeps noise-only
+    channels from emitting candidates)."""
     if any(agg.n_total < 1 for agg in aggs):
         raise ValueError("no reports absorbed")
     if not aggs:
         return []
-    Y = round_to_hypercube(np.stack([agg.count_diff() for agg in aggs]))
-    out = []
-    for agg, y, v in zip(aggs, Y, code.decode_many(Y)):
-        if v is None:
-            out.append(PpDecodeResult(item=None, estimate=0.0))
-            continue
-        cw = code.encode(v)
-        flips = hamming(y, cw)
-        if verify and not flips < code.correctable_flips():
-            out.append(PpDecodeResult(item=None, estimate=0.0, flips=flips))
-            continue
-        est = float(inner_estimates(agg, [cw])[0])
-        out.append(PpDecodeResult(item=v, estimate=est, flips=flips))
-    return out
+    diff = np.array([agg.plus for agg in aggs]) - np.array([agg.minus for agg in aggs])
+    Y = round_to_hypercube(diff)
+    decoded = code.decode_many(Y)
+    rows = [i for i, v in enumerate(decoded) if v is not None]
+    words = code.encode_many([decoded[i] for i in rows])
+    flips = np.count_nonzero(words != Y[rows], axis=1)
+    keep = (flips < code.correctable_flips()) | (not verify)
+    dots = np.einsum("ij,ij->i", diff[rows], words)
+    out = [None] * len(aggs)
+    for i, f, dot, ok in zip(rows, flips.tolist(), dots.tolist(), keep.tolist()):
+        est = c_eps(aggs[i].eps) / aggs[i].n_total * float(dot) if ok else 0.0
+        out[i] = PpDecodeResult(item=decoded[i] if ok else None, estimate=est, flips=f)
+    return [r if r is not None else PpDecodeResult(item=None, estimate=0.0) for r in out]
 
 
 def pp_decode(agg: AggregateState, code: Code, verify: bool = False) -> PpDecodeResult:
@@ -192,8 +189,9 @@ def pp_aggregate(
 ) -> AggregateState:
     """Aggregate promise-protocol reports for all users, grouped by item."""
     values, counts = np.unique(np.asarray(items), return_counts=True)
-    agg = AggregateState(m=code.m, eps=eps)
-    return absorb_groups(agg, zip(values, counts), code.signs_at, rng)
+    cells = np.zeros(2 * code.m, dtype=np.int64)
+    absorb_groups(cells, zip(values, counts), code.signs_at, eps, rng)
+    return channel_aggregates(["pp"], cells.reshape(1, code.m, 2), eps)["pp"]
 
 
 # ---------------------------------------------------------------------------
@@ -303,20 +301,18 @@ def hh_execute(
         for v, cnt in zip(values, counts):
             by_channel.setdefault((t, chan[t][int(v)]), []).append((int(v), int(cnt)))
     keys = sorted(by_channel) if mode == "fast" else [(t, k) for t in range(T) for k in range(K)]
-    # One count table, filled row by row in (t, k) order, each channel's
-    # groups and then (fast mode) its idle noise: the draw order seeded runs
-    # pin.  pp_aggs is built once it is full, so n_total counts the noise.
+    # One count table, filled row by row in (t, k) order: each channel's
+    # groups, sorted by item, then its idle users, the draw order seeded
+    # runs pin.  pp_aggs is built once it is full, so n_total counts all.
     table = np.zeros((len(keys), code.m, 2), dtype=np.int64)
-    for key, agg in channel_aggregates(keys, table, eps_ch).items():
-        groups = sorted(by_channel.get(key, []))
+    for row, key in zip(table, keys):
+        groups = by_channel.get(key, [])
         idle = n - sum(cnt for _, cnt in groups)
         if mode == "faithful":
-            groups.append((BOT, idle))
-        absorb_groups(agg, groups, code.signs_at, rng)
+            groups = groups + [(BOT, idle)]
+        absorb_groups(row.reshape(-1), groups, code.signs_at, eps_ch, rng)  # a view
         if mode == "fast":
-            plus, minus = simulate_idle_noise(idle, code.m, rng)
-            agg.plus += plus
-            agg.minus += minus
+            row += simulate_idle_noise(idle, code.m, rng).T
     pp_aggs = channel_aggregates(keys, table, eps_ch)
 
     fo_agg = fo_simulate_reports(items, fo_params.m_fo, eps_ch, pub, rng)

@@ -115,6 +115,8 @@ READ_TIMEOUT_S = 30.0
 _HEADER = struct.Struct("<4sBBI")
 _REPORT = struct.Struct("<QHIIB")
 _ONEBIT = struct.Struct("<QB")
+_REPORT_BITS = {"user_id": 64, "t": 16, "k": 32, "position": 32}  # field wire widths
+_ONEBIT_BITS = {"user_id": 64}
 
 # Batch records by whole-frame size: the record layout, and the frame
 # types a record of that size may carry.  A one-bit record's bit is read
@@ -167,6 +169,19 @@ class PayloadBoundsError(TransportError):
     pass
 
 
+def _pack(fmt: struct.Struct, payload, widths: dict, *values) -> bytes:
+    """fmt.pack(*values), where a field of payload outside its unsigned wire
+    width (bits) raises ValueError naming it; checked when struct refuses."""
+    try:
+        return fmt.pack(*values)
+    except struct.error:
+        for name, width in widths.items():
+            value = getattr(payload, name)
+            if not 0 <= value < 1 << width:
+                raise ValueError(f"{name} {value!r} outside the wire's [0, 2^{width})") from None
+        raise
+
+
 @dataclass(frozen=True)
 class ReportPayload:
     user_id: int
@@ -178,7 +193,8 @@ class ReportPayload:
     def pack(self) -> bytes:
         if self.sign not in (-1, 1):
             raise ValueError(f"report sign must be -1 or +1, got {self.sign!r}")
-        return _REPORT.pack(self.user_id, self.t, self.k, self.position, int(self.sign == 1))
+        return _pack(_REPORT, self, _REPORT_BITS,
+                     self.user_id, self.t, self.k, self.position, int(self.sign == 1))
 
     @classmethod
     def unpack(cls, payload: bytes) -> "ReportPayload":
@@ -200,7 +216,7 @@ class OneBitPayload:
     def pack(self) -> bytes:
         if self.bit not in (0, 1):
             raise ValueError(f"one-bit report bit must be 0 or 1, got {self.bit!r}")
-        return _ONEBIT.pack(self.user_id, self.bit)
+        return _pack(_ONEBIT, self, _ONEBIT_BITS, self.user_id, self.bit)
 
 
 def encode_frame(msg_type: int, payload: bytes) -> bytes:

@@ -193,6 +193,13 @@ class TestPublicRandomness:
             for bound in (1, 97, 2**64 // 3 + 1, 1 << 63):
                 assert pub.int_below(_encode_label(label), bound) == pub.int_below(label, bound)
 
+    def test_sign_at_takes_an_encoded_label(self):
+        pub = PublicRandomness.from_any(12)
+        for label in [("phi", 3), ("phi", 2**40), ("x", b"\x00", -5)]:
+            encoded = _encode_label(label)
+            assert [pub.sign_at(encoded, j) for j in (0, 7, 511, 512, 5000)] == \
+                [pub.sign_at(label, j) for j in (0, 7, 511, 512, 5000)]
+
     def test_signs_at_matches_sign_array_and_sign_at(self):
         # m = 1,203 is a multiple of neither 8 nor 512 (one block holds 512
         # signs), so the last block and the last byte are both partial.

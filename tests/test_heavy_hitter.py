@@ -4,13 +4,19 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ldphist.codec import build_code
+from ldphist.codec import build_code, hamming, round_to_hypercube
 from ldphist.core import PublicRandomness, c_eps, derive_fo_params, derive_hh_params
-from ldphist.freq_oracle import AggregateState, fo_estimate_many
+from ldphist.freq_oracle import (
+    AggregateState,
+    channel_aggregates,
+    fo_estimate_many,
+    inner_estimates,
+)
 from ldphist.heavy_hitter import (
     BOT,
     HashSeed,
     channel_of,
+    decode_channels,
     draw_hash_seeds,
     hh_execute,
     hh_finalize,
@@ -21,7 +27,13 @@ from ldphist.heavy_hitter import (
     prune,
     simulate_idle_noise,
 )
-from ldphist.randomizer import ChannelMatrix, audit_ldp, outcome_labels, report_distribution
+from ldphist.randomizer import (
+    ChannelMatrix,
+    audit_ldp,
+    outcome_labels,
+    randomize_many,
+    report_distribution,
+)
 
 PUB = PublicRandomness.from_any(77)
 
@@ -178,6 +190,131 @@ class TestPpDecode:
             res = pp_decode(agg, code, verify=True)
             rejected += res.item is None
         assert rejected >= 48
+
+
+def _decode_loop(aggs, code, verify):
+    """decode_channels as a loop over channels: hamming, encode and
+    inner_estimates for each decoded row, as (item, estimate, flips)."""
+    if not aggs:
+        return []
+    Y = round_to_hypercube(np.stack([agg.count_diff() for agg in aggs]))
+    out = []
+    for agg, y, v in zip(aggs, Y, code.decode_many(Y)):
+        if v is None:
+            out.append((None, 0.0, None))
+            continue
+        cw = code.encode(v)
+        flips = hamming(y, cw)
+        if verify and not flips < code.correctable_flips():
+            out.append((None, 0.0, flips))
+            continue
+        out.append((v, float(inner_estimates(agg, [cw])[0]), flips))
+    return out
+
+
+def _count_table(code, flip_counts, rng, scale=40):
+    """One (m, 2) count row per flip count: the signs of a random codeword
+    with that many coordinates flipped, carried by random magnitudes
+    (zeros included, which round to +1) over a random common base."""
+    table = np.empty((len(flip_counts), code.m, 2), dtype=np.int64)
+    for row, f in zip(table, flip_counts):
+        y = code.encode(int(rng.integers(code.d))).astype(np.int64)
+        y[rng.choice(code.m, size=f, replace=False)] *= -1
+        mag, base = rng.integers(0, scale, code.m), rng.integers(0, scale // 2 + 1, code.m)
+        row[:, 0] = base + np.where(y > 0, mag, 0)
+        row[:, 1] = base + np.where(y < 0, mag, 0)
+    return table
+
+
+class TestDecodeChannelsEquivalence:
+    """decode_channels computes flips and estimates over all decoded rows
+    at once; every result equals the per-channel loop's, floats to the bit."""
+
+    FLIPS = {
+        "reference": [0, 1, 2, 3, 5, 8, 12, 16] * 4,
+        "concatenated": [0, 10, 40, 63, 64, 90, 120, 300, 512] * 3,
+    }
+
+    @pytest.mark.parametrize("kind, d", [("reference", 256), ("concatenated", 2**16)])
+    @pytest.mark.parametrize("verify", [False, True])
+    def test_matches_per_channel_loop(self, kind, d, verify):
+        code = build_code(d, kind)
+        rng = np.random.default_rng(19)
+        table = _count_table(code, self.FLIPS[kind], rng)
+        # Counts past 2^24 in sum(|diff|), where the loop's kernel leaves float32.
+        table = np.concatenate([table, _count_table(code, [0, 3], rng, scale=1 << 22)])
+        aggs = list(channel_aggregates(range(len(table)), table, 0.7).values())
+        got = [(r.item, r.estimate.hex(), r.flips) for r in decode_channels(aggs, code, verify)]
+        want = [(v, est.hex(), f) for v, est, f in _decode_loop(aggs, code, verify)]
+        assert got == want
+        failed = [v is None and f is None for v, _, f in want]
+        rejected = [v is None and f is not None for v, _, f in want]
+        assert any(v is not None for v, _, _ in want)
+        assert any(rejected) == verify
+        assert any(failed) == (kind == "concatenated")
+        assert all(type(f) is int for _, _, f in got if f is not None)
+
+    @pytest.mark.parametrize("kind, d", [("reference", 256), ("concatenated", 2**16)])
+    def test_empty_list_and_no_decoded_row(self, kind, d):
+        code = build_code(d, kind)
+        assert decode_channels([], code, verify=True) == []
+        if kind == "concatenated":  # pure noise: Reed-Solomon signals failure
+            rng = np.random.default_rng(20)
+            table = rng.integers(0, 30, (4, code.m, 2))
+            aggs = list(channel_aggregates(range(4), table, 1.0).values())
+            got = decode_channels(aggs, code, verify=False)
+            assert [(r.item, r.estimate, r.flips) for r in got] == [(None, 0.0, None)] * 4
+
+
+def _per_group_fill(items, code, hh, fo, pub, rng, mode):
+    """hh_execute's channel and oracle aggregates filled group by group
+    through absorb_batch, one AggregateState per channel."""
+    seeds = draw_hash_seeds(pub, hh.T, hh.ell)
+    values, counts = np.unique(items[items != BOT], return_counts=True)
+    by_channel = {}
+    for t, seed in enumerate(seeds):
+        for v, cnt in zip(values.tolist(), counts.tolist()):
+            by_channel.setdefault((t, channel_of(seed, v, hh.K)), []).append((v, cnt))
+    keys = sorted(by_channel) if mode == "fast" else [(t, k) for t in range(hh.T) for k in range(hh.K)]
+    pp = {}
+    for key in keys:
+        agg = pp[key] = AggregateState(m=code.m, eps=hh.eps_channel)
+        groups = by_channel.get(key, [])
+        idle = len(items) - sum(cnt for _, cnt in groups)
+        for v, cnt in groups + ([(BOT, idle)] if mode == "faithful" else []):
+            x = None if v == BOT else (lambda j, v=v: code.encode(v)[j])
+            agg.absorb_batch(*randomize_many(x, cnt, hh.eps_channel, code.m, rng))
+        if mode == "fast":
+            plus, minus = simulate_idle_noise(idle, code.m, rng)
+            agg.plus += plus
+            agg.minus += minus
+            agg.n_total += idle
+    fo_agg = AggregateState(m=fo.m_fo, eps=hh.eps_channel)
+    values, counts = np.unique(items, return_counts=True)
+    for v, cnt in zip(values.tolist(), counts.tolist()):
+        x = None if v == BOT else (lambda j, v=v: pub.signs_at(("phi", v), j))
+        fo_agg.absorb_batch(*randomize_many(x, cnt, hh.eps_channel, fo.m_fo, rng))
+    return pp, fo_agg
+
+
+@pytest.mark.parametrize("mode, K", [("fast", 16), ("faithful", 8)])
+def test_hh_execute_table_matches_per_group_fill(mode, K):
+    # The table rows hh_execute fills in place hold exactly the counts of a
+    # per-group absorb_batch fill from the same seed, idle noise included.
+    n, d = 3000, 64
+    hh = derive_hh_params(d, n, 2.0, 0.5, k_override=K)
+    fo = derive_fo_params(d, n, hh.eps_channel, 0.5 / 3)
+    code = build_code(d, "reference")
+    items = np.random.default_rng(21).integers(0, 6, n)
+    items[: n // 4] = BOT
+    items[n // 4 : n // 2] = 9
+    res = hh_execute(items, code, hh, fo, PUB, np.random.default_rng(22), mode=mode)
+    pp, fo_agg = _per_group_fill(items, code, hh, fo, PUB, np.random.default_rng(22), mode)
+    assert list(res.pp_aggs) == list(pp)
+    assert all(res.pp_aggs[key].to_bytes() == pp[key].to_bytes() for key in pp)
+    assert res.fo_agg.to_bytes() == fo_agg.to_bytes()
+    if mode == "faithful":
+        assert len(pp) == hh.K * hh.T
 
 
 class TestPrune:

@@ -389,6 +389,43 @@ def _same(a, b):
         np.array_equal(a.plus, b.plus) and np.array_equal(a.minus, b.minus)
 
 
+def test_phi_sign_at_encodes_each_label_once(monkeypatch):
+    from ldphist import freq_oracle
+
+    freq_oracle._phi_label.cache_clear()
+    encoded = []
+    real = freq_oracle._encode_label
+    monkeypatch.setattr(freq_oracle, "_encode_label", lambda parts: encoded.append(parts) or real(parts))
+    got = [freq_oracle.phi_sign_at(PUB, v, j) for v in (3, np.int64(3), 900) for j in range(0, 4000, 97)]
+    assert sorted(encoded) == [("phi", 3), ("phi", 900)]
+    monkeypatch.undo()
+    freq_oracle._phi_label.cache_clear()
+    assert got == [PUB.sign_at(("phi", int(v)), j) for v in (3, 3, 900) for j in range(0, 4000, 97)]
+
+
+def test_cap_sized_collection_matches_int_below():
+    # At K*T = FAITHFUL_CHANNEL_CAP every accepted user is its own chunk;
+    # each channel's counts are still the users' int_below draws, in a
+    # first collection and in a second one that reuses its tails.
+    code = build_code(1024, "reference")
+    K, T = FAITHFUL_CHANNEL_CAP // 2, 2
+    s = OneBitStructure(pub=PUB, run_id=4, K=K, T=T, eps_channel=MAX_TOTAL_EPS / 5, m_fo=9,
+                        code=code, seeds=tuple(draw_hash_seeds(PUB, T, 20)))
+    accepted = onebit_server_collect([(u, 1) for u in (2, 5, 11)], s)
+    want = np.zeros((K * T, code.m, 2), dtype=np.int64)
+    for _, y in accepted:
+        for t in range(T):
+            for k in range(K):
+                u = PUB.int_below(("pub-y", s.run_id, y.user_id, "pp", t, k), 2 * code.m)
+                want[t * K + k, u >> 1, u & 1] += 1
+    for _ in range(2):
+        got = collect_pp_aggregates(accepted, s)
+        assert list(got) == [(t, k) for t in range(T) for k in range(K)]
+        assert all(np.array_equal(got[key].plus, want[i, :, 0]) and
+                   np.array_equal(got[key].minus, want[i, :, 1]) for i, key in enumerate(got))
+        assert all(agg.n_total == 3 for agg in got.values())
+
+
 class TestRegenEquivalence:
     @pytest.mark.parametrize("case, chunk", [
         ("empty", None),

@@ -29,6 +29,7 @@ from ldphist.heavy_hitter import (
     MERSENNE_P,
     HashSeed,
     channel_of,
+    decode_channels,
     draw_hash_seeds,
     hh_execute,
     pp_aggregate,
@@ -113,6 +114,37 @@ def hh_digest(k: int, mode: str) -> str:
     return _digest(*parts)
 
 
+def hh_concatenated_digest() -> tuple:
+    """Digest of a concatenated-code run, with every channel's verified
+    decode, and its (decoding failures, verify rejections, accepted
+    decodes) counts."""
+    d, n, eps, beta = 256, 8000, 20.0, 0.2
+    hh = derive_hh_params(d, n, eps, beta, 8)
+    fo = derive_fo_params(d, n, hh.eps_channel, beta / 3)
+    code = build_code(d, "concatenated")
+    items = _items(14, d, n, 0.2)
+    items[:4000] = 3
+    items[4000:4800] = 11
+    res = hh_execute(items, code, hh, fo, PUB, np.random.default_rng(15), mode="fast")
+    keys = sorted(res.pp_aggs)
+    results = decode_channels([res.pp_aggs[key] for key in keys], code, verify=True)
+    counts = (
+        sum(r.flips is None for r in results),
+        sum(r.item is None and r.flips is not None for r in results),
+        sum(r.item is not None for r in results),
+    )
+    parts = [
+        [(int(v), float(f)) for v, f in res.histogram.entries],
+        [(int(v), float(f)) for v, f in res.candidates],
+        [(int(t), int(kk), int(v), float(f)) for t, kk, v, f in res.decodes],
+        [_pp_result(r) for r in results],
+        res.fo_agg.to_bytes(),
+    ]
+    parts += [(int(t), int(kk)) for t, kk in keys]
+    parts += [res.pp_aggs[key].to_bytes() for key in keys]
+    return _digest(*parts), counts
+
+
 def harness_digest(tmp_path, name: str) -> str:
     configs = {
         "fo": ExperimentConfig(
@@ -188,6 +220,7 @@ HH = {
     (8, "faithful"): "72df78165d7329743615f73b4aa73dae77bac81064c7f034bcf711e310da14e9",
     (64, "faithful"): "32d0ecdf09131a541b439a1687e46d692a5436663d848c34cb0e0d366aa1d5b8",
 }
+HH_CONCATENATED = "5dba1c417f989739ad8bec1d25e27f8d966ba41b625f61a736078ef2dad068db"
 HARNESS = {
     "fo": "6354a80337bc38e820abe586c2736ed18b2cd8b72cc0757485f8bf8d59779680",
     "pp": "954cea231f1e6b7f0a113a3ca5d66101b758262a8827bf361462b09cde82a350",
@@ -219,6 +252,12 @@ def test_promise_protocol(kind):
 @pytest.mark.parametrize("k, mode", sorted(HH, key=str))
 def test_hh_execute(k, mode):
     assert hh_digest(10 * 2000 if k == "10n" else k, mode) == HH[(k, mode)]
+
+
+def test_hh_execute_concatenated():
+    digest, counts = hh_concatenated_digest()
+    assert all(counts), counts  # failures, rejections and decodes all occur
+    assert digest == HH_CONCATENATED
 
 
 @pytest.mark.parametrize("name", sorted(HARNESS))

@@ -112,6 +112,24 @@ class TestFrameLayout:
         with pytest.raises(ValueError, match="bit"):
             OneBitPayload(user_id=3, bit=bit).pack()
 
+    @pytest.mark.parametrize("payload, field", [
+        (OneBitPayload(2**64, 1), "user_id"),
+        (OneBitPayload(-1, 1), "user_id"),
+        (ReportPayload(2**64, 0, 0, 0, 1), "user_id"),
+        (ReportPayload(1, 2**16, 0, 0, 1), "t"),
+        (ReportPayload(1, 0, 2**32, 0, 1), "k"),
+        (ReportPayload(1, 0, 0, 2**32, 1), "position"),
+        (ReportPayload(1, 0, 0, -1, -1), "position"),
+    ])
+    def test_pack_refuses_field_outside_wire_width(self, payload, field):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            payload.pack()
+
+    def test_pack_takes_fields_at_wire_width_edges(self):
+        rep = ReportPayload(2**64 - 1, 2**16 - 1, 2**32 - 1, 2**32 - 1, -1)
+        assert ReportPayload.unpack(rep.pack()) == rep
+        assert len(OneBitPayload(2**64 - 1, 1).pack()) == 9
+
     def test_sign_byte_validation(self):
         raw = bytearray(ReportPayload(user_id=1, t=0, k=0, position=0, sign=1).pack())
         raw[-1] = 7
