@@ -38,6 +38,7 @@ from .transport import (
     OneBitPayload,
     ReportPayload,
     SessionConfig,
+    _REPORT_BITS,
     client_close,
     client_submit,
     encode_frame,
@@ -231,9 +232,9 @@ def cmd_serve(args):
     return 0
 
 
-# Largest value + 1 of each report-file field after kind, as the wire
-# carries it (user u64, t u16, k u32, position u32), and the signs of each kind.
-_FIELD_BOUNDS = {"user": 2**64, "t": 2**16, "k": 2**32, "position": 2**32}
+# Largest value + 1 of each report-file field after kind (user, t, k,
+# position), from the report's wire widths, and the signs of each kind.
+_FIELD_BOUNDS = {name.removesuffix("_id"): 1 << bits for name, bits in _REPORT_BITS.items()}
 _KIND_SIGNS = {"fo": (-1, 1), "pp": (-1, 1), "bit": (0, 1)}
 
 

@@ -25,7 +25,7 @@ import itertools
 import math
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -219,14 +219,17 @@ def _limit(bound: int) -> int:
     return ((1 << 64) // bound) * bound
 
 
-def _below(state, bound: int, suffix: bytes = b"") -> int:
+def _below(state, bound: int, suffix: bytes = b"", tail: Optional[bytes] = None,
+           limit: Optional[int] = None) -> int:
     """Rejection sampler on the (state, suffix) stream, read word by word: the
     first u64le word below _limit(bound), mod bound.  Word 0 of block 0 is
     tried by itself; for bound <= 2^32 the loop that follows it runs with
-    probability below 2^-32."""
-    limit = _limit(bound)
+    probability below 2^-32.  Block 0's input tail = suffix + u64le(0) and
+    the limit may be passed precomputed (see _draw_args)."""
+    if limit is None:
+        limit = _limit(bound)
     h = state.copy()
-    h.update(suffix + _ZERO)
+    h.update(suffix + _ZERO if tail is None else tail)
     (u,) = _WORD.unpack_from(h.digest())
     if u < limit:
         return u % bound
@@ -234,6 +237,12 @@ def _below(state, bound: int, suffix: bytes = b"") -> int:
         for (u,) in _WORD.iter_unpack(_prf_block(state, i, suffix)):
             if u < limit:
                 return u % bound
+
+
+def _draw_args(bound: int, suffix: bytes) -> tuple:
+    """_below's (bound, suffix, tail, limit) for one suffix, built once by a
+    caller that draws under it from many states."""
+    return bound, suffix, suffix + _ZERO, _limit(bound)
 
 
 def prf_below(key: bytes, prefix: bytes, bound: int) -> int:

@@ -26,14 +26,16 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
+from operator import index
 from typing import Optional
 
 import numpy as np
 
 from .codec import Code
-from .core import FoParams, HhParams, PublicRandomness, _encode_label
-from .freq_oracle import AggregateState, channel_aggregates, phi_sign_at
+from .core import FoParams, HhParams, PublicRandomness, _below, _draw_args, _encode_label
+from .freq_oracle import AggregateState, _phi_label, channel_aggregates
 from .heavy_hitter import BOT, FAITHFUL_CHANNEL_CAP, channel_of, draw_hash_seeds
 
 __all__ = [
@@ -50,6 +52,7 @@ __all__ = [
 MAX_TOTAL_EPS = math.log(2)
 
 _REGEN_CHUNK = 1 << 11  # draws held at once while regenerating accepted strings
+_PLAN_CACHE = 1 << 12  # item plans kept per structure
 
 
 @functools.lru_cache(maxsize=FAITHFUL_CHANNEL_CAP + 1)
@@ -95,6 +98,10 @@ class OneBitStructure:
     def total_eps(self) -> float:
         return (2 * self.T + 1) * self.eps_channel
 
+    @functools.cached_property
+    def _layout(self) -> "_Layout":
+        return _Layout(self)
+
     @classmethod
     def from_params(cls, code: Code, hh_params: HhParams, fo_params: FoParams,
                     pub: PublicRandomness, run_id: int = 0) -> "OneBitStructure":
@@ -104,28 +111,61 @@ class OneBitStructure:
                    eps_channel=hh_params.eps_channel, m_fo=fo_params.m_fo, code=code, seeds=seeds)
 
 
-@dataclass(frozen=True)
+class _Layout:
+    """What a structure's client and regeneration reuse: the keyed PRF, the
+    encoded ("pub-y", run) head prefix, each component's draw, the match
+    and miss factors, and a bounded cache of per-item plans."""
+
+    def __init__(self, s: "OneBitStructure"):
+        self.keyed = s.pub._keyed
+        self.prefix = _encode_label(("pub-y", s.run_id, 0))[:-16]  # all but the user's 16 bytes
+        self.pp = [[_draw_args(2 * s.code.m, _suffix("pp", t, k)) for k in range(s.K)] for t in range(s.T)]
+        self.fo = _draw_args(2 * s.m_fo, _suffix("fo")) if s.m_fo else None
+        e = math.exp(s.eps_channel)
+        self.match, self.miss = 2.0 * e / (e + 1.0), 2.0 / (e + 1.0)
+        self.plan = functools.lru_cache(maxsize=_PLAN_CACHE)(functools.partial(_plan, s))
+
+    def head(self, user_id) -> bytes:
+        """_encode_label(("pub-y", run, user_id)) for an integer user id."""
+        return self.prefix + index(user_id).to_bytes(16, "little", signed=True)
+
+
+def _plan(s: "OneBitStructure", v) -> tuple:
+    """Item v's hash channels, codeword (its signed bytes, copied whole, read
+    as ints) and encoded ("phi", v) label, as phi_sign_at encodes it."""
+    v = int(v)
+    channels = [channel_of(s.seeds[t], v, s.K) for t in range(s.T)]
+    word = array("b", np.asarray(s.code.encode(v), dtype=np.int8).tobytes()) if s.T else None
+    return channels, word, _phi_label(v) if s.m_fo else None
+
+
+@dataclass(frozen=True, slots=True)
 class PublicString:
     """User's public sample from the no-item distribution, one uniform
-    (position, sign) pair per channel, regenerated lazily on demand under
-    the ("pub-y", run, user) label head, which is encoded once."""
+    (position, sign) pair per channel, regenerated lazily on demand.  The
+    ("pub-y", run, user) head is absorbed into a copy of the keyed PRF on
+    the first read; each component is then int_below's sampler on that
+    state, one digest unless word 0 is rejected."""
 
     structure: OneBitStructure
     user_id: int
+    _state: object = field(default=None, init=False, repr=False, compare=False)
 
-    @functools.cached_property
-    def _head(self) -> bytes:
-        return _encode_label(("pub-y", self.structure.run_id, self.user_id))
-
-    def _draw(self, suffix: bytes, m: int) -> tuple:
-        u = self.structure.pub.int_below(self._head + suffix, 2 * m)
-        return u >> 1, 1 if (u & 1) == 0 else -1
+    def _pair(self, draw: tuple) -> tuple:
+        state = self._state
+        if state is None:
+            layout = self.structure._layout
+            state = layout.keyed.copy()
+            state.update(layout.head(self.user_id))
+            object.__setattr__(self, "_state", state)
+        u = _below(state, *draw)
+        return u >> 1, 1 - 2 * (u & 1)
 
     def pp_component(self, t: int, k: int) -> tuple:
-        return self._draw(_suffix("pp", t, k), self.structure.code.m)
+        return self._pair(self.structure._layout.pp[t][k])
 
     def fo_component(self) -> tuple:
-        return self._draw(_suffix("fo"), self.structure.m_fo)
+        return self._pair(self.structure._layout.fo)
 
 
 def acceptance_prob(v: int, y: PublicString, structure: OneBitStructure) -> float:
@@ -137,16 +177,16 @@ def acceptance_prob(v: int, y: PublicString, structure: OneBitStructure) -> floa
     everywhere and accepts with probability exactly 1/2."""
     if v is None or v == BOT:
         return 0.5
-    e = math.exp(structure.eps_channel)
-    match, miss = 2.0 * e / (e + 1.0), 2.0 / (e + 1.0)
+    layout = structure._layout
+    channels, word, phi = layout.plan(v)
+    match, miss = layout.match, layout.miss
     ratio = 1.0
-    word = structure.code.encode(v) if structure.T else None
-    for t in range(structure.T):
-        j, sign = y.pp_component(t, channel_of(structure.seeds[t], v, structure.K))
-        ratio *= match if int(word[j]) == sign else miss
-    if structure.m_fo > 0:
+    for t, k in enumerate(channels):
+        j, sign = y.pp_component(t, k)
+        ratio *= match if word[j] == sign else miss
+    if phi is not None:
         j, sign = y.fo_component()
-        ratio *= match if phi_sign_at(structure.pub, v, j) == sign else miss
+        ratio *= match if structure.pub.sign_at(phi, j) == sign else miss
     p = 0.5 * ratio
     if not (0.0 <= p <= 1.0 + 1e-12):
         raise AssertionError(f"acceptance probability {p} outside [0, 1]")
@@ -184,12 +224,12 @@ def _regen_aggregates(accepted: list, structure: OneBitStructure, suffixes: dict
     accepted users draws every u in [0, 2m), the pair (u >> 1, +1 if u is
     even else -1), under the users' ("pub-y", run, user) heads in one
     ints_below call, into one (keys, m, 2) count table.  The heads are
-    encoded per chunk, not kept on the strings."""
-    pub, run, tails, width = structure.pub, structure.run_id, list(suffixes.values()), len(suffixes)
+    built per chunk, not kept on the strings."""
+    pub, head, tails, width = structure.pub, structure._layout.head, list(suffixes.values()), len(suffixes)
     counts = np.zeros(width * 2 * m, dtype=np.int64)
     step = max(1, _REGEN_CHUNK // width)
     for lo in range(0, len(accepted), step):
-        heads = [_encode_label(("pub-y", run, y.user_id)) for _, y in accepted[lo : lo + step]]
+        heads = [head(y.user_id) for _, y in accepted[lo : lo + step]]
         np.add.at(counts, pub.ints_below(heads, tails, 2 * m) + np.arange(width) * (2 * m), 1)
     return channel_aggregates(suffixes, counts.reshape(width, m, 2), structure.eps_channel)
 

@@ -7,9 +7,11 @@ import time
 import numpy as np
 import pytest
 
+from ldphist import cli
 from ldphist.cli import main
 from ldphist.core import PublicRandomness, derive_fo_params
 from ldphist.freq_oracle import fo_client_report
+from ldphist.transport import _REPORT_BITS
 
 
 def _run(argv, capsys):
@@ -204,6 +206,14 @@ class TestCliService:
         finally:
             if proc.poll() is None:
                 proc.kill()
+
+
+def test_field_bounds_follow_report_wire_widths():
+    # The report-file check and ReportPayload.pack share one width table;
+    # the file names the user field "user" where the payload says "user_id".
+    assert list(cli._FIELD_BOUNDS) == ["user", "t", "k", "position"]
+    assert list(cli._FIELD_BOUNDS.values()) == [1 << bits for bits in _REPORT_BITS.values()]
+    assert list(_REPORT_BITS) == ["user_id", "t", "k", "position"]
 
 
 class TestCliSubmitChecks:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -5,11 +6,11 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from ldphist import onebit
+from ldphist import core, freq_oracle, onebit
 from ldphist.codec import build_code
 from ldphist.core import PublicRandomness, _encode_label
-from ldphist.freq_oracle import AggregateState, phi_column
-from ldphist.heavy_hitter import FAITHFUL_CHANNEL_CAP, channel_of, draw_hash_seeds
+from ldphist.freq_oracle import AggregateState, phi_column, phi_sign_at
+from ldphist.heavy_hitter import BOT, FAITHFUL_CHANNEL_CAP, channel_of, draw_hash_seeds
 from ldphist.onebit import (
     MAX_TOTAL_EPS,
     OneBitStructure,
@@ -26,11 +27,11 @@ from ldphist.randomizer import ChannelMatrix, audit_ldp, report_distribution
 PUB = PublicRandomness.from_any(314)
 
 
-def composite_toy(eps_total=math.log(2), m_fo=4, d=4, K=2, T=1):
+def composite_toy(eps_total=math.log(2), m_fo=4, d=4, K=2, T=1, pub=PUB):
     code = build_code(d, "reference")
-    seeds = tuple(draw_hash_seeds(PUB, T, 16))
+    seeds = tuple(draw_hash_seeds(pub, T, 16))
     return OneBitStructure(
-        pub=PUB,
+        pub=pub,
         run_id=1,
         K=K,
         T=T,
@@ -286,9 +287,9 @@ class TestServerCollect:
         assert all(a.n_total == 10 for a in aggs.values())
 
 
-def workload_structure():
+def workload_structure(pub=PUB):
     """The one-bit bench's shape: K = 8, T = 3 and the reference code."""
-    return composite_toy(eps_total=math.log(2), m_fo=2689, d=1024, K=8, T=3)
+    return composite_toy(eps_total=math.log(2), m_fo=2689, d=1024, K=8, T=3, pub=pub)
 
 
 def _channels(s):
@@ -343,18 +344,180 @@ class TestSharedPrefixDraws:
                 past_block0 += first >= 8
         assert past_word0 > 0 and past_block0 > 0
 
-    def test_public_string_encodes_its_head_once(self, monkeypatch):
-        # acceptance_prob reads T + 1 components per call; the string's
-        # ("pub-y", run, user) head is encoded on the first read only.
-        s = workload_structure()
+    def test_public_string_absorbs_its_head_once(self, monkeypatch):
+        # A string's ("pub-y", run, user) head is absorbed into one copy of
+        # the keyed PRF across all of its component reads, and no label is
+        # encoded per user: the head prefix once per structure and the
+        # ("phi", v) label once per item.
+        pub = PublicRandomness.from_any(2718)
+        copies = []
+
+        class Counting:
+            def __init__(self, state):
+                self.state = state
+
+            def copy(self):
+                copies.append(1)
+                return self.state.copy()
+
+        pub._keyed = Counting(pub._keyed)
+        s = workload_structure(pub)
+        del copies[:]  # the hash seeds' draws
+        y = PublicString(structure=s, user_id=7)
+        drawn = [y.pp_component(t, k) for t in range(s.T) for k in range(s.K)] + [y.fo_component()]
+        assert len(copies) == 1
+        labels = [onebit._suffix("pp", t, k) for t in range(s.T) for k in range(s.K)] + [onebit._suffix("fo")]
+        assert drawn == [_as_pair(pub.int_below(_encode_label(("pub-y", s.run_id, 7)) + suffix, bound))
+                         for suffix, (_, bound) in zip(labels, _channels(s))]
+
         encoded = []
         real = onebit._encode_label
-        monkeypatch.setattr(onebit, "_encode_label", lambda parts: encoded.append(parts) or real(parts))
-        y = PublicString(structure=s, user_id=7)
-        probs = [acceptance_prob(v, y, s) for v in range(40)]
-        assert encoded.count(("pub-y", s.run_id, 7)) == 1
+        for module in (onebit, freq_oracle):
+            monkeypatch.setattr(module, "_encode_label", lambda parts: encoded.append(parts) or real(parts))
+        freq_oracle._phi_label.cache_clear()
+        s = workload_structure()
+        first = [acceptance_prob(v, PublicString(structure=s, user_id=0), s) for v in range(40)]
+        assert [parts for parts in encoded if parts[0] != "pp"] == \
+            [("pub-y", s.run_id, 0)] + [("phi", v) for v in range(40)]  # the prefix, then plans
+        del encoded[:]
+        probs = [acceptance_prob(v, PublicString(structure=s, user_id=u), s)
+                 for u in range(1, 100) for v in range(40)]
+        assert encoded == []
         monkeypatch.undo()
-        assert probs == [acceptance_prob(v, PublicString(structure=s, user_id=7), s) for v in range(40)]
+        assert first + probs == [_parent_prob(v, _ParentString(s, u), s) for u in range(100) for v in range(40)]
+
+    def test_forced_rejection_matches_full_labels(self, monkeypatch):
+        # Sampler limits at a multiple of the bound near 2/3 of 2^64: about
+        # a third of the word-0 draws are rejected, and the client finishes
+        # those on the head state with the one sampler int_below uses.
+        def limit(bound):
+            return (2**65 // 3 // bound) * bound
+
+        monkeypatch.setattr(core, "_limit", limit)
+        s = workload_structure()
+        past_word0 = past_block0 = 0
+        for user in range(self.USERS):
+            head = ("pub-y", s.run_id, user)
+            labels = [head + suffix for suffix, _ in _channels(s)]
+            want = [PUB.int_below(label, bound) for label, (_, bound) in zip(labels, _channels(s))]
+            y = PublicString(structure=s, user_id=user)
+            drawn = [y.pp_component(t, k) for t in range(s.T) for k in range(s.K)] + [y.fo_component()]
+            assert drawn == [_as_pair(u) for u in want]
+            for label, (_, bound) in zip(labels, _channels(s)):
+                words = [w for (w,) in core._WORD.iter_unpack(PUB.bytes_at(label, 64))]
+                past_word0 += words[0] >= limit(bound)
+                past_block0 += all(w >= limit(bound) for w in words)
+        assert past_word0 > 0 and past_block0 > 0
+
+
+def _as_pair(u):
+    return u >> 1, 1 if u % 2 == 0 else -1
+
+
+class _ParentString:
+    """The per-component client the one-digest path replaced: each
+    component is int_below over its full ("pub-y", run, user) + suffix label."""
+
+    def __init__(self, s, user_id):
+        self.s, self.head = s, _encode_label(("pub-y", s.run_id, user_id))
+
+    def _draw(self, suffix, m):
+        return _as_pair(self.s.pub.int_below(self.head + _encode_label(suffix), 2 * m))
+
+    def pp_component(self, t, k):
+        return self._draw(("pp", t, k), self.s.code.m)
+
+    def fo_component(self):
+        return self._draw(("fo",), self.s.m_fo)
+
+
+def _parent_prob(v, y, s):
+    """acceptance_prob as it was computed per component, factor by factor."""
+    if v is None or v == BOT:
+        return 0.5
+    e = math.exp(s.eps_channel)
+    match, miss = 2.0 * e / (e + 1.0), 2.0 / (e + 1.0)
+    ratio = 1.0
+    word = s.code.encode(v) if s.T else None
+    for t in range(s.T):
+        j, sign = y.pp_component(t, channel_of(s.seeds[t], v, s.K))
+        ratio *= match if int(word[j]) == sign else miss
+    if s.m_fo > 0:
+        j, sign = y.fo_component()
+        ratio *= match if phi_sign_at(s.pub, v, j) == sign else miss
+    return min(0.5 * ratio, 1.0)
+
+
+class TestClientEquivalence:
+    """The one-digest client against the per-component path it replaced:
+    every component equal and every acceptance probability float-identical."""
+
+    @pytest.mark.parametrize("case, users", [
+        ("workload", 2_000),
+        ("oracle-only", 500),
+        ("no-oracle", 500),
+        ("degenerate", 50),
+        ("concatenated", 300),
+    ])
+    def test_matches_per_component_path(self, case, users):
+        if case == "workload":
+            s = workload_structure()
+        elif case == "oracle-only":
+            s = OneBitStructure(pub=PUB, run_id=8, K=1, T=0, eps_channel=0.5, m_fo=700)
+        elif case == "no-oracle":
+            s = composite_toy(m_fo=0, d=64, K=5, T=2)
+        elif case == "concatenated":
+            s = OneBitStructure(pub=PUB, run_id=3, K=4, T=2, eps_channel=math.log(2) / 5, m_fo=64,
+                                code=build_code(2**16, "concatenated"), seeds=tuple(draw_hash_seeds(PUB, 2, 16)))
+        else:
+            s = OneBitStructure(pub=PUB, run_id=0, K=1, T=0, eps_channel=0.1, m_fo=0)
+        d = s.code.d if s.T else 4096
+        rng = np.random.default_rng(9)
+        items = [int(v) for v in rng.integers(0, d, users)]
+        for u in range(0, users, 7):
+            items[u] = BOT if u % 2 else None
+        for u in range(3, users, 11):
+            items[u] = np.int64(items[u]) if items[u] not in (None, BOT) else items[u]
+        keys = [(t, k) for t in range(s.T) for k in range(s.K)]
+        for user, v in enumerate(items):
+            y, old = PublicString(structure=s, user_id=user), _ParentString(s, user)
+            got = acceptance_prob(v, y, s)
+            # A numpy item is hashed as int(v), as hh_finalize hashes it: the
+            # per-component path multiplied it in int64, which can overflow.
+            assert got.hex() == _parent_prob(v if v is None else int(v), old, s).hex()
+            assert acceptance_prob(v, old, s).hex() == got.hex()
+            assert [y.pp_component(*key) for key in keys] == [old.pp_component(*key) for key in keys]
+            if s.m_fo:
+                assert y.fo_component() == old.fo_component()
+
+
+@pytest.mark.parametrize("user", [0, 1, 2**63, 2**64 - 1, np.int64(-5), np.int64(2**62), np.uint64(2**64 - 1)])
+def test_head_builder_matches_encode_label(user):
+    s = workload_structure()
+    assert s._layout.head(user) == _encode_label(("pub-y", s.run_id, user))
+
+
+def test_public_string_is_a_frozen_value():
+    # Equal, hashed and shown by (structure, user_id) only, whether or not
+    # its head has been absorbed; its fields cannot be reassigned.
+    s = workload_structure()
+    read, fresh = PublicString(structure=s, user_id=3), PublicString(s, 3)
+    read.fo_component()
+    assert read == fresh and hash(read) == hash(fresh) and repr(read) == repr(fresh)
+    assert read != PublicString(s, 4)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        read.user_id = 4
+    assert read.fo_component() == fresh.fo_component()
+
+
+def test_plan_cache_stays_bounded():
+    s = OneBitStructure(pub=PUB, run_id=5, K=1, T=0, eps_channel=0.5, m_fo=16)
+    items = range(onebit._PLAN_CACHE + 300)
+    y = PublicString(structure=s, user_id=3)
+    first = [acceptance_prob(v, y, s) for v in items]
+    assert s._layout.plan.cache_info().currsize == onebit._PLAN_CACHE
+    assert [acceptance_prob(v, y, s) for v in items] == first
+    assert first == [_parent_prob(v, y, s) for v in items]
 
 
 def _loop_aggregate(accepted, m, eps, component):
@@ -390,8 +553,6 @@ def _same(a, b):
 
 
 def test_phi_sign_at_encodes_each_label_once(monkeypatch):
-    from ldphist import freq_oracle
-
     freq_oracle._phi_label.cache_clear()
     encoded = []
     real = freq_oracle._encode_label
