@@ -12,15 +12,18 @@ The keyed PRF is pinned directly too, in each of its three uses: the
 public coins (``int_below`` at a bound that rejects about a third of the
 64-bit words, including labels whose whole first block is rejected), the
 channel hash's ``(a, b)`` and the reference code's generator matrices.
+So is the concatenated code: its encoder on items at both ends of each
+universe, and its decoder on noise, near-codeword and block-corrupted rows.
 """
 
 import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
 
-from ldphist.codec import ReferenceCode, build_code
+from ldphist.codec import ConcatenatedCode, ReferenceCode, build_code
 from ldphist.core import PublicRandomness, derive_fo_params, derive_hh_params
 from ldphist.freq_oracle import fo_estimate_many, fo_simulate_reports
 from ldphist.harness import DatasetSpec, ExperimentConfig, run_experiment
@@ -145,6 +148,32 @@ def hh_concatenated_digest() -> tuple:
     return _digest(*parts), counts
 
 
+def _concatenated_items(d: int) -> list:
+    rnd = random.Random(d)
+    return [0, 1, d - 1, d // 2] + [rnd.randrange(d) for _ in range(300)]
+
+
+def concatenated_encode_digest(d: int) -> str:
+    return _digest(ConcatenatedCode(d).encode_many(_concatenated_items(d)))
+
+
+def concatenated_decode_digest(d: int) -> str:
+    """Decodes of noise rows, of codewords with 5% of their coordinates
+    flipped, and of codewords with 1 to n_out / 2 + 1 inner blocks replaced
+    by noise (symbol errors up to one past the outer code's capacity)."""
+    code = ConcatenatedCode(d)
+    rng = np.random.default_rng(d % 1_000_003)
+    signs = np.array([-1, 1], dtype=np.int8)
+    noise = rng.choice(signs, size=(400, code.m))
+    words = code.encode_many(_concatenated_items(d)[:200])
+    near = np.where(rng.random(words.shape) < 0.05, -words, words).astype(np.int8)
+    blocks = words.copy().reshape(len(words), code.n_out, 256)
+    for i, row in enumerate(blocks):
+        bad = rng.choice(code.n_out, size=1 + i % (code.n_out // 2 + 1), replace=False)
+        row[bad] = rng.choice(signs, size=(len(bad), 256))
+    return _digest(*[code.decode_many(Y) for Y in (noise, near, blocks.reshape(len(words), -1))])
+
+
 def harness_digest(tmp_path, name: str) -> str:
     configs = {
         "fo": ExperimentConfig(
@@ -221,6 +250,19 @@ HH = {
     (64, "faithful"): "32d0ecdf09131a541b439a1687e46d692a5436663d848c34cb0e0d366aa1d5b8",
 }
 HH_CONCATENATED = "5dba1c417f989739ad8bec1d25e27f8d966ba41b625f61a736078ef2dad068db"
+CONCATENATED_ENCODE = {
+    256: "e8b5d87053735316870a16bd6fce6d9a1cd0ff5a4d7ddc92546b18f05e78e14e",
+    1000: "9bdcf66271476d783f144ccbf8321753b34991b6f92fa0908a6e19eebb74dbc5",
+    2**16: "8f7f72846fb6a175a26e8f69a43c293b69a374a0b9ff764904808af3a131fd2f",
+    2**32: "a0412108ad42bb982d9126da9776b5fb10376c69b2d5d95e27f9a00b362cc07c",
+    2**64: "56e475f4489d7c82d808fa8b4534f1a827b1a0357af0496e59ea3fd3d1fa5301",
+}
+CONCATENATED_DECODE = {
+    1000: "ecd9cf09021fe6f7e3804f52be545b89c33d53d5ca969986a2b1f950d08310ef",
+    2**16: "f3414c9a9b3bf58388aab2caeba7a8738788888e4201c95faccd8311cc9cabe1",
+    2**32: "059aa765930898ff1954c3a7453399f00ec0cac9912155d87bdd2770ad189fc8",
+    2**64: "7937bea4e3a776fbda06c81d52665dec57dca258b1ca6e10dd0b949521908089",
+}
 HARNESS = {
     "fo": "6354a80337bc38e820abe586c2736ed18b2cd8b72cc0757485f8bf8d59779680",
     "pp": "954cea231f1e6b7f0a113a3ca5d66101b758262a8827bf361462b09cde82a350",
@@ -258,6 +300,16 @@ def test_hh_execute_concatenated():
     digest, counts = hh_concatenated_digest()
     assert all(counts), counts  # failures, rejections and decodes all occur
     assert digest == HH_CONCATENATED
+
+
+@pytest.mark.parametrize("d", sorted(CONCATENATED_ENCODE))
+def test_concatenated_encode_many(d):
+    assert concatenated_encode_digest(d) == CONCATENATED_ENCODE[d]
+
+
+@pytest.mark.parametrize("d", sorted(CONCATENATED_DECODE))
+def test_concatenated_decode_many(d):
+    assert concatenated_decode_digest(d) == CONCATENATED_DECODE[d]
 
 
 @pytest.mark.parametrize("name", sorted(HARNESS))
