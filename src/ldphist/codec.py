@@ -11,10 +11,12 @@ families are provided:
 
 * ``concatenated``: a rate-1/2 Reed-Solomon outer code over 8-bit symbols
   whose symbols are expanded by the [256, 8] binary Hadamard code
-  (relative distance 1/2).  Inner blocks are decoded by per-block maximum
-  likelihood and the outer code by unique decoding, which guarantees
-  correction of any error pattern touching fewer than m/16 coordinates
-  (zeta_eff = 1/8).  Outer decoding failures are reported as None.
+  (relative distance 1/2).  Encoding gathers the parity symbols of all
+  items from one per-code table.  Inner blocks are decoded by per-block
+  maximum likelihood and the outer code by unique decoding, both as array
+  operations over all rows at once, which guarantees correction of any
+  error pattern touching fewer than m/16 coordinates (zeta_eff = 1/8).
+  Outer decoding failures are reported as None.
 
 ``round_to_hypercube`` maps a real vector to signs with ties going to +1.
 """
@@ -22,7 +24,8 @@ families are provided:
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+import operator
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -41,6 +44,7 @@ REFERENCE_CODE_TAG = b"ldphist-reference-code-v2"
 REFERENCE_CODE_RATE_DEN = 4  # m = 4 * t
 REFERENCE_D_CAP = 1 << 16
 CONCATENATED_D_CAP = 1 << 64
+_DECODE_ROWS = 4096  # rows per float32 chunk in decode_many
 
 _GF_PRIM_POLY = 0x11D  # x^8 + x^4 + x^3 + x^2 + 1
 
@@ -67,18 +71,27 @@ class Code:
     zeta_eff: float
 
     def encode(self, v: int) -> np.ndarray:
+        return self.encode_many([v])[0]
+
+    def encode_many(self, vs: Iterable[int]) -> np.ndarray:
+        """The (len(vs), m) int8 codewords of items in [0, d)."""
         raise NotImplementedError
-
-    def encode_many(self, vs: Sequence[int]) -> np.ndarray:
-        return np.array([self.encode(int(v)) for v in vs], dtype=np.int8).reshape(-1, self.m)
-
-    def signs_at(self, v: int, positions: np.ndarray) -> np.ndarray:
-        return self.encode(v)[positions]
 
     def decode(self, y: np.ndarray) -> Optional[int]:
         return self.decode_many(np.asarray(y)[None, :])[0]
 
     def decode_many(self, Y: np.ndarray) -> list:
+        """The item of each row of an (rows, m) array, or None on a decoding
+        failure; rows go through a float32 copy 4,096 at a time."""
+        Y = np.asarray(Y)
+        if Y.ndim != 2 or Y.shape[1] != self.m:
+            raise ValueError(f"expected an array of shape (rows, {self.m}), got {Y.shape}")
+        out = []
+        for start in range(0, len(Y), _DECODE_ROWS):
+            out += self._decode_rows(Y[start : start + _DECODE_ROWS].astype(np.float32))
+        return out
+
+    def _decode_rows(self, Y: np.ndarray) -> list:
         raise NotImplementedError
 
     def correctable_flips(self) -> float:
@@ -94,9 +107,15 @@ class Code:
             "zeta_eff": self.zeta_eff,
         }
 
-    def _check_item(self, v: int) -> None:
+    def _item(self, v: int) -> int:
+        """An integer item (Python or numpy) as an int checked to lie in [0, d)."""
+        v = operator.index(v)
         if not (0 <= v < self.d):
             raise ValueError(f"item {v} outside universe of size {self.d}")
+        return v
+
+    def _items(self, vs: Iterable[int]) -> np.ndarray:
+        return np.array([self._item(v) for v in vs], dtype=np.uint64)
 
 
 def _message_bits(values: np.ndarray, t: int) -> np.ndarray:
@@ -151,23 +170,14 @@ class ReferenceCode(Code):
         return {**super().header(), "build_tag": REFERENCE_CODE_TAG.decode()}
 
     def encode(self, v: int) -> np.ndarray:
-        self._check_item(v)
-        return self._codebook[v]
+        return self._codebook[self._item(v)]
 
-    def encode_many(self, vs: Sequence[int]) -> np.ndarray:
-        vs = np.asarray(vs, dtype=np.int64)
-        if np.any(vs < 0) or np.any(vs >= self.d):
-            raise ValueError("item outside universe")
-        return self._codebook[vs]
+    def encode_many(self, vs: Iterable[int]) -> np.ndarray:
+        return self._codebook[self._items(vs)]
 
-    def decode_many(self, Y: np.ndarray) -> list:
+    def _decode_rows(self, Y: np.ndarray) -> list:
         """Nearest codeword by correlation; ties resolve to the smallest item."""
-        Y = np.asarray(Y, dtype=np.float32)
-        out = []
-        for start in range(0, len(Y), 4096):
-            corr = Y[start : start + 4096] @ self._codebook_f.T
-            out.extend(int(i) for i in np.argmax(corr, axis=1))
-        return out
+        return np.argmax(Y @ self._codebook_f.T, axis=1).tolist()
 
 
 def _gf2_rank(mat: np.ndarray) -> int:
@@ -213,47 +223,19 @@ def _init_gf_tables():
 
 
 _init_gf_tables()
-
-
-def _gf_mul(a: int, b: int) -> int:
-    if a == 0 or b == 0:
-        return 0
-    return int(_GF_EXP[_GF_LOG[a] + _GF_LOG[b]])
-
-
-def _gf_inv(a: int) -> int:
-    if a == 0:
-        raise ZeroDivisionError("inverse of 0 in GF(256)")
-    return int(_GF_EXP[255 - _GF_LOG[a]])
-
-
-def _gf_pow_alpha(e: int) -> int:
-    """alpha**e for any integer e."""
-    return int(_GF_EXP[e % 255])
-
-
-def _poly_eval(poly: Sequence[int], x: int) -> int:
-    """Evaluate an ascending-order coefficient list at x."""
-    acc = 0
-    for c in reversed(poly):
-        acc = _gf_mul(acc, x) ^ c
-    return acc
-
-
-def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] ^= _gf_mul(ai, bj)
-    return out
+# Field multiplication and inverse tables (the inverse of 0 is never read).
+_GF_MUL = np.where(np.outer(np.arange(256) > 0, np.arange(256) > 0),
+                   _GF_EXP[_GF_LOG[:, None] + _GF_LOG[None, :]], 0).astype(np.uint8)
+_GF_INV = _GF_EXP[255 - _GF_LOG].astype(np.uint8)
 
 
 class _ReedSolomon:
     """Systematic RS(n, k) over GF(256), narrow sense (generator roots
-    alpha^1 .. alpha^{n-k}); unique decoding of up to floor((n-k)/2)
-    symbol errors via Berlekamp-Massey, Chien search, and Forney."""
+    alpha^1 .. alpha^{n-k}), over (rows, n) uint8 symbol arrays whose column
+    0 is the coefficient of x^{n-1}.  Encoding gathers each row's parity
+    from a k x 256 x (n-k) table; decoding corrects up to floor((n-k)/2)
+    symbol errors in every row at once, by Berlekamp-Massey, Chien search
+    and Forney."""
 
     def __init__(self, n: int, k: int):
         if not (0 < k < n <= 255):
@@ -261,106 +243,104 @@ class _ReedSolomon:
         self.n = n
         self.k = k
         self.nparity = n - k
-        gen = [1]
+        gen = np.ones(1, dtype=np.int64)
         for i in range(1, self.nparity + 1):
-            gen = _poly_mul(gen, [_gf_pow_alpha(i), 1])  # (x + alpha^i)
-        self._gen = gen  # ascending order, degree nparity, monic
+            gen = np.append(0, gen) ^ np.append(_GF_MUL[_GF_EXP[i], gen], 0)  # (x + alpha^i)
+        self._gen_tail = gen[::-1][1:]  # below the monic leading term, descending
+        # Symbol idx sits at x^{n-1-idx}: its syndrome powers alpha^{(n-1-idx) i}
+        # for i = 1 .. n-k, and the powers x^e of its inverse locator
+        # alpha^{-(n-1-idx)} for every coefficient e of an error locator.
+        power = np.arange(n - 1, -1, -1)
+        self._synd_pow = _GF_EXP[np.outer(power, np.arange(1, self.nparity + 1)) % 255]
+        self._inv_pow = _GF_EXP[np.outer(-np.arange(self.nparity + 1), power) % 255]
+        # Row 256 i + c: the parity of the message with symbol c at i, zero elsewhere.
+        units = np.zeros((k, 256, k), dtype=np.uint8)
+        units[np.arange(k), :, np.arange(k)] = np.arange(256)
+        self._parity = self._divide(units.reshape(-1, k))
+        self._parity_rows = 256 * np.arange(k)
 
-    def encode(self, msg: Sequence[int]) -> list:
-        if len(msg) != self.k:
-            raise ValueError(f"message must have {self.k} symbols")
-        # Long division of msg * x^{nparity} by the generator.
-        work = list(msg) + [0] * self.nparity
+    def _divide(self, msgs: np.ndarray) -> np.ndarray:
+        """Remainders of msg * x^{n-k} by the generator: the parity symbols."""
+        work = np.zeros((len(msgs), self.n), dtype=np.uint8)
+        work[:, : self.k] = msgs
         for i in range(self.k):
-            coef = work[i]
-            if coef == 0:
-                continue
-            # generator is monic; subtract coef * gen aligned at i
-            for j in range(1, self.nparity + 1):
-                work[i + j] ^= _gf_mul(self._gen[self.nparity - j], coef)
-        return list(msg) + work[self.k :]
+            work[:, i + 1 : i + 1 + self.nparity] ^= _GF_MUL[work[:, i, None], self._gen_tail]
+        return work[:, self.k :]
 
-    def _syndromes(self, received: Sequence[int]) -> list:
-        # received[0] is the coefficient of x^{n-1}
-        return [
-            _poly_eval(list(reversed(received)), _gf_pow_alpha(i))
-            for i in range(1, self.nparity + 1)
-        ]
+    def encode(self, msgs: np.ndarray) -> np.ndarray:
+        """The (rows, n) codewords of (rows, k) message symbols."""
+        msgs = np.asarray(msgs, dtype=np.uint8)
+        parity = np.bitwise_xor.reduce(self._parity[msgs + self._parity_rows], axis=1)
+        return np.concatenate([msgs, parity], axis=1)
 
-    def decode(self, received: Sequence[int]) -> Optional[list]:
-        """Return the k message symbols, or None on decoding failure."""
-        if len(received) != self.n:
-            raise ValueError(f"received word must have {self.n} symbols")
-        synd = self._syndromes(received)
-        if not any(synd):
-            return list(received[: self.k])
-        lam, L = self._berlekamp_massey(synd)
-        if L > self.nparity // 2:
-            return None
-        # Chien search: positions idx (0 = first symbol) have power n-1-idx.
-        roots_inv = []
-        positions = []
-        for idx in range(self.n):
-            power = self.n - 1 - idx
-            x_inv = _gf_pow_alpha(-power)
-            if _poly_eval(lam, x_inv) == 0:
-                roots_inv.append(x_inv)
-                positions.append(idx)
-        if len(positions) != L:
-            return None
-        # Forney: omega = (S(x) * lambda(x)) mod x^{nparity}
-        omega = _poly_mul(synd, lam)[: self.nparity]
-        corrected = list(received)
-        for idx, x_inv in zip(positions, roots_inv):
-            # Formal derivative in characteristic 2 keeps only odd terms.
-            lam_deriv = 0
-            for deg in range(1, len(lam), 2):
-                lam_deriv ^= _gf_mul(lam[deg], _gf_pow_alpha(_GF_LOG[x_inv] * (deg - 1)))
-            if lam_deriv == 0:
-                return None
-            magnitude = _gf_mul(_poly_eval(omega, x_inv), _gf_inv(lam_deriv))
-            corrected[idx] ^= magnitude
-        if any(self._syndromes(corrected)):
-            return None
-        return corrected[: self.k]
+    def _syndromes(self, words: np.ndarray) -> np.ndarray:
+        return _evaluate(words, self._synd_pow)
 
-    @staticmethod
-    def _berlekamp_massey(synd: Sequence[int]) -> tuple:
-        C = [1]
-        B = [1]
-        L = 0
-        shift = 1
-        b = 1
-        for i, s in enumerate(synd):
-            delta = s
-            for j in range(1, L + 1):
-                if j < len(C):
-                    delta ^= _gf_mul(C[j], synd[i - j])
-            if delta == 0:
-                shift += 1
-                continue
-            coef = _gf_mul(delta, _gf_inv(b))
-            adjust = [0] * shift + [_gf_mul(coef, x) for x in B]
-            if 2 * L <= i:
-                old_C = list(C)
-                C = _poly_xor(C, adjust)
-                L = i + 1 - L
-                B = old_C
-                b = delta
-                shift = 1
-            else:
-                C = _poly_xor(C, adjust)
-                shift += 1
-        return C, L
+    def decode(self, received: np.ndarray) -> tuple:
+        """(messages, ok): the (rows, k) message symbols of each received
+        row and whether it decoded.  The symbols of a failed row are not
+        meaningful.  A row fails when its error locator is longer than
+        floor((n-k)/2), has other than that many roots, has a zero
+        derivative at a root, or corrects to a word with a nonzero
+        syndrome."""
+        words = np.array(received, dtype=np.uint8)
+        if words.ndim != 2 or words.shape[1] != self.n:
+            raise ValueError(f"received words must be rows of {self.n} symbols")
+        synd = self._syndromes(words)
+        ok = np.ones(len(words), dtype=bool)
+        bad = np.flatnonzero(synd.any(axis=1))  # rows with no error pass as they are
+        ok[bad], words[bad] = self._correct(words[bad], synd[bad])
+        return words[:, : self.k], ok
+
+    def _correct(self, words: np.ndarray, synd: np.ndarray) -> tuple:
+        npar = self.nparity
+        lam, L = _berlekamp_massey(synd, npar + 1)  # degree L <= n-k
+        # Chien search: the error locator at every inverse locator.
+        roots = _evaluate(lam, self._inv_pow) == 0
+        # Forney: omega = S(x) lambda(x) mod x^{n-k}, over lambda's formal
+        # derivative, which in characteristic 2 keeps only the odd terms.
+        lag = np.subtract.outer(np.arange(npar), np.arange(npar))  # [e, c] = e - c
+        shifted = np.where(lag >= 0, synd[:, lag], 0)
+        omega = np.bitwise_xor.reduce(_GF_MUL[lam[:, None, :npar], shifted], axis=2)
+        omega_at = _evaluate(omega, self._inv_pow[:npar])
+        deriv_at = _evaluate(lam[:, 1::2], self._inv_pow[:npar:2])
+        fixed = words ^ np.where(roots, _GF_MUL[omega_at, _GF_INV[deriv_at]], 0)
+        ok = (L <= npar // 2) & (roots.sum(axis=1) == L) & ~(roots & (deriv_at == 0)).any(axis=1)
+        return ok & ~self._syndromes(fixed).any(axis=1), fixed
 
 
-def _poly_xor(a: list, b: list) -> list:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, x in enumerate(b):
-        out[i] ^= x
-    return out
+def _evaluate(coeffs: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """XOR over e of coeffs[:, e] * powers[e]: each row's polynomial at
+    every point whose powers are the columns of powers."""
+    return np.bitwise_xor.reduce(_GF_MUL[coeffs[:, :, None], powers], axis=1)
+
+
+def _berlekamp_massey(synd: np.ndarray, width: int) -> tuple:
+    """Error locator coefficients, ascending in (rows, width) uint8, and
+    their lengths L, of every row of syndromes: the scalar recurrence run
+    in step on all rows, a row with zero discrepancy keeping its locator."""
+    rows, npar = synd.shape
+    C = np.zeros((rows, width), dtype=np.uint8)
+    C[:, 0] = 1
+    B = C.copy()
+    L = np.zeros(rows, dtype=np.int64)
+    shift = np.ones(rows, dtype=np.int64)
+    b = np.ones(rows, dtype=np.uint8)
+    cols = np.arange(width)
+    for i in range(npar):
+        # The scalar sum runs over j <= L; C is zero above its length L.
+        j = np.arange(1, i + 1)
+        delta = synd[:, i] ^ np.bitwise_xor.reduce(_GF_MUL[C[:, 1 : i + 1], synd[:, i - j]], axis=1)
+        src = cols - shift[:, None]  # x^shift * B, read back from B
+        moved = np.where(src >= 0, np.take_along_axis(B, np.maximum(src, 0), axis=1), 0)
+        adjust = _GF_MUL[_GF_MUL[delta, _GF_INV[b]][:, None], moved]  # zero when delta is
+        grow = (delta != 0) & (2 * L <= i)
+        B = np.where(grow[:, None], C, B)
+        C = C ^ adjust
+        L = np.where(grow, i + 1 - L, L)
+        b = np.where(grow, delta, b)
+        shift = np.where(grow, 1, shift + 1)
+    return C, L
 
 
 def _hadamard_sign_table() -> np.ndarray:
@@ -388,31 +368,21 @@ class ConcatenatedCode(Code):
         self.n_out = 2 * self.sigma  # rate-1/2 outer code
         self.m = 256 * self.n_out
         self._rs = _ReedSolomon(self.n_out, self.sigma)
+        self._byte_shifts = 8 * np.arange(self.sigma, dtype=np.uint64)  # data is little endian
 
-    def encode(self, v: int) -> np.ndarray:
-        self._check_item(v)
-        data = list(int(v).to_bytes(self.sigma, "little"))
-        symbols = self._rs.encode(data)
-        return np.concatenate([_HADAMARD[s] for s in symbols])
+    def encode_many(self, vs: Iterable[int]) -> np.ndarray:
+        items = self._items(vs)
+        data = items.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)[:, : self.sigma]
+        return _HADAMARD[self._rs.encode(data)].reshape(len(items), self.m)
 
-    def decode_many(self, Y: np.ndarray) -> list:
-        Y = np.asarray(Y, dtype=np.float32)
-        if Y.shape[1] != self.m:
-            raise ValueError(f"expected vectors of length {self.m}")
-        nblocks = self.n_out
-        blocks = Y.reshape(len(Y), nblocks, 256)
-        # Inner maximum-likelihood decode of every block at once.
-        corr = blocks.reshape(-1, 256) @ _HADAMARD_F.T
-        symbols = np.argmax(corr, axis=1).reshape(len(Y), nblocks)
-        out = []
-        for row in symbols:
-            msg = self._rs.decode([int(s) for s in row])
-            if msg is None:
-                out.append(None)
-                continue
-            v = int.from_bytes(bytes(msg), "little")
-            out.append(v if v < self.d else None)
-        return out
+    def _decode_rows(self, Y: np.ndarray) -> list:
+        """Inner maximum-likelihood decode of every block, then one outer
+        decode of all rows; a payload of d or more is a failure too."""
+        corr = Y.reshape(-1, 256) @ _HADAMARD_F.T
+        symbols = np.argmax(corr, axis=1).reshape(len(Y), self.n_out)
+        msgs, ok = self._rs.decode(symbols)
+        values = np.bitwise_or.reduce(msgs.astype(np.uint64) << self._byte_shifts, axis=1)
+        return [v if good and v < self.d else None for v, good in zip(values.tolist(), ok.tolist())]
 
 
 def build_code(d: int, kind: str = "reference") -> Code:

@@ -28,9 +28,10 @@ no signal.  Fast mode is the desk-scale default.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -103,6 +104,7 @@ def draw_hash_seeds(pub: PublicRandomness, T: int, ell: int) -> list:
 
 def channel_of(seed: HashSeed, v: int, K: int) -> int:
     """Channel of item v: ((a v + b) mod p) mod K, p = 2^61 - 1."""
+    v = operator.index(v)  # a Python int: numpy items would overflow a * v
     if v >= MERSENNE_P:
         raise ValueError("item exceeds the hash prime; universe too large")
     a, b = _hash_pair(seed.bits)
@@ -190,7 +192,8 @@ def pp_aggregate(
     """Aggregate promise-protocol reports for all users, grouped by item."""
     values, counts = np.unique(np.asarray(items), return_counts=True)
     cells = np.zeros(2 * code.m, dtype=np.int64)
-    absorb_groups(cells, zip(values, counts), code.signs_at, eps, rng)
+    signs_of = _codeword_signs(code, values[values >= 0].tolist())
+    absorb_groups(cells, zip(values, counts), signs_of, eps, rng)
     return channel_aggregates(["pp"], cells.reshape(1, code.m, 2), eps)["pp"]
 
 
@@ -259,7 +262,14 @@ class HhResult:
 
 def _channel_map(seeds, distinct_items, K):
     """channel[t][v] for every distinct item."""
-    return [{int(v): channel_of(seed, int(v), K) for v in distinct_items} for seed in seeds]
+    return [{v: channel_of(seed, v, K) for v in distinct_items} for seed in seeds]
+
+
+def _codeword_signs(code: Code, distinct_items: list) -> Callable:
+    """signs_of(v, positions) of absorb_groups, read from one encode_many
+    of the distinct items."""
+    words = dict(zip(distinct_items, code.encode_many(distinct_items)))
+    return lambda v, positions: words[v][positions]
 
 
 def hh_execute(
@@ -294,12 +304,14 @@ def hh_execute(
 
     seeds = draw_hash_seeds(pub, T, hh_params.ell)
     values, counts = np.unique(items[items != BOT], return_counts=True)
+    values, counts = values.tolist(), counts.tolist()
     chan = _channel_map(seeds, values, K)
+    signs_of = _codeword_signs(code, values)
 
     by_channel = {}
     for t in range(T):
         for v, cnt in zip(values, counts):
-            by_channel.setdefault((t, chan[t][int(v)]), []).append((int(v), int(cnt)))
+            by_channel.setdefault((t, chan[t][v]), []).append((v, cnt))
     keys = sorted(by_channel) if mode == "fast" else [(t, k) for t in range(T) for k in range(K)]
     # One count table, filled row by row in (t, k) order: each channel's
     # groups, sorted by item, then its idle users, the draw order seeded
@@ -310,7 +322,7 @@ def hh_execute(
         idle = n - sum(cnt for _, cnt in groups)
         if mode == "faithful":
             groups = groups + [(BOT, idle)]
-        absorb_groups(row.reshape(-1), groups, code.signs_at, eps_ch, rng)  # a view
+        absorb_groups(row.reshape(-1), groups, signs_of, eps_ch, rng)  # a view
         if mode == "fast":
             row += simulate_idle_noise(idle, code.m, rng).T
     pp_aggs = channel_aggregates(keys, table, eps_ch)
@@ -377,9 +389,10 @@ def hh_finalize(
         if hh_params.iso_failure_bound <= hh_params.beta / 3:
             seeds = draw_hash_seeds(pub, hh_params.T, hh_params.ell)
             chan = _channel_map(seeds, candidate_items, hh_params.K)
+            words = code.encode_many(candidate_items)
             for i, v in enumerate(candidate_items):
                 own = [pp_aggs[(t, c[v])] for t, c in enumerate(chan) if (t, c[v]) in pp_aggs]
-                parts = [float(inner_estimates(agg, [code.encode(v)])[0]) for agg in own]
+                parts = [float(inner_estimates(agg, [words[i]])[0]) for agg in own]
                 ests[i] = (ests[i] + sum(parts)) / (1 + len(parts))
         candidates = list(zip(candidate_items, ests))
     histogram = prune(candidates, hh_params.threshold)

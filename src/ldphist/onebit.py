@@ -133,7 +133,6 @@ class _Layout:
 def _plan(s: "OneBitStructure", v) -> tuple:
     """Item v's hash channels, codeword (its signed bytes, copied whole, read
     as ints) and encoded ("phi", v) label, as phi_sign_at encodes it."""
-    v = int(v)
     channels = [channel_of(s.seeds[t], v, s.K) for t in range(s.T)]
     word = array("b", np.asarray(s.code.encode(v), dtype=np.int8).tobytes()) if s.T else None
     return channels, word, _phi_label(v) if s.m_fo else None

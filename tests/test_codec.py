@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ldphist import codec
 from ldphist.codec import (
     ReferenceCode,
     _ReedSolomon,
@@ -63,9 +64,17 @@ class TestEncode:
             assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
 
     def test_out_of_range_item(self):
-        c = build_code(16, "reference")
-        with pytest.raises(ValueError):
-            c.encode(16)
+        for kind in ("reference", "concatenated"):
+            c = build_code(16, kind)
+            for bad in ([16], [0, -1], np.array([3, 16])):
+                with pytest.raises(ValueError):
+                    c.encode_many(bad)
+            with pytest.raises(ValueError):
+                c.encode(16)
+            with pytest.raises(TypeError):
+                c.encode_many([1.0])
+            assert c.encode_many([]).shape == (0, c.m)
+            assert np.array_equal(c.encode_many([np.int64(5), np.uint64(5)]), c.encode_many([5, 5]))
 
     def test_reference_pairwise_distance_exhaustive(self):
         c = build_code(256, "reference")
@@ -140,6 +149,24 @@ class TestDecode:
         assert any(r is None for r in results)
         assert all(r is None or 0 <= r < 2**16 for r in results)
 
+    @pytest.mark.parametrize("kind", ["reference", "concatenated"])
+    def test_decode_many_rejects_other_shapes(self, kind):
+        c = build_code(1000, kind)
+        for shape in ((c.m,), (2, c.m + 1), (1, 2, c.m)):
+            with pytest.raises(ValueError):
+                c.decode_many(np.ones(shape, dtype=np.int8))
+
+    @pytest.mark.parametrize("kind", ["reference", "concatenated"])
+    def test_decode_many_chunks_rows(self, kind, monkeypatch):
+        c = build_code(1000, kind)
+        rng = np.random.default_rng(11)
+        Y = np.concatenate([c.encode_many(range(0, 1000, 50)),
+                            rng.choice(np.array([-1, 1], dtype=np.int8), size=(30, c.m))])
+        whole = c.decode_many(Y)
+        monkeypatch.setattr(codec, "_DECODE_ROWS", 7)
+        assert c.decode_many(Y) == whole
+        assert whole[:20] == list(range(0, 1000, 50))
+
     def test_out_of_universe_decode_rejected(self):
         # d below a byte boundary: decoded payloads >= d signal failure.
         c = build_code(1000, "concatenated")
@@ -148,41 +175,238 @@ class TestDecode:
         assert all(r is None or r < 1000 for r in c.decode_many(noise))
 
 
+# ---------------------------------------------------------------------------
+# Scalar GF(256) Reed-Solomon: the reference the array code must match
+# ---------------------------------------------------------------------------
+
+_EXP = [0] * 512
+_LOG = [0] * 256
+_x = 1
+for _i in range(255):
+    _EXP[_i], _LOG[_x] = _x, _i
+    _x <<= 1
+    if _x & 0x100:
+        _x ^= 0x11D
+_EXP[255:510] = _EXP[0:255]
+
+
+def _mul(a, b):
+    return 0 if a == 0 or b == 0 else _EXP[_LOG[a] + _LOG[b]]
+
+
+def _inv(a):
+    return _EXP[255 - _LOG[a]]
+
+
+def _pow_alpha(e):
+    return _EXP[e % 255]
+
+
+def _poly_eval(poly, x):
+    acc = 0
+    for c in reversed(poly):
+        acc = _mul(acc, x) ^ c
+    return acc
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] ^= _mul(ai, bj)
+    return out
+
+
+def _poly_xor(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, x in enumerate(b):
+        out[i] ^= x
+    return out
+
+
+class ScalarReedSolomon:
+    """The scalar RS(n, k) code, one word at a time: the reference that
+    ``_ReedSolomon``'s row arrays must match, failures included."""
+
+    def __init__(self, n, k):
+        self.n, self.k, self.nparity = n, k, n - k
+        gen = [1]
+        for i in range(1, self.nparity + 1):
+            gen = _poly_mul(gen, [_pow_alpha(i), 1])
+        self._gen = gen
+
+    def encode(self, msg):
+        work = list(msg) + [0] * self.nparity
+        for i in range(self.k):
+            coef = work[i]
+            if coef:
+                for j in range(1, self.nparity + 1):
+                    work[i + j] ^= _mul(self._gen[self.nparity - j], coef)
+        return list(msg) + work[self.k :]
+
+    def _syndromes(self, received):
+        word = list(reversed(received))
+        return [_poly_eval(word, _pow_alpha(i)) for i in range(1, self.nparity + 1)]
+
+    def decode(self, received):
+        synd = self._syndromes(received)
+        if not any(synd):
+            return list(received[: self.k])
+        lam, L = self._berlekamp_massey(synd)
+        if L > self.nparity // 2:
+            return None
+        roots_inv, positions = [], []
+        for idx in range(self.n):
+            x_inv = _pow_alpha(-(self.n - 1 - idx))
+            if _poly_eval(lam, x_inv) == 0:
+                roots_inv.append(x_inv)
+                positions.append(idx)
+        if len(positions) != L:
+            return None
+        omega = _poly_mul(synd, lam)[: self.nparity]
+        corrected = list(received)
+        for idx, x_inv in zip(positions, roots_inv):
+            lam_deriv = 0
+            for deg in range(1, len(lam), 2):
+                lam_deriv ^= _mul(lam[deg], _pow_alpha(_LOG[x_inv] * (deg - 1)))
+            if lam_deriv == 0:
+                return None
+            corrected[idx] ^= _mul(_poly_eval(omega, x_inv), _inv(lam_deriv))
+        if any(self._syndromes(corrected)):
+            return None
+        return corrected[: self.k]
+
+    @staticmethod
+    def _berlekamp_massey(synd):
+        C, B, L, shift, b = [1], [1], 0, 1, 1
+        for i, s in enumerate(synd):
+            delta = s
+            for j in range(1, L + 1):
+                if j < len(C):
+                    delta ^= _mul(C[j], synd[i - j])
+            if delta == 0:
+                shift += 1
+                continue
+            coef = _mul(delta, _inv(b))
+            adjust = [0] * shift + [_mul(coef, x) for x in B]
+            if 2 * L <= i:
+                old_C = list(C)
+                C = _poly_xor(C, adjust)
+                L, B, b, shift = i + 1 - L, old_C, delta, 1
+            else:
+                C = _poly_xor(C, adjust)
+                shift += 1
+        return C, L
+
+
+def _decoded(rs, words):
+    msgs, ok = rs.decode(words)
+    return [m.tolist() if good else None for m, good in zip(msgs, ok)]
+
+
 class TestReedSolomon:
     def test_exact_capacity(self):
         rs = _ReedSolomon(16, 8)
         rng = np.random.default_rng(7)
-        for _ in range(300):
-            msg = [int(x) for x in rng.integers(0, 256, 8)]
-            cw = rs.encode(msg)
+        msgs = rng.integers(0, 256, (300, 8), dtype=np.uint8)
+        bad = rs.encode(msgs)
+        for row in bad:
             pos = rng.choice(16, size=4, replace=False)
-            bad = list(cw)
-            for p in pos:
-                bad[p] ^= int(rng.integers(1, 256))
-            assert rs.decode(bad) == msg
+            row[pos] ^= rng.integers(1, 256, 4, dtype=np.uint8)
+        got, ok = rs.decode(bad)
+        assert ok.all() and np.array_equal(got, msgs)
 
     def test_beyond_capacity_flagged_or_wrong_codeword(self):
         rs = _ReedSolomon(8, 4)
         rng = np.random.default_rng(8)
-        outcomes = {"none": 0, "codeword": 0}
-        for _ in range(300):
-            msg = [int(x) for x in rng.integers(0, 256, 4)]
-            bad = rs.encode(msg)
+        bad = rs.encode(rng.integers(0, 256, (300, 4), dtype=np.uint8))
+        for row in bad:
             pos = rng.choice(8, size=4, replace=False)  # 4 > capacity 2
-            for p in pos:
-                bad[p] ^= int(rng.integers(1, 256))
-            out = rs.decode(bad)
-            if out is None:
-                outcomes["none"] += 1
-            else:
-                # whatever comes back must itself re-encode consistently
-                assert rs.decode(rs.encode(out)) == out
-                outcomes["codeword"] += 1
-        assert outcomes["none"] > 0
+            row[pos] ^= rng.integers(1, 256, 4, dtype=np.uint8)
+        got, ok = rs.decode(bad)
+        assert not ok.all()
+        # whatever comes back must itself re-encode consistently
+        again, ok_again = rs.decode(rs.encode(got[ok]))
+        assert ok_again.all() and np.array_equal(again, got[ok])
 
     def test_zero_error_fast_path(self):
         rs = _ReedSolomon(4, 2)
-        assert rs.decode(rs.encode([7, 200])) == [7, 200]
+        got, ok = rs.decode(rs.encode([[7, 200]]))
+        assert ok.tolist() == [True] and got.tolist() == [[7, 200]]
+
+    def test_rejects_words_of_the_wrong_shape(self):
+        rs = _ReedSolomon(8, 4)
+        for words in (np.zeros(8, dtype=np.uint8), np.zeros((2, 7), dtype=np.uint8)):
+            with pytest.raises(ValueError):
+                rs.decode(words)
+
+
+class TestMatchesScalarReedSolomon:
+    """The array code against the scalar reference, failures included."""
+
+    @pytest.mark.parametrize("n, k", [(4, 2), (8, 4), (16, 8)])
+    def test_encode(self, n, k):
+        rng = np.random.default_rng(n)
+        msgs = rng.integers(0, 256, (500, k), dtype=np.uint8)
+        scalar = ScalarReedSolomon(n, k)
+        got = _ReedSolomon(n, k).encode(msgs)
+        assert got.tolist() == [scalar.encode(msg) for msg in msgs.tolist()]
+
+    @pytest.mark.parametrize("n, k", [(4, 2), (8, 4), (16, 8)])
+    def test_decode(self, n, k):
+        rng = np.random.default_rng(100 + n)
+        rs, scalar = _ReedSolomon(n, k), ScalarReedSolomon(n, k)
+        rows = [np.zeros((1, n), dtype=np.uint8), rng.integers(0, 256, (600, n), dtype=np.uint8)]
+        for errors in range((n - k) // 2 + 3):  # 0 up to two past capacity
+            words = rs.encode(rng.integers(0, 256, (300, k), dtype=np.uint8))
+            for row in words:
+                pos = rng.choice(n, size=errors, replace=False)
+                row[pos] ^= rng.integers(1, 256, errors, dtype=np.uint8)
+            rows.append(words)
+        words = np.concatenate(rows)
+        expected = [scalar.decode(w) for w in words.tolist()]
+        assert _decoded(rs, words) == expected
+        # every failure rule is reached
+        assert None in expected and any(e is not None for e in expected[601:])
+
+
+class TestFailureRules:
+    """Each failure rule rejects a row on its own: Berlekamp-Massey is
+    replaced by an error locator that breaks only that rule.  (Given a true
+    Berlekamp-Massey locator the root-count and syndrome rules reject the
+    same rows, so only a planted locator tells them apart.)"""
+
+    # RS(8, 4) corrects two symbols; symbol idx has locator alpha^(7 - idx).
+    CASES = {
+        # (symbols hit, locator roots, locator length, decodes)
+        "none": ((0, 5), (0, 5), 2, True),
+        "length": ((0, 1, 5), (0, 1, 5), 3, False),  # L = 3 > capacity 2
+        "roots": ((0,), (0,), 2, False),  # one root, L = 2
+        "syndrome": ((0,), (1,), 1, False),  # corrects the wrong symbol
+    }
+
+    @pytest.mark.parametrize("rule", sorted(CASES))
+    def test_rejects_on_its_own(self, rule, monkeypatch):
+        hit, roots, length, decodes = self.CASES[rule]
+        lam = [1]
+        for idx in roots:
+            lam = _poly_mul(lam, [1, _pow_alpha(7 - idx)])
+
+        def planted(synd, width):
+            C = np.zeros((len(synd), width), dtype=np.uint8)
+            C[:, : len(lam)] = lam
+            return C, np.full(len(synd), length)
+
+        monkeypatch.setattr(codec, "_berlekamp_massey", planted)
+        rs = _ReedSolomon(8, 4)
+        word = rs.encode([[7, 200, 0, 31]])
+        word[0, list(hit)] ^= 99
+        got, ok = rs.decode(word)
+        assert ok.tolist() == [decodes]
+        if decodes:
+            assert got.tolist() == [[7, 200, 0, 31]]
 
 
 class TestRounding:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -49,6 +50,19 @@ class TestChannelHash:
         for s in seeds:
             assert len(s.bits) == 3
             assert int.from_bytes(s.bits, "little") < 1 << 21
+
+    def test_numpy_items_hash_as_python_ints(self):
+        # a * v overflows 64 bits for these items: it must not wrap.
+        seeds = draw_hash_seeds(PUB, 4, 61)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for v in (3, 2**40 + 7, 2**61 - 2):
+                for seed in seeds:
+                    want = channel_of(seed, v, 1000)
+                    assert channel_of(seed, np.int64(v), 1000) == want
+                    assert channel_of(seed, np.uint64(v), 1000) == want
+        with pytest.raises(TypeError):
+            channel_of(seeds[0], 3.0, 1000)
 
     def test_collision_rate_pairwise(self):
         # Pr[h(v) == h(v')] for fixed v != v' over random seeds is 1/K up
