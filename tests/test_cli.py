@@ -11,6 +11,7 @@ from ldphist import cli
 from ldphist.cli import main
 from ldphist.core import PublicRandomness, derive_fo_params
 from ldphist.freq_oracle import fo_client_report
+from ldphist.harness import DatasetSpec, ExperimentConfig, run_experiment
 from ldphist.transport import _REPORT_BITS
 
 
@@ -142,6 +143,34 @@ class TestCliExperiments:
         for line in amp[1:]:
             eta, eps, bound, observed, info = line.split(",")
             assert float(observed) <= float(bound) + 1e-9
+
+    @pytest.mark.parametrize("argv, config, names", [
+        (["fo", "--d", "16", "--n", "300", "--seed", "2"],
+         ExperimentConfig("fo", DatasetSpec("uniform", 16, 300, 2), eps=1.0, beta=0.1, seed=2),
+         ("fo_estimates.csv", "fo_manifest.json", "fo_aggregate.bin")),
+        (["pp", "--d", "64", "--n", "500", "--eps", "2.0", "--item", "5", "--trials", "2",
+          "--seed", "4"],
+         ExperimentConfig("pp", DatasetSpec("promise", 64, 500, 4, eta=1.0, item=5), eps=2.0,
+                          beta=0.1, seed=4, trials=2),
+         ("pp_result.csv", "pp_manifest.json", None)),
+        (["hist", "--d", "64", "--n", "10000", "--eps", "2.0", "--beta", "0.5",
+          "--k-override", "100000", "--planted", "7:0.6", "--seed", "1"],
+         ExperimentConfig("hist", DatasetSpec("planted", 64, 10000, 1, planted=((7, 0.6),)),
+                          eps=2.0, beta=0.5, seed=1, k_override=100000),
+         ("histogram.csv", "hist_manifest.json", None)),
+    ], ids=["fo", "pp", "hist"])
+    def test_outputs_are_run_experiments(self, tmp_path, capsys, argv, config, names):
+        # Each subcommand writes exactly its file set, byte for byte what
+        # run_experiment writes for the same configuration.
+        cli_dir, lib_dir = tmp_path / "cli", tmp_path / "lib"
+        out = _run(argv + ["--out-dir", str(cli_dir)], capsys)
+        assert sorted(p.name for p in cli_dir.iterdir()) == sorted(n for n in names if n)
+        lib_dir.mkdir()
+        csv, manifest, blob = (n and str(lib_dir / n) for n in names)
+        record = run_experiment(config, out_csv=csv, out_manifest=manifest, out_aggregate=blob)
+        for name in filter(None, names):
+            assert (cli_dir / name).read_bytes() == (lib_dir / name).read_bytes(), name
+        assert out.startswith("[derived] " + json.dumps(record.derived, sort_keys=True) + "\n")
 
     def test_sweep(self, tmp_path, capsys):
         out = _run(
