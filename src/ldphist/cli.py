@@ -98,25 +98,27 @@ def _dataset_from_args(args) -> DatasetSpec:
     return DatasetSpec(kind=kind, d=args.d, n=args.n, seed=args.seed, **extra)
 
 
-def cmd_fo(args):
-    cfg = ExperimentConfig(
-        protocol="fo",
-        dataset=_dataset_from_args(args),
-        eps=args.eps,
-        beta=args.beta,
-        seed=args.seed,
-        trials=args.trials,
-        one_bit=args.one_bit,
-    )
+# Each experiment's CSV, manifest and aggregate-blob names; pp and hist have no blob.
+_OUTPUTS = {
+    "fo": ("fo_estimates.csv", "fo_manifest.json", "fo_aggregate.bin"),
+    "pp": ("pp_result.csv", "pp_manifest.json", None),
+    "hist": ("histogram.csv", "hist_manifest.json", None),
+}
+
+
+def _experiment(args, protocol: str, dataset: DatasetSpec, **options):
+    """Run one experiment into the output directory; echo its derived parameters."""
+    cfg = ExperimentConfig(protocol=protocol, dataset=dataset, eps=args.eps, beta=args.beta,
+                           seed=args.seed, trials=args.trials, **options)
     out = _out_dir(args)
-    record = run_experiment(
-        cfg,
-        out_csv=os.path.join(out, "fo_estimates.csv"),
-        out_manifest=os.path.join(out, "fo_manifest.json"),
-        out_aggregate=os.path.join(out, "fo_aggregate.bin"),
-    )
+    record = run_experiment(cfg, *(name and os.path.join(out, name) for name in _OUTPUTS[protocol]))
     _echo("derived", record.derived)
-    _echo("metrics", {"median_linf_error": record.linf_error, "trials": cfg.trials})
+    return record
+
+
+def cmd_fo(args):
+    record = _experiment(args, "fo", _dataset_from_args(args), one_bit=args.one_bit)
+    _echo("metrics", {"median_linf_error": record.linf_error, "trials": args.trials})
     return 0
 
 
@@ -124,48 +126,16 @@ def cmd_pp(args):
     spec = DatasetSpec(
         kind="promise", d=args.d, n=args.n, seed=args.seed, eta=args.eta, item=args.item
     )
-    cfg = ExperimentConfig(
-        protocol="pp",
-        dataset=spec,
-        eps=args.eps,
-        beta=args.beta,
-        seed=args.seed,
-        trials=args.trials,
-        code_kind=args.code,
-    )
-    out = _out_dir(args)
-    record = run_experiment(
-        cfg,
-        out_csv=os.path.join(out, "pp_result.csv"),
-        out_manifest=os.path.join(out, "pp_manifest.json"),
-    )
+    record = _experiment(args, "pp", spec, code_kind=args.code)
     recovered = sum(m["recovered"] for m in record.trial_metrics)
-    _echo("derived", record.derived)
-    _echo("metrics", {"recovered": recovered, "trials": cfg.trials,
+    _echo("metrics", {"recovered": recovered, "trials": args.trials,
                       "median_abs_error": record.linf_error})
     return 0
 
 
 def cmd_hist(args):
-    cfg = ExperimentConfig(
-        protocol="hist",
-        dataset=_dataset_from_args(args),
-        eps=args.eps,
-        beta=args.beta,
-        seed=args.seed,
-        trials=args.trials,
-        k_override=args.k_override,
-        code_kind=args.code,
-        mode=args.mode,
-        one_bit=args.one_bit,
-    )
-    out = _out_dir(args)
-    record = run_experiment(
-        cfg,
-        out_csv=os.path.join(out, "histogram.csv"),
-        out_manifest=os.path.join(out, "hist_manifest.json"),
-    )
-    _echo("derived", record.derived)
+    record = _experiment(args, "hist", _dataset_from_args(args), k_override=args.k_override,
+                         code_kind=args.code, mode=args.mode, one_bit=args.one_bit)
     _echo("metrics", {
         "median_linf_error": record.linf_error,
         "median_precision": record.hh_precision,

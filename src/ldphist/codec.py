@@ -37,7 +37,6 @@ __all__ = [
     "ConcatenatedCode",
     "build_code",
     "round_to_hypercube",
-    "hamming",
 ]
 
 REFERENCE_CODE_TAG = b"ldphist-reference-code-v2"
@@ -53,11 +52,6 @@ def round_to_hypercube(zbar: np.ndarray) -> np.ndarray:
     """Coordinate-wise sign rounding; zero rounds to +1."""
     zbar = np.asarray(zbar)
     return np.where(zbar >= 0, 1, -1).astype(np.int8)
-
-
-def hamming(a: np.ndarray, b: np.ndarray) -> int:
-    """Number of coordinates where two sign vectors disagree."""
-    return int(np.count_nonzero(np.asarray(a) != np.asarray(b)))
 
 
 class Code:
@@ -280,9 +274,8 @@ class _ReedSolomon:
         """(messages, ok): the (rows, k) message symbols of each received
         row and whether it decoded.  The symbols of a failed row are not
         meaningful.  A row fails when its error locator is longer than
-        floor((n-k)/2), has other than that many roots, has a zero
-        derivative at a root, or corrects to a word with a nonzero
-        syndrome."""
+        floor((n-k)/2), has other than that many roots, or corrects to a
+        word with a nonzero syndrome."""
         words = np.array(received, dtype=np.uint8)
         if words.ndim != 2 or words.shape[1] != self.n:
             raise ValueError(f"received words must be rows of {self.n} symbols")
@@ -305,7 +298,8 @@ class _ReedSolomon:
         omega_at = _evaluate(omega, self._inv_pow[:npar])
         deriv_at = _evaluate(lam[:, 1::2], self._inv_pow[:npar:2])
         fixed = words ^ np.where(roots, _GF_MUL[omega_at, _GF_INV[deriv_at]], 0)
-        ok = (L <= npar // 2) & (roots.sum(axis=1) == L) & ~(roots & (deriv_at == 0)).any(axis=1)
+        # L distinct roots of a degree-L locator are simple: deriv_at is nonzero at each.
+        ok = (L <= npar // 2) & (roots.sum(axis=1) == L)
         return ok & ~self._syndromes(fixed).any(axis=1), fixed
 
 

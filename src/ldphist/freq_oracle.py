@@ -27,7 +27,6 @@ from .randomizer import SparseReport, randomize, randomize_many
 
 __all__ = [
     "phi_column",
-    "phi_sign_at",
     "AggregateState",
     "channel_aggregates",
     "absorb_groups",
@@ -47,12 +46,6 @@ def phi_column(pub: PublicRandomness, v: int, m: int) -> np.ndarray:
 @functools.lru_cache(maxsize=1 << 12)
 def _phi_label(v: int) -> bytes:
     return _encode_label(("phi", v))
-
-
-def phi_sign_at(pub: PublicRandomness, v: int, j: int) -> int:
-    """Single coordinate of v's column without generating the whole column;
-    the label of v's column is encoded once while it stays in a bounded cache."""
-    return pub.sign_at(_phi_label(int(v)), j)
 
 
 @dataclass

@@ -121,6 +121,10 @@ class DatasetSpec:
                 raise ValueError("planted items must be distinct")
         if self.kind == "promise" and not (0.0 <= self.eta <= 1.0):
             raise ValueError("eta must be in [0, 1]")
+        held = {"planted": [v for v, _ in self.planted], "promise": [self.item]}.get(self.kind, [])
+        for v in held:
+            if not 0 <= v < self.d:
+                raise ValueError(f"{self.kind} item {v} outside [0, {self.d})")
 
 
 def gen_dataset(spec: DatasetSpec) -> np.ndarray:
@@ -201,6 +205,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if self.one_bit and self.protocol == "pp":
             raise ValueError("one-bit mode applies to fo and hist runs")
+        if self.trials < 1:
+            raise ValueError(f"need at least one trial, got {self.trials}")
 
 
 @dataclass
@@ -218,14 +224,6 @@ class MetricsRecord:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2)
-
-
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng([seed, trial, 0xC0FFEE])
-
-
-def _trial_pub(seed: int, trial: int) -> PublicRandomness:
-    return PublicRandomness.from_any(f"experiment:{seed}:{trial}")
 
 
 def run_experiment(
@@ -256,7 +254,9 @@ def run_experiment(
         items = gen_dataset(DatasetSpec(**{**asdict(spec), "seed": spec.seed + trial}))
         checksum = items_checksum(items)
         truth = truth_frequencies(items, d)
-        metrics, rows, extra = runner(config, setup, items, truth, trial)
+        pub = PublicRandomness.from_any(f"experiment:{config.seed}:{trial}")
+        rng = np.random.default_rng([config.seed, trial, 0xC0FFEE])
+        metrics, rows, extra = runner(config, setup, items, truth, trial, pub, rng)
         derived = {**setup.derived(), **extra}
         final_blob = metrics.pop("aggregate_blob", None)
         metrics["trial"] = trial
@@ -292,10 +292,8 @@ def run_experiment(
     return record
 
 
-def _run_fo_trial(config: ExperimentConfig, setup: ProtocolSetup, items, truth, trial):
+def _run_fo_trial(config: ExperimentConfig, setup: ProtocolSetup, items, truth, trial, pub, rng):
     spec = config.dataset
-    pub = _trial_pub(config.seed, trial)
-    rng = _trial_rng(config.seed, trial)
     if config.one_bit:
         structure = setup.one_bit(pub, run_id=trial)
         agg, _ = collect_aggregates(_one_bit_bits(items, structure, rng), structure)
@@ -316,9 +314,8 @@ def _run_fo_trial(config: ExperimentConfig, setup: ProtocolSetup, items, truth, 
     return metrics, "\n".join(rows) + "\n", {}
 
 
-def _run_pp_trial(config: ExperimentConfig, setup: ProtocolSetup, items, truth, trial):
+def _run_pp_trial(config: ExperimentConfig, setup: ProtocolSetup, items, truth, trial, pub, rng):
     spec = config.dataset
-    rng = _trial_rng(config.seed, trial)
     res = pp_run(items, setup.code, config.eps, rng)
     planted = spec.item if spec.kind == "promise" else None
     recovered = planted is not None and res.item == planted
@@ -340,11 +337,9 @@ def _run_pp_trial(config: ExperimentConfig, setup: ProtocolSetup, items, truth, 
     return metrics, "\n".join(rows) + "\n", {}
 
 
-def _run_hist_trial(config: ExperimentConfig, setup: ProtocolSetup, items, truth, trial):
+def _run_hist_trial(config: ExperimentConfig, setup: ProtocolSetup, items, truth, trial, pub, rng):
     spec = config.dataset
     code, hh = setup.code, setup.hh
-    pub = _trial_pub(config.seed, trial)
-    rng = _trial_rng(config.seed, trial)
     extra = {}
     if config.one_bit:
         # Materializes all K*T channels; OneBitStructure enforces the cap.

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -76,17 +76,15 @@ FAITHFUL_CHANNEL_CAP = 1 << 14
 @dataclass(frozen=True)
 class HashSeed:
     """Public per-repetition seed of the pairwise-independent hash family;
-    its (a, b), a in [1, p) and b in [0, p), come from the keyed PRF of
-    ``core`` under key ``_HASH_PRF_KEY`` and prefixes b"a" + bits, b"b" + bits."""
+    its ``pair`` (a, b), a in [1, p) and b in [0, p), is drawn once from the keyed
+    PRF of ``core`` under key ``_HASH_PRF_KEY`` and prefixes b"a" + bits, b"b" + bits."""
 
     bits: bytes
 
-
-@lru_cache(maxsize=4096)
-def _hash_pair(bits: bytes) -> tuple:
-    a = prf_below(_HASH_PRF_KEY, b"a" + bits, MERSENNE_P - 1) + 1
-    b = prf_below(_HASH_PRF_KEY, b"b" + bits, MERSENNE_P)
-    return a, b
+    @cached_property
+    def pair(self) -> tuple:
+        a = prf_below(_HASH_PRF_KEY, b"a" + self.bits, MERSENNE_P - 1) + 1
+        return a, prf_below(_HASH_PRF_KEY, b"b" + self.bits, MERSENNE_P)
 
 
 def draw_hash_seeds(pub: PublicRandomness, T: int, ell: int) -> list:
@@ -107,7 +105,7 @@ def channel_of(seed: HashSeed, v: int, K: int) -> int:
     v = operator.index(v)  # a Python int: numpy items would overflow a * v
     if v >= MERSENNE_P:
         raise ValueError("item exceeds the hash prime; universe too large")
-    a, b = _hash_pair(seed.bits)
+    a, b = seed.pair
     return ((a * v + b) % MERSENNE_P) % K
 
 
@@ -219,15 +217,9 @@ class SuccinctHistogram:
         return 0.0
 
     def to_csv(self, truth=None) -> str:
-        lines = []
-        if truth is None:
-            lines.append("item,estimated_frequency")
-            for v, f in sorted(self.entries, key=lambda e: (-e[1], e[0])):
-                lines.append(f"{v},{f:.17g}")
-        else:
-            lines.append("item,estimated_frequency,true_frequency")
-            for v, f in sorted(self.entries, key=lambda e: (-e[1], e[0])):
-                lines.append(f"{v},{f:.17g},{float(truth[v]):.17g}")
+        lines = ["item,estimated_frequency" + ("" if truth is None else ",true_frequency")]
+        for v, f in sorted(self.entries, key=lambda e: (-e[1], e[0])):
+            lines.append(f"{v},{f:.17g}" + ("" if truth is None else f",{float(truth[v]):.17g}"))
         return "\n".join(lines) + "\n"
 
 

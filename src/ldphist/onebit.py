@@ -55,12 +55,6 @@ _REGEN_CHUNK = 1 << 11  # draws held at once while regenerating accepted strings
 _PLAN_CACHE = 1 << 12  # item plans kept per structure
 
 
-@functools.lru_cache(maxsize=FAITHFUL_CHANNEL_CAP + 1)
-def _suffix(*parts) -> bytes:
-    """Encoded label suffix of a public-string component: ("pp", t, k) or ("fo",)."""
-    return _encode_label(parts)
-
-
 @dataclass(frozen=True)
 class OneBitStructure:
     """Layout of the composite randomizer the 1-bit transform wraps.
@@ -113,14 +107,15 @@ class OneBitStructure:
 
 class _Layout:
     """What a structure's client and regeneration reuse: the keyed PRF, the
-    encoded ("pub-y", run) head prefix, each component's draw, the match
-    and miss factors, and a bounded cache of per-item plans."""
+    encoded ("pub-y", run) head prefix, each component's draw (its label
+    suffix included), the match and miss factors, and a bounded plan cache."""
 
     def __init__(self, s: "OneBitStructure"):
         self.keyed = s.pub._keyed
         self.prefix = _encode_label(("pub-y", s.run_id, 0))[:-16]  # all but the user's 16 bytes
-        self.pp = [[_draw_args(2 * s.code.m, _suffix("pp", t, k)) for k in range(s.K)] for t in range(s.T)]
-        self.fo = _draw_args(2 * s.m_fo, _suffix("fo")) if s.m_fo else None
+        self.pp = [[_draw_args(2 * s.code.m, _encode_label(("pp", t, k))) for k in range(s.K)]
+                   for t in range(s.T)]
+        self.fo = _draw_args(2 * s.m_fo, _encode_label(("fo",))) if s.m_fo else None
         e = math.exp(s.eps_channel)
         self.match, self.miss = 2.0 * e / (e + 1.0), 2.0 / (e + 1.0)
         self.plan = functools.lru_cache(maxsize=_PLAN_CACHE)(functools.partial(_plan, s))
@@ -132,7 +127,7 @@ class _Layout:
 
 def _plan(s: "OneBitStructure", v) -> tuple:
     """Item v's hash channels, codeword (its signed bytes, copied whole, read
-    as ints) and encoded ("phi", v) label, as phi_sign_at encodes it."""
+    as ints) and encoded ("phi", v) label."""
     channels = [channel_of(s.seeds[t], v, s.K) for t in range(s.T)]
     word = array("b", np.asarray(s.code.encode(v), dtype=np.int8).tobytes()) if s.T else None
     return channels, word, _phi_label(v) if s.m_fo else None
@@ -235,13 +230,13 @@ def _regen_aggregates(accepted: list, structure: OneBitStructure, suffixes: dict
 
 def collect_fo_aggregate(accepted: list, structure: OneBitStructure) -> AggregateState:
     """Aggregate the oracle components of accepted users' strings."""
-    return _regen_aggregates(accepted, structure, {"fo": _suffix("fo")}, structure.m_fo)["fo"]
+    return _regen_aggregates(accepted, structure, {"fo": structure._layout.fo[1]}, structure.m_fo)["fo"]
 
 
 def collect_pp_aggregates(accepted: list, structure: OneBitStructure) -> dict:
     """Aggregate every hash channel of accepted users' strings (the report
     set the histogram pipeline consumes).  Materializes K*T aggregates."""
-    suffixes = {(t, k): _suffix("pp", t, k) for t in range(structure.T) for k in range(structure.K)}
+    suffixes = {(t, k): pp[1] for t, row in enumerate(structure._layout.pp) for k, pp in enumerate(row)}
     return _regen_aggregates(accepted, structure, suffixes, structure.code.m) if suffixes else {}
 
 

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ldphist.codec import build_code, hamming, round_to_hypercube
+from ldphist.codec import build_code, round_to_hypercube
 from ldphist.core import PublicRandomness, c_eps, derive_fo_params, derive_hh_params
 from ldphist.freq_oracle import (
     AggregateState,
@@ -157,7 +157,7 @@ class TestCriterion03RoundingLemma:
                 z[flip] = -s[flip] * eps0
                 if z @ x <= 1 - zeta / 4:
                     continue  # not a lemma instance
-                flips = hamming(round_to_hypercube(z), code.encode(v))
+                flips = np.count_nonzero(round_to_hypercube(z) != code.encode(v))
                 assert flips < m * zeta / 2, f"lemma violated: {flips} flips at m={m}"
                 trials -= 1
                 checked += 1

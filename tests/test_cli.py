@@ -99,14 +99,25 @@ class TestCliExperiments:
         (["serve", "--one-bit", "--eps", "2.0", "--port", "0"], "budget 2.0000"),
         (["fo", "--one-bit", "--eps", "1.0"], "budget 1.0000"),
         (["fo", "--d", "65537", "--n", "1000"], "cap is 65536"),
-    ], ids=["hist", "serve-one-bit", "fo-one-bit", "fo-universe"])
+        (["fo", "--d", "16", "--n", "200", "--trials", "0"], "at least one trial, got 0"),
+        (["sweep", "--d", "16", "--n-list", "200", "--trials", "0"], "at least one trial, got 0"),
+        (["pp", "--d", "256", "--n", "2000", "--eps", "2", "--item", "-1"],
+         "promise item -1 outside [0, 256)"),
+        (["fo", "--d", "64", "--dataset", "planted", "--planted", "70:0.5"],
+         "planted item 70 outside [0, 64)"),
+        (["fo", "--d", "64", "--dataset", "planted", "--planted=-3:0.5"],
+         "planted item -3 outside [0, 64)"),
+    ], ids=["hist", "serve-one-bit", "fo-one-bit", "fo-universe", "fo-no-trials",
+            "sweep-no-trials", "pp-item", "fo-planted-above", "fo-planted-negative"])
     def test_refused_parameters_exit_with_message(self, tmp_path, capsys, argv, refused):
-        # The library's ValueError becomes a one-line usage error, not a traceback.
+        # The library's ValueError becomes a one-line usage error, not a
+        # traceback, and no output file is written.
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out-dir", str(tmp_path)])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert refused in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_pp(self, tmp_path, capsys):
         out = _run(

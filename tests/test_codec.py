@@ -10,7 +10,6 @@ from ldphist.codec import (
     ReferenceCode,
     _ReedSolomon,
     build_code,
-    hamming,
     round_to_hypercube,
 )
 from ldphist.freq_oracle import AggregateState
@@ -138,7 +137,7 @@ class TestDecode:
         for _ in range(100):
             y = rng.choice(np.array([-1, 1], dtype=np.int8), size=c.m)
             # independent oracle: plain loop over Hamming distances
-            dists = [hamming(y, codebook[v]) for v in range(512)]
+            dists = [np.count_nonzero(y != codebook[v]) for v in range(512)]
             assert c.decode(y) == int(np.argmin(dists))
 
     def test_concatenated_failure_is_none(self):
@@ -443,7 +442,7 @@ class TestRounding:
             assert np.linalg.norm(z) == pytest.approx(1.0, abs=1e-9)
             if z @ x <= 1 - zeta / 4:
                 continue  # adversary overshot; not a lemma instance
-            flips = hamming(round_to_hypercube(z), c.encode(v))
+            flips = np.count_nonzero(round_to_hypercube(z) != c.encode(v))
             assert flips < m * zeta / 2
 
 

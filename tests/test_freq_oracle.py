@@ -13,7 +13,6 @@ from ldphist.freq_oracle import (
     fo_simulate_reports,
     inner_estimates,
     phi_column,
-    phi_sign_at,
 )
 from ldphist.randomizer import (
     ChannelMatrix, SparseReport, audit_ldp, outcome_labels, randomize, report_distribution,
@@ -46,7 +45,7 @@ class TestPhiColumn:
     def test_sign_at_matches_column(self):
         col = phi_column(PUB, 5, 700)
         for j in (0, 1, 255, 256, 511, 512, 699):
-            assert phi_sign_at(PUB, 5, j) == col[j]
+            assert PUB.sign_at(("phi", 5), j) == col[j]
 
 
 class TestAggregateState:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -65,6 +66,18 @@ class TestDatasets:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             DatasetSpec(kind="weird", d=4, n=4, seed=0)
+
+    @pytest.mark.parametrize("extra, named", [
+        ({"kind": "planted", "planted": ((3, 0.1), (64, 0.5))}, "planted item 64 outside [0, 64)"),
+        ({"kind": "planted", "planted": ((-3, 0.5),)}, "planted item -3 outside [0, 64)"),
+        ({"kind": "promise", "eta": 1.0, "item": -1}, "promise item -1 outside [0, 64)"),
+        ({"kind": "promise", "eta": 0.5, "item": 64}, "promise item 64 outside [0, 64)"),
+    ], ids=["planted-above", "planted-negative", "promise-bot", "promise-above"])
+    def test_items_outside_the_universe(self, extra, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            DatasetSpec(d=64, n=100, seed=0, **extra)
+        edge = {**extra, "planted": ((63, 0.5),), "item": 63}
+        assert gen_dataset(DatasetSpec(d=64, n=100, seed=0, **edge)).max() == 63
 
 
 class TestLinfError:

@@ -9,7 +9,7 @@ import pytest
 from ldphist import core, freq_oracle, onebit
 from ldphist.codec import build_code
 from ldphist.core import PublicRandomness, _encode_label
-from ldphist.freq_oracle import AggregateState, phi_column, phi_sign_at
+from ldphist.freq_oracle import AggregateState, phi_column
 from ldphist.heavy_hitter import BOT, FAITHFUL_CHANNEL_CAP, channel_of, draw_hash_seeds
 from ldphist.onebit import (
     MAX_TOTAL_EPS,
@@ -306,10 +306,10 @@ class TestSharedPrefixDraws:
 
     def test_components_match_full_labels(self):
         s = workload_structure()
-        suffixes = [onebit._suffix("pp", t, k) for t in range(s.T) for k in range(s.K)]
+        suffixes = [_encode_label(("pp", t, k)) for t in range(s.T) for k in range(s.K)]
         heads = [_encode_label(("pub-y", s.run_id, user)) for user in range(self.USERS)]
         pp = PUB.ints_below(heads, suffixes, 2 * s.code.m)
-        fo = PUB.ints_below(heads, [onebit._suffix("fo")], 2 * s.m_fo)
+        fo = PUB.ints_below(heads, [_encode_label(("fo",))], 2 * s.m_fo)
         for user in range(self.USERS):
             head = ("pub-y", s.run_id, user)
             want = [PUB.int_below(head + suffix, bound) for suffix, bound in _channels(s)]
@@ -325,7 +325,7 @@ class TestSharedPrefixDraws:
         # step past word 0 and, for about one label in 3^8, past block 0.
         bound = 2**64 // 3 + 1
         s = workload_structure()
-        suffixes = [onebit._suffix(*suffix) for suffix, _ in _channels(s)]
+        suffixes = [_encode_label(suffix) for suffix, _ in _channels(s)]
         past_word0 = past_block0 = 0
         draws = PUB.ints_below([_encode_label(("pub-y", s.run_id, user)) for user in range(self.USERS)],
                                suffixes, bound)
@@ -347,8 +347,8 @@ class TestSharedPrefixDraws:
     def test_public_string_absorbs_its_head_once(self, monkeypatch):
         # A string's ("pub-y", run, user) head is absorbed into one copy of
         # the keyed PRF across all of its component reads, and no label is
-        # encoded per user: the head prefix once per structure and the
-        # ("phi", v) label once per item.
+        # encoded per user: the head prefix and the component suffixes once
+        # per structure and the ("phi", v) label once per item.
         pub = PublicRandomness.from_any(2718)
         copies = []
 
@@ -366,7 +366,7 @@ class TestSharedPrefixDraws:
         y = PublicString(structure=s, user_id=7)
         drawn = [y.pp_component(t, k) for t in range(s.T) for k in range(s.K)] + [y.fo_component()]
         assert len(copies) == 1
-        labels = [onebit._suffix("pp", t, k) for t in range(s.T) for k in range(s.K)] + [onebit._suffix("fo")]
+        labels = [_encode_label(suffix) for suffix, _ in _channels(s)]
         assert drawn == [_as_pair(pub.int_below(_encode_label(("pub-y", s.run_id, 7)) + suffix, bound))
                          for suffix, (_, bound) in zip(labels, _channels(s))]
 
@@ -377,7 +377,7 @@ class TestSharedPrefixDraws:
         freq_oracle._phi_label.cache_clear()
         s = workload_structure()
         first = [acceptance_prob(v, PublicString(structure=s, user_id=0), s) for v in range(40)]
-        assert [parts for parts in encoded if parts[0] != "pp"] == \
+        assert [parts for parts in encoded if parts[0] not in ("pp", "fo")] == \
             [("pub-y", s.run_id, 0)] + [("phi", v) for v in range(40)]  # the prefix, then plans
         del encoded[:]
         probs = [acceptance_prob(v, PublicString(structure=s, user_id=u), s)
@@ -444,7 +444,7 @@ def _parent_prob(v, y, s):
         ratio *= match if int(word[j]) == sign else miss
     if s.m_fo > 0:
         j, sign = y.fo_component()
-        ratio *= match if phi_sign_at(s.pub, v, j) == sign else miss
+        ratio *= match if s.pub.sign_at(("phi", v), j) == sign else miss
     return min(0.5 * ratio, 1.0)
 
 
@@ -552,16 +552,16 @@ def _same(a, b):
         np.array_equal(a.plus, b.plus) and np.array_equal(a.minus, b.minus)
 
 
-def test_phi_sign_at_encodes_each_label_once(monkeypatch):
+def test_phi_label_encodes_each_label_once(monkeypatch):
     freq_oracle._phi_label.cache_clear()
     encoded = []
     real = freq_oracle._encode_label
     monkeypatch.setattr(freq_oracle, "_encode_label", lambda parts: encoded.append(parts) or real(parts))
-    got = [freq_oracle.phi_sign_at(PUB, v, j) for v in (3, np.int64(3), 900) for j in range(0, 4000, 97)]
+    got = [PUB.sign_at(freq_oracle._phi_label(v), j) for v in (3, 3, 900) for j in range(0, 4000, 97)]
     assert sorted(encoded) == [("phi", 3), ("phi", 900)]
     monkeypatch.undo()
     freq_oracle._phi_label.cache_clear()
-    assert got == [PUB.sign_at(("phi", int(v)), j) for v in (3, 3, 900) for j in range(0, 4000, 97)]
+    assert got == [PUB.sign_at(("phi", v), j) for v in (3, 3, 900) for j in range(0, 4000, 97)]
 
 
 def test_cap_sized_collection_matches_int_below():
