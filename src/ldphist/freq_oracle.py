@@ -26,7 +26,6 @@ from .core import FoParams, PublicRandomness, _encode_label, c_eps
 from .randomizer import SparseReport, randomize, randomize_many
 
 __all__ = [
-    "phi_column",
     "AggregateState",
     "channel_aggregates",
     "absorb_groups",
@@ -36,11 +35,6 @@ __all__ = [
     "fo_estimate",
     "fo_estimate_many",
 ]
-
-
-def phi_column(pub: PublicRandomness, v: int, m: int) -> np.ndarray:
-    """Sign column of item v, regenerated bit-exactly from the seed."""
-    return pub.sign_array(("phi", v), m)
 
 
 @functools.lru_cache(maxsize=1 << 12)
@@ -181,28 +175,33 @@ def absorb_groups(
         np.add.at(cells, 2 * positions + (signs < 0), 1)
 
 
-def inner_estimates(agg: AggregateState, columns: Iterable[np.ndarray]) -> np.ndarray:
-    """c_eps(eps) / n_total * <column, plus - minus> for every sign column:
-    the inner product of each column with the mean report vector, which
-    estimates the frequency of the item the column encodes.
+def inner_estimates(agg: AggregateState, columns: Iterable[bytes]) -> np.ndarray:
+    """c_eps(eps) / n_total * <column, plus - minus> for every packed sign
+    column (the estimate of the item the column encodes): 8 * ceil(m / 64)
+    bytes, bit j (little bit order) set where the sign is -1, bits past m
+    ignored, as sign_array reads the PRF stream; other sizes are refused.
 
-    The products are exact.  Every partial sum of <±1 column, diff> is an
-    integer of magnitude at most S = sum(|plus - minus|), so in float32
-    when S <= 2^24, and in float64 otherwise (exact to 2^53), BLAS returns
-    the exact integer in any summation order.  Each column is copied into
-    one buffer of that type; a column whose shape is not (m,) is refused."""
+    The product is the exact integer sum(diff) - 2 * sum_l w_l *
+    popcount(column & plane_l) over the bit planes of plus (w_l = 2^l) and
+    of minus (w_l = -2^l), packed one plane at a time, in Python ints."""
     if agg.n_total < 1:
         raise ValueError("no reports absorbed")
-    diff = agg.count_diff()
-    weights = diff.astype(np.float32 if np.abs(diff).sum() <= 2**24 else np.float64)
-    buf = np.empty_like(weights)
-    scale = c_eps(agg.eps) / agg.n_total
-    out = []
+    nbytes = 8 * -(-agg.m // 64)
+    rows = [(counts, sign << l) for counts, sign in ((agg.plus, 1), (agg.minus, -1))
+            for l in range(int(counts.max()).bit_length())]
+    planes = np.zeros((len(rows), nbytes), dtype=np.uint8)
+    for plane, (counts, w) in zip(planes, rows):
+        packed = np.packbits(counts & abs(w), bitorder="little")
+        plane[: len(packed)] = packed
+    planes, weights = planes.view("<u8"), [w for _, w in rows]
+
+    def weighted(bits):  # sum_l w_l * popcount(bits_l)
+        return sum(w * c for w, c in zip(weights, np.bitwise_count(bits).sum(axis=1).tolist()))
+    total, scale, out = weighted(planes), c_eps(agg.eps) / agg.n_total, []
     for col in columns:
-        if np.shape(col) != buf.shape:
-            raise ValueError(f"column has shape {np.shape(col)}, expected {buf.shape}")
-        np.copyto(buf, col)
-        out.append(scale * float(buf @ weights))
+        if memoryview(col).nbytes != nbytes:
+            raise ValueError(f"packed column has {memoryview(col).nbytes} bytes, expected shape ({nbytes},)")
+        out.append(scale * float(total - 2 * weighted(planes & np.frombuffer(col, dtype="<u8"))))
     return np.array(out, dtype=np.float64)
 
 
@@ -236,5 +235,7 @@ def fo_estimate(agg: AggregateState, pub: PublicRandomness, v: int) -> float:
 
 
 def fo_estimate_many(agg: AggregateState, pub: PublicRandomness, items) -> np.ndarray:
-    """Estimates for several items; identical results to fo_estimate."""
-    return inner_estimates(agg, (phi_column(pub, int(v), agg.m) for v in items))
+    """Estimates for several items; identical results to fo_estimate.  Each
+    column is read packed: the ceil(m / 512) PRF blocks sign_array hashes."""
+    nbytes = 8 * -(-agg.m // 64)
+    return inner_estimates(agg, (pub.bytes_at(("phi", int(v)), nbytes) for v in items))

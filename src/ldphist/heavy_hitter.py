@@ -43,7 +43,6 @@ from .freq_oracle import (
     channel_aggregates,
     fo_estimate_many,
     fo_simulate_reports,
-    inner_estimates,
 )
 from .randomizer import SparseReport, randomize
 
@@ -384,7 +383,7 @@ def hh_finalize(
             words = code.encode_many(candidate_items)
             for i, v in enumerate(candidate_items):
                 own = [pp_aggs[(t, c[v])] for t, c in enumerate(chan) if (t, c[v]) in pp_aggs]
-                parts = [float(inner_estimates(agg, [words[i]])[0]) for agg in own]
+                parts = [c_eps(agg.eps) / agg.n_total * float(agg.count_diff() @ words[i]) for agg in own]
                 ests[i] = (ests[i] + sum(parts)) / (1 + len(parts))
         candidates = list(zip(candidate_items, ests))
     histogram = prune(candidates, hh_params.threshold)

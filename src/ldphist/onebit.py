@@ -172,7 +172,7 @@ def acceptance_prob(v: int, y: PublicString, structure: OneBitStructure) -> floa
     if v is None or v == BOT:
         return 0.5
     layout = structure._layout
-    channels, word, phi = layout.plan(v)
+    channels, word, phi = layout.plan(index(v))  # one cache entry for 3 and np.int64(3)
     match, miss = layout.match, layout.miss
     ratio = 1.0
     for t, k in enumerate(channels):

@@ -28,7 +28,6 @@ from ldphist.freq_oracle import (
     fo_client_report,
     fo_estimate_many,
     fo_simulate_reports,
-    phi_column,
 )
 from ldphist.heavy_hitter import (
     BOT,
@@ -358,7 +357,7 @@ class TestCriterion08OneBit:
                 j, sign = y.fo_component()
                 counts[2 * j + (0 if sign > 0 else 1)] += 1
                 kept += 1
-        exact = report_distribution(phi_column(pub, v, m_fo), m_fo, eps_fo)
+        exact = report_distribution(pub.sign_array(("phi", v), m_fo), m_fo, eps_fo)
         tv = 0.5 * float(np.abs(counts / kept - exact).sum())
         assert tv <= 0.02
 

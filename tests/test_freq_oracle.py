@@ -12,7 +12,6 @@ from ldphist.freq_oracle import (
     fo_estimate_many,
     fo_simulate_reports,
     inner_estimates,
-    phi_column,
 )
 from ldphist.randomizer import (
     ChannelMatrix, SparseReport, audit_ldp, outcome_labels, randomize, report_distribution,
@@ -28,22 +27,22 @@ def absorb_one(agg: AggregateState, report: SparseReport) -> None:
 
 class TestPhiColumn:
     def test_deterministic(self):
-        a = phi_column(PUB, 7, 1000)
-        b = phi_column(PUB, 7, 1000)
+        a = PUB.sign_array(("phi", 7), 1000)
+        b = PUB.sign_array(("phi", 7), 1000)
         assert np.array_equal(a, b)
-        assert not np.array_equal(a, phi_column(PUB, 8, 1000))
+        assert not np.array_equal(a, PUB.sign_array(("phi", 8), 1000))
 
     def test_self_inner_product_is_one(self):
-        col = phi_column(PUB, 3, 4096).astype(np.float64) / math.sqrt(4096)
+        col = PUB.sign_array(("phi", 3), 4096).astype(np.float64) / math.sqrt(4096)
         assert col @ col == pytest.approx(1.0, abs=1e-12)
 
     def test_entries_balanced(self):
         m = 100_000
-        col = phi_column(PUB, 11, m)
+        col = PUB.sign_array(("phi", 11), m)
         assert abs(col.astype(np.float64).mean()) < 5 / math.sqrt(m)
 
     def test_sign_at_matches_column(self):
-        col = phi_column(PUB, 5, 700)
+        col = PUB.sign_array(("phi", 5), 700)
         for j in (0, 1, 255, 256, 511, 512, 699):
             assert PUB.sign_at(("phi", 5), j) == col[j]
 
@@ -222,7 +221,7 @@ class TestClientReport:
         # Exact channel over 4 items with an 8-coordinate projection.
         m, eps, d = 8, 1.0, 4
         probs = np.stack(
-            [report_distribution(phi_column(PUB, v, m), m, eps) for v in range(d)]
+            [report_distribution(PUB.sign_array(("phi", v), m), m, eps) for v in range(d)]
         )
         ch = ChannelMatrix(inputs=list(range(d)), outputs=outcome_labels(m), probs=probs)
         res = audit_ldp(ch)
@@ -235,7 +234,7 @@ class TestClientReport:
         rng = np.random.default_rng(4)
         agg = fo_simulate_reports(np.full(n, 9), m, eps, PUB, rng)
         zbar = agg.zbar()
-        target = phi_column(PUB, 9, m).astype(np.float64) / math.sqrt(m)
+        target = PUB.sign_array(("phi", 9), m).astype(np.float64) / math.sqrt(m)
         assert np.max(np.abs(zbar - target)) < 5 * c_eps(eps) / math.sqrt(n) * math.sqrt(m)
 
     def test_simulate_refuses_items_below_bot(self):
@@ -252,7 +251,7 @@ class TestEstimate:
         # Counts aligned exactly with item w's column: the inner product
         # collapses to c_eps, with no floating slack beyond 1e-12.
         m, eps = 64, 0.9
-        col = phi_column(PUB, 2, m)
+        col = PUB.sign_array(("phi", 2), m)
         agg = AggregateState(m=m, eps=eps)
         agg.plus = (col > 0).astype(np.int64)
         agg.minus = (col < 0).astype(np.int64)
@@ -299,7 +298,7 @@ class TestEstimate:
         rng = np.random.default_rng(11)
         items = rng.integers(0, d, n)
         freqs = np.bincount(items, minlength=d) / n
-        cols = np.stack([phi_column(PUB, v, m) for v in range(d)]).astype(np.float64)
+        cols = np.stack([PUB.sign_array(("phi", v), m) for v in range(d)]).astype(np.float64)
         target = cols @ (cols.T @ freqs) / m  # <col_v, sum_w f(w) col_w> / m
         trials = 60
         acc = np.zeros(d)
@@ -328,22 +327,63 @@ class TestEstimate:
             fo_estimate(agg, PUB, 0)
 
     @pytest.mark.parametrize("plus0, minus1", [(2**24 - 1, 1), (2**24 + 1, 0), (2**24, 1)])
-    def test_inner_estimates_exact_at_float32_boundary(self, plus0, minus1):
-        # sum(|plus - minus|) is 2^24, 2^24 + 1 and 2^24 + 1.  float32
-        # holds every integer up to 2^24 but rounds 2^24 + 1: in the last
-        # case the weights fit float32 but the column (+1, -1, ...) sums
-        # them to 2^24 + 1, so only float64 stays exact.
+    def test_inner_estimates_exact_past_float32(self, plus0, minus1):
+        # sum(|plus - minus|) is 2^24, 2^24 + 1 and 2^24 + 1, where a float32
+        # product would round; the column (+1, -1, ...) sums the last case
+        # to 2^24 + 1.  The popcount kernel's integers are exact at any size.
         m, eps = 40, 1.0
         plus, minus = np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64)
         plus[0], minus[1] = plus0, minus1
         agg = AggregateState(m=m, eps=eps, n_total=plus0 + minus1, plus=plus, minus=minus)
         ones = np.ones(m, dtype=np.int8)
-        cols = [phi_column(PUB, v, m) for v in range(6)] + [ones, -ones, ones.copy()]
+        cols = [PUB.sign_array(("phi", v), m) for v in range(6)] + [ones, -ones, ones.copy()]
         cols[-1][1] = -1
-        diff = (plus - minus).tolist()
-        expected = [c_eps(eps) / agg.n_total * sum(int(c) * w for c, w in zip(col, diff))
-                    for col in cols]
-        assert inner_estimates(agg, cols).tolist() == expected
+        assert inner_estimates(agg, [_packed(col) for col in cols]).tolist() == \
+            [_python_estimate(agg, col) for col in cols]
+        assert fo_estimate_many(agg, PUB, range(6)).tolist() == \
+            [_python_estimate(agg, col) for col in cols[:6]]
+
+    @pytest.mark.parametrize("m", [1, 63, 64, 65, 511, 513, 4099])
+    def test_estimates_match_python_ints(self, m):
+        # Every m around a word or block edge: the column's padding bits
+        # past m must not count.
+        rng = np.random.default_rng(m)
+        plus, minus = rng.integers(0, 50, m), rng.integers(0, 9, m)
+        agg = AggregateState(m=m, eps=0.7, n_total=int(plus.sum() + minus.sum()), plus=plus, minus=minus)
+        items = [0, 1, 2, 1000, 2**40]
+        assert fo_estimate_many(agg, PUB, items).tolist() == \
+            [_python_estimate(agg, PUB.sign_array(("phi", v), m)) for v in items]
+
+    @pytest.mark.parametrize("minus_top", [0, 2**40 + 5])
+    def test_estimates_with_many_planes_or_no_minus(self, minus_top):
+        # A count near 2^40 makes 40 planes; an all-zero minus makes none.
+        m = 700
+        rng = np.random.default_rng(3)
+        plus, minus = rng.integers(0, 9, m), np.zeros(m, dtype=np.int64)
+        plus[17], minus[300] = 2**40 - 3, minus_top
+        agg = AggregateState(m=m, eps=1.0, n_total=int(plus.sum() + minus.sum()), plus=plus, minus=minus)
+        assert fo_estimate_many(agg, PUB, range(8)).tolist() == \
+            [_python_estimate(agg, PUB.sign_array(("phi", v), m)) for v in range(8)]
+
+    def test_estimates_of_strided_table_rows(self):
+        m = 600
+        table = np.random.default_rng(5).integers(0, 30, (3, m, 2))
+        for agg in channel_aggregates("abc", table, 0.9).values():
+            assert not agg.plus.flags.contiguous
+            assert fo_estimate_many(agg, PUB, range(4)).tolist() == \
+                [_python_estimate(agg, PUB.sign_array(("phi", v), m)) for v in range(4)]
+
+    @pytest.mark.parametrize("m", [1, 512, 513, 209_201])
+    def test_estimates_hash_only_the_column_blocks(self, m, monkeypatch):
+        import ldphist.core as core
+
+        read = []
+        blocks = core._prf_blocks
+        monkeypatch.setattr(core, "_prf_blocks", lambda state, idx: read.extend(idx) or blocks(state, idx))
+        agg = AggregateState(m=m, eps=1.0)
+        agg.absorb_batch(np.array([0]), np.array([1]))
+        fo_estimate_many(agg, PUB, range(5))
+        assert len(read) == 5 * -(-m // 512)
 
     @pytest.mark.parametrize("shape", [(39,), (41,), (1,), (0,), (1, 40), (40, 1)])
     def test_inner_estimates_rejects_wrong_shape(self, shape):
@@ -357,6 +397,19 @@ class TestEstimate:
         agg.absorb_batch(np.array([3]), np.array([1]))
         est = fo_estimate_many(agg, PUB, [])
         assert est.dtype == np.float64 and est.shape == (0,)
+
+
+def _packed(column: np.ndarray) -> bytes:
+    """A +-1 column as inner_estimates reads it: bit j set where the sign is
+    -1, little bit order, zero-padded to whole 64-bit words."""
+    raw = np.packbits(column < 0, bitorder="little").tobytes()
+    return raw + bytes(-len(raw) % 8)
+
+
+def _python_estimate(agg: AggregateState, column: np.ndarray) -> float:
+    """c_eps / n_total * <column, plus - minus>, the product in Python ints."""
+    diff = [int(p) - int(q) for p, q in zip(agg.plus, agg.minus)]
+    return c_eps(agg.eps) / agg.n_total * float(sum(int(c) * w for c, w in zip(column, diff)))
 
 
 def _full_column_absorb(agg, groups, column_of, rng):
@@ -391,7 +444,7 @@ class TestBlockPathEquivalence:
         got = fo_simulate_reports(items, m, 0.8, PUB, np.random.default_rng(11))
         values, counts = np.unique(items, return_counts=True)
         want = _full_column_absorb(AggregateState(m=m, eps=0.8), zip(values, counts),
-                                   lambda v: phi_column(PUB, v, m), np.random.default_rng(11))
+                                   lambda v: PUB.sign_array(("phi", v), m), np.random.default_rng(11))
         self._assert_same(got, want)
 
     def test_pp_aggregate(self):
@@ -416,5 +469,5 @@ class TestBlockPathEquivalence:
         params = derive_fo_params(64, 10_000, 1.0, 0.1)
         report = fo_client_report(9, params, PUB, 1.0, np.random.default_rng(5))
         assert read == [[report.position // 512]]
-        full = randomize(phi_column(PUB, 9, params.m_fo), params.m_fo, 1.0, np.random.default_rng(5))
+        full = randomize(PUB.sign_array(("phi", 9), params.m_fo), params.m_fo, 1.0, np.random.default_rng(5))
         assert report == full

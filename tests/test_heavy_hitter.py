@@ -11,7 +11,6 @@ from ldphist.freq_oracle import (
     AggregateState,
     channel_aggregates,
     fo_estimate_many,
-    inner_estimates,
 )
 from ldphist.heavy_hitter import (
     BOT,
@@ -208,7 +207,8 @@ class TestPpDecode:
 
 def _decode_loop(aggs, code, verify):
     """decode_channels as a loop over channels: flip count, encode and
-    inner_estimates for each decoded row, as (item, estimate, flips)."""
+    the exact Python-int product for each decoded row, as (item, estimate,
+    flips)."""
     if not aggs:
         return []
     Y = round_to_hypercube(np.stack([agg.count_diff() for agg in aggs]))
@@ -222,7 +222,8 @@ def _decode_loop(aggs, code, verify):
         if verify and not flips < code.correctable_flips():
             out.append((None, 0.0, flips))
             continue
-        out.append((v, float(inner_estimates(agg, [cw])[0]), flips))
+        dot = sum(int(c) * int(w) for c, w in zip(cw, agg.count_diff()))
+        out.append((v, c_eps(agg.eps) / agg.n_total * float(dot), flips))
     return out
 
 
@@ -523,10 +524,8 @@ class TestBudgetIdentity:
         def pp_row(signs_or_none):
             return report_distribution(signs_or_none, code.m, hh.eps_channel)
 
-        from ldphist.freq_oracle import phi_column
-
         def fo_row(v):
-            return report_distribution(phi_column(PUB, v, fo.m_fo), fo.m_fo, hh.eps_channel)
+            return report_distribution(PUB.sign_array(("phi", v), fo.m_fo), fo.m_fo, hh.eps_channel)
 
         def worst_ratio(p, q):
             mask = (p > 0) | (q > 0)

@@ -9,7 +9,7 @@ import pytest
 from ldphist import core, freq_oracle, onebit
 from ldphist.codec import build_code
 from ldphist.core import PublicRandomness, _encode_label
-from ldphist.freq_oracle import AggregateState, phi_column
+from ldphist.freq_oracle import AggregateState
 from ldphist.heavy_hitter import BOT, FAITHFUL_CHANNEL_CAP, channel_of, draw_hash_seeds
 from ldphist.onebit import (
     MAX_TOTAL_EPS,
@@ -118,7 +118,7 @@ class TestAcceptanceProb:
         eps = 0.4
         s = OneBitStructure(pub=PUB, run_id=0, K=1, T=0, eps_channel=eps, m_fo=8)
         v = 2
-        col = phi_column(PUB, v, 8)
+        col = PUB.sign_array(("phi", v), 8)
         y_match = _FixedString(pp={}, fo=(3, int(col[3])))
         y_miss = _FixedString(pp={}, fo=(3, -int(col[3])))
         e = math.exp(eps)
@@ -132,7 +132,7 @@ class TestAcceptanceProb:
         code = s.code
         k_active = channel_of(s.seeds[0], v, s.K)
         cw = code.encode(v)
-        col = phi_column(PUB, v, s.m_fo)
+        col = PUB.sign_array(("phi", v), s.m_fo)
         y = _FixedString(
             pp={(0, k): (0, -int(cw[0])) for k in range(s.K)},
             fo=(0, -int(col[0])),
@@ -254,7 +254,7 @@ class TestServerCollect:
                 counts[2 * j + (0 if sign > 0 else 1)] += 1
                 accepted += 1
         empirical = counts / accepted
-        exact = report_distribution(phi_column(PUB, v, m_fo), m_fo, eps)
+        exact = report_distribution(PUB.sign_array(("phi", v), m_fo), m_fo, eps)
         tv = 0.5 * np.abs(empirical - exact).sum()
         assert tv <= 0.02
         assert abs(accepted / 60_000 - 0.5) < 0.01
@@ -518,6 +518,18 @@ def test_plan_cache_stays_bounded():
     assert s._layout.plan.cache_info().currsize == onebit._PLAN_CACHE
     assert [acceptance_prob(v, y, s) for v in items] == first
     assert first == [_parent_prob(v, y, s) for v in items]
+
+
+def test_numpy_and_python_items_share_one_plan():
+    # The plan and the ("phi", v) label are cached once per item, whatever
+    # integer type the item arrives as.
+    s = workload_structure()
+    y = PublicString(structure=s, user_id=3)
+    freq_oracle._phi_label.cache_clear()
+    probs = [acceptance_prob(v, y, s) for v in (3, np.int64(3), np.int32(3))]
+    assert s._layout.plan.cache_info()[:2] == (2, 1)  # hits, misses
+    assert freq_oracle._phi_label.cache_info().misses == 1
+    assert probs == [_parent_prob(3, y, s)] * 3
 
 
 def _loop_aggregate(accepted, m, eps, component):
