@@ -261,9 +261,6 @@ def _encode_label(parts: Iterable[LabelPart]) -> bytes:
     """Unambiguous byte encoding of a label tuple (type tag + length prefix)."""
     out = bytearray()
     for p in parts:
-        if type(p) is int:  # the common part: tag, length 16, data
-            out += b"i\x10\x00\x00\x00" + p.to_bytes(16, "little", signed=True)
-            continue
         if isinstance(p, bytes):
             tag, data = b"b", p
         elif isinstance(p, str):

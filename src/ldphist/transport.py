@@ -36,20 +36,24 @@ refuses its parameters, or if it is a "hist" session with K*T above
 FAITHFUL_CHANNEL_CAP, which bounds its (K*T + 1) x n dedup bitmap.  A
 frame header declaring more than MAX_REQUEST_PAYLOAD bytes is refused
 before its payload is read, and a connection silent for READ_TIMEOUT_S is
-dropped.
+dropped.  A fixed pool of handler threads serves the connections, and
+one that arrives while every thread is busy waits in a queue.
 {"action": "stats"} is answered with the reports absorbed, the rejections
 by code, the request bytes read, the oracle's n_total, and the number of
 occupied hash channels with their least and greatest n_total.  A close
 request runs the same decode/prune pipeline as an in-process run and
 answers with the histogram result, or with an "empty-session" error,
-leaving the session open, when no oracle report arrived.  The service
-never sees items, only reports.
+leaving the session open, when no oracle report arrived.  A close
+freezes the session under its lock and decodes outside it, so stats are
+answered meanwhile and a second close gets the first one's result.  The
+service never sees items, only reports.
 A request that fails in the service is logged through "ldphist.service".
 """
 
 from __future__ import annotations
 
 import json
+import queue
 import socket
 import socketserver
 import struct
@@ -140,6 +144,9 @@ _REASONS = ("", "is out of range for this session", "was already reported",
 # Seconds between serve_forever's shutdown checks, so that shutdown()
 # returns within this long (the socketserver default is 0.5 s).
 _POLL_S = 0.05
+
+# Handler threads a server keeps; a connection beyond them waits its turn.
+_HANDLER_THREADS = 8
 
 # Mask of dedup flag i within its byte of the packed bitmap, indexed by i % 8.
 _BIT = (1 << np.arange(8)).astype(np.uint8)
@@ -305,7 +312,8 @@ class _SessionState:
 
     def __init__(self, config: SessionConfig):
         self.config = config
-        self.lock = threading.Lock()
+        self.lock, self.closing = threading.Lock(), threading.Lock()
+        self.frozen = False  # set while a close runs and after it succeeds
         self.result_csv: Optional[str] = None  # set once, by a successful close
         self.pub = PublicRandomness.from_any(config.seed)
         self.setup = protocol_setup(config.protocol, config.d, config.n, config.eps,
@@ -348,7 +356,7 @@ class _SessionState:
         fits, user, key, cell = self._place(rec)
         status = np.where(fits, _OK, _BOUNDS).astype(np.int8)
         with self.lock:
-            if self.result_csv is not None:
+            if self.frozen:
                 status[:] = _CLOSED
             else:
                 ok = np.flatnonzero(fits)
@@ -397,6 +405,19 @@ class _SessionState:
         pp_aggs = channel_aggregates(keys, self.counts[:cut].reshape(rows, self.m, 2), eps)
         fo_agg = channel_aggregates(["fo"], self.counts[cut:].reshape(1, -1, 2), eps)["fo"]
         return fo_agg, {key: agg for key, agg in pp_aggs.items() if agg.n_total}
+
+    def close(self) -> Optional[str]:
+        """finalize's result, made once, on a session frozen meanwhile."""
+        with self.closing:  # a second close waits here for the first one's result
+            if self.result_csv is None:
+                with self.lock:
+                    self.frozen = True  # no count, dedup bit or bit changes from here on
+                try:
+                    self.result_csv = self.finalize()  # off the lock: stats go on
+                finally:
+                    with self.lock:  # an empty or failed close opens the session again
+                        self.frozen = self.result_csv is not None
+            return self.result_csv
 
     def finalize(self) -> Optional[str]:
         """Result CSV, or None when no oracle report (or accepted bit)
@@ -490,34 +511,49 @@ class _Handler(socketserver.StreamRequestHandler):
             return _ack(state.stats())
         if action != "close":
             raise PayloadBoundsError(f"unknown control action {body!r}")
-        with state.lock:
-            if state.result_csv is None:
-                state.result_csv = state.finalize()
-            result = state.result_csv
+        result = state.close()
         if result is None:
             return _ack({"ok": False, "code": "empty-session", "error": "no reports to estimate from"})
         return encode_frame(MSG_RESULT, result.encode("utf-8"))
 
 
-class AggregationServer(socketserver.ThreadingTCPServer):
-    """Threaded aggregation service for one session, bound to (host, port).
+class AggregationServer(socketserver.TCPServer):
+    """Aggregation service for one session, bound to (host, port).
 
-    ``start`` serves in a daemon thread until ``shutdown``; a close request
-    does not stop it, and later close requests get the same result."""
+    ``start`` serves in daemon threads until ``shutdown``: one accepts
+    connections and queues them, and _HANDLER_THREADS handler threads
+    serve them from the queue; ``shutdown`` closes those still queued.  A
+    close request does not stop the service, and later close requests get
+    the same result."""
 
     allow_reuse_address = True
-    daemon_threads = True
 
     def __init__(self, config: SessionConfig, host: str = "127.0.0.1", port: int = 0):
         self.state = _SessionState(config)
         self._started = False
+        self._waiting = queue.SimpleQueue()  # (request, client address), or None: stop
         super().__init__((host, port), _Handler)
 
     def start(self) -> tuple:
         """Serve in the background; returns the bound (host, port)."""
+        for _ in range(_HANDLER_THREADS):
+            threading.Thread(target=self._serve_waiting, daemon=True).start()
         threading.Thread(target=self.serve_forever, args=(_POLL_S,), daemon=True).start()
         self._started = True
         return self.server_address
+
+    def process_request(self, request, client_address):
+        self._waiting.put((request, client_address))
+
+    def _serve_waiting(self):
+        """One handler thread: serve queued connections until a None."""
+        for request, client_address in iter(self._waiting.get, None):
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                self.shutdown_request(request)
 
     def handle_error(self, request, client_address):
         import logging  # on a failure only: it adds ~4 ms to every start-up
@@ -527,7 +563,15 @@ class AggregationServer(socketserver.ThreadingTCPServer):
         # The base shutdown waits for serve_forever to return, which never
         # happens when it was never called.
         if self._started:
+            self._started = False
             super().shutdown()
+            try:
+                while True:
+                    self.shutdown_request(self._waiting.get_nowait()[0])
+            except queue.Empty:
+                pass
+            for _ in range(_HANDLER_THREADS):
+                self._waiting.put(None)
         self.server_close()
 
 

@@ -1,7 +1,9 @@
 import functools
 import json
 import logging
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from ldphist.transport import (
     ReportPayload,
     SessionConfig,
     TruncatedFrameError,
+    _HANDLER_THREADS,
     _Connection,
     _SessionState,
     _decode_batch,
@@ -700,20 +703,197 @@ class TestServerLifetime:
         monkeypatch.setattr(_SessionState, "finalize", broken_finalize)
         server = AggregationServer(FO_CONFIG)
         addr = server.start()
-        conns = [_Connection(addr) for _ in range(2)]
+        # More failed requests than handler threads, then one more connection.
+        conns = [_Connection(addr) for _ in range(_HANDLER_THREADS + 2)]
         try:
-            conns[0].sock.settimeout(5.0)
             with caplog.at_level(logging.ERROR, logger="ldphist.service"):
-                conns[0].sock.sendall(CLOSE)
-                # The handler's error is logged before its connection closes.
-                assert conns[0].rfile.read(1) == b""
+                for conn in conns[:-1]:
+                    conn.sock.settimeout(5.0)
+                    conn.sock.sendall(CLOSE)
+                    # The handler's error is logged before its connection closes.
+                    assert conn.rfile.read(1) == b""
             records = [r for r in caplog.records if r.name == "ldphist.service"]
-            assert len(records) == 1 and records[0].levelno == logging.ERROR
-            assert records[0].exc_info[0] is RuntimeError
+            assert len(records) == _HANDLER_THREADS + 1
+            assert all(r.levelno == logging.ERROR and r.exc_info[0] is RuntimeError
+                       for r in records)
+            conns[-1].sock.settimeout(5.0)
             stats = encode_frame(MSG_CONTROL, json.dumps({"action": "stats"}).encode("utf-8"))
-            body = _ack_body(conns[1].roundtrip(stats))
+            body = _ack_body(conns[-1].roundtrip(stats))
             assert body["ok"] and body["absorbed"] == 0
+            # A failed close leaves the session open.
+            assert client_submit(addr, [_report(0, msg_type=MSG_FO_REPORT)]) == [{"ok": True}]
         finally:
             for conn in conns:
                 conn.close()
             server.shutdown()
+
+
+def _slow_absorb(monkeypatch, release: threading.Event):
+    """Make absorb wait for release; returns the list of how many handlers
+    are inside it at each entry."""
+    real, inside, lock = _SessionState.absorb, [], threading.Lock()
+    active = 0
+
+    def absorb(state, rec):
+        nonlocal active
+        with lock:
+            active += 1
+            inside.append(active)
+        try:
+            release.wait(10.0)
+            return real(state, rec)
+        finally:
+            with lock:
+                active -= 1
+
+    monkeypatch.setattr(_SessionState, "absorb", absorb)
+    return inside
+
+
+def _wait_for(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.01)
+
+
+class TestHandlerPool:
+    def test_connections_beyond_the_pool_wait_their_turn(self, monkeypatch):
+        release = threading.Event()
+        inside = _slow_absorb(monkeypatch, release)
+        server = AggregationServer(FO_CONFIG)
+        addr = server.start()
+        acks = [None] * (_HANDLER_THREADS + 2)
+
+        def upload(user):
+            acks[user] = client_submit(addr, [_report(user, msg_type=MSG_FO_REPORT)])
+
+        threads = [threading.Thread(target=upload, args=(u,)) for u in range(len(acks))]
+        try:
+            for th in threads:
+                th.start()
+            _wait_for(lambda: len(inside) == _HANDLER_THREADS and server._waiting.qsize() == 2)
+            release.set()
+            for th in threads:
+                th.join(10.0)
+            assert not any(th.is_alive() for th in threads)
+        finally:
+            release.set()
+            server.shutdown()
+        assert max(inside) == _HANDLER_THREADS and len(inside) == len(acks)
+        assert acks == [[{"ok": True}]] * len(acks)
+
+    def test_shutdown_closes_queued_connections(self, monkeypatch):
+        release = threading.Event()
+        inside = _slow_absorb(monkeypatch, release)
+        server = AggregationServer(FO_CONFIG)
+        addr = server.start()
+        busy = [_Connection(addr) for _ in range(_HANDLER_THREADS)]
+        queued = _Connection(addr)
+        try:
+            for user, conn in enumerate(busy):
+                conn.sock.sendall(_report(user, msg_type=MSG_FO_REPORT))
+            _wait_for(lambda: len(inside) == _HANDLER_THREADS and server._waiting.qsize() == 1)
+            th = threading.Thread(target=server.shutdown, daemon=True)
+            th.start()
+            th.join(5.0)
+            assert not th.is_alive()
+            queued.sock.settimeout(5.0)
+            assert queued.rfile.read(1) == b""
+        finally:
+            release.set()
+            for conn in busy + [queued]:
+                conn.close()
+            server.shutdown()
+
+
+class TestCloseOffTheLock:
+    def test_stats_and_uploads_answered_during_a_slow_close(self, monkeypatch):
+        entered, release = threading.Event(), threading.Event()
+        real, calls = _SessionState.finalize, []
+
+        def slow_finalize(state):
+            calls.append(state)
+            entered.set()
+            release.wait(10.0)
+            return real(state)
+
+        monkeypatch.setattr(_SessionState, "finalize", slow_finalize)
+        server = AggregationServer(FO_CONFIG)
+        addr = server.start()
+        # Counts the closes that reach the closing lock.
+        arrived, closing = threading.Semaphore(0), server.state.closing
+
+        class ArrivingLock:
+            def __enter__(self):
+                arrived.release()
+                closing.acquire()
+
+            def __exit__(self, *exc):
+                closing.release()
+
+        server.state.closing = ArrivingLock()
+        results = []
+        closes = [threading.Thread(target=lambda: results.append(client_close(addr)))
+                  for _ in range(2)]
+        conn = _Connection(addr)
+        try:
+            conn.sock.settimeout(5.0)
+            assert client_submit(addr, [_report(0, msg_type=MSG_FO_REPORT)]) == [{"ok": True}]
+            for th in closes:
+                th.start()
+            assert entered.wait(5.0) and arrived.acquire(timeout=5.0) and arrived.acquire(timeout=5.0)
+            stats = encode_frame(MSG_CONTROL, json.dumps({"action": "stats"}).encode("utf-8"))
+            assert _ack_body(conn.roundtrip(stats))["absorbed"] == 1
+            body = _ack_body(conn.roundtrip(_report(1, msg_type=MSG_FO_REPORT)))
+            assert not body["ok"] and body["code"] == "session-closed"
+            release.set()
+            for th in closes:
+                th.join(10.0)
+            assert not any(th.is_alive() for th in closes)
+            assert len(calls) == 1 and len(results) == 2 and results[0] == results[1]
+            assert results[0] == server.state.result_csv
+            assert _ack_body(conn.roundtrip(stats))["rejected"]["session-closed"] == 1
+        finally:
+            release.set()
+            conn.close()
+            server.shutdown()
+
+    def test_uploads_racing_a_close_are_counted_or_refused(self):
+        # Every upload is acked "ok" and counted in the close, or refused
+        # with "session-closed" and left out of it.
+        cfg = SessionConfig(protocol="fo", d=8, n=400, eps=1.0, beta=0.2, seed=3)
+        frames = [_report(user, position=user % 7, sign=1 - 2 * (user % 2), msg_type=MSG_FO_REPORT)
+                  for user in range(cfg.n)]
+        server = AggregationServer(cfg)
+        addr = server.start()
+        acks = {}
+
+        def upload(users):
+            conn = _Connection(addr)
+            try:
+                for user in users:
+                    acks[user] = _ack_body(conn.roundtrip(frames[user]))
+            finally:
+                conn.close()
+
+        threads = [threading.Thread(target=upload, args=(range(i, cfg.n, 4),)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for th in threads:
+                th.start()
+            _wait_for(lambda: len(acks) > cfg.n // 4)
+            result = client_close(addr)
+            for th in threads:
+                th.join(10.0)
+            assert not any(th.is_alive() for th in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            server.shutdown()
+        accepted = [user for user in range(cfg.n) if acks[user]["ok"]]
+        assert all(acks[user]["code"] == "session-closed"
+                   for user in range(cfg.n) if not acks[user]["ok"])
+        replay = _SessionState(cfg)
+        replay.absorb(_decode_batch(b"".join(frames[user] for user in accepted)))
+        assert result == replay.finalize()
