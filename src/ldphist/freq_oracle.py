@@ -22,7 +22,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .core import FoParams, PublicRandomness, _encode_label, c_eps
+from .core import FoParams, PublicRandomness, c_eps
 from .randomizer import SparseReport, randomize, randomize_many
 
 __all__ = [
@@ -35,11 +35,6 @@ __all__ = [
     "fo_estimate",
     "fo_estimate_many",
 ]
-
-
-@functools.lru_cache(maxsize=1 << 12)
-def _phi_label(v: int) -> bytes:
-    return _encode_label(("phi", v))
 
 
 @dataclass

@@ -350,7 +350,7 @@ def _run_hist_trial(config: ExperimentConfig, setup: ProtocolSetup, items, truth
         extra = {"acceptance_rate": fo_agg.n_total / spec.n}
     else:
         res = hh_execute(items, code, hh, setup.fo, pub, rng, mode=config.mode)
-        hist, seeds, mode = res.histogram, res.seeds, res.mode
+        hist, seeds, mode = res.histogram, res.seeds, config.mode
     linf = linf_error(truth, hist)
     precision, recall = hh_precision_recall(truth, hist, hh.threshold)
     junk = [int(v) for v in hist.items() if truth[v] < hh.threshold / 2]

@@ -223,15 +223,11 @@ class SuccinctHistogram:
 
 
 def prune(candidates: Sequence, threshold: float) -> SuccinctHistogram:
-    """Keep candidates whose estimate reaches the threshold (a strict
-    shortfall removes them; equality stays), deduplicated by item keeping
-    the first occurrence, with retained estimates clipped to [0, 1]."""
-    seen = set()
+    """Keep the candidates, distinct items as hh_finalize passes them,
+    whose estimate reaches the threshold (a strict shortfall removes them;
+    equality stays), with retained estimates clipped to [0, 1]."""
     entries = []
     for item, f in candidates:
-        if item in seen:
-            continue
-        seen.add(item)
         if f < threshold:
             continue
         entries.append((int(item), float(min(1.0, max(0.0, f)))))
@@ -244,9 +240,6 @@ class HhResult:
     candidates: list  # (item, published estimate) after dedup, discovery order
     decodes: list  # (t, k, item, pp_estimate) for decoded channels
     seeds: list
-    mode: str
-    hh_params: HhParams
-    fo_params: FoParams
     fo_agg: AggregateState
     pp_aggs: dict = field(repr=False, default=None)
 
@@ -328,9 +321,6 @@ def hh_execute(
         candidates=candidates,
         decodes=decodes,
         seeds=seeds,
-        mode=mode,
-        hh_params=hh_params,
-        fo_params=fo_params,
         fo_agg=fo_agg,
         pp_aggs=pp_aggs,
     )

@@ -35,7 +35,7 @@ import numpy as np
 
 from .codec import Code
 from .core import FoParams, HhParams, PublicRandomness, _below, _draw_args, _encode_label
-from .freq_oracle import AggregateState, _phi_label, channel_aggregates
+from .freq_oracle import AggregateState, channel_aggregates
 from .heavy_hitter import BOT, FAITHFUL_CHANNEL_CAP, channel_of, draw_hash_seeds
 
 __all__ = [
@@ -130,7 +130,7 @@ def _plan(s: "OneBitStructure", v) -> tuple:
     as ints) and encoded ("phi", v) label."""
     channels = [channel_of(s.seeds[t], v, s.K) for t in range(s.T)]
     word = array("b", np.asarray(s.code.encode(v), dtype=np.int8).tobytes()) if s.T else None
-    return channels, word, _phi_label(v) if s.m_fo else None
+    return channels, word, _encode_label(("phi", v)) if s.m_fo else None
 
 
 @dataclass(frozen=True, slots=True)

@@ -387,9 +387,9 @@ class _SessionState:
             if self.structure is not None:  # every accepted bit feeds every channel
                 fo_total = int(self.bits.sum())
                 busy = [fo_total] * self.oracle_row if fo_total else []
-            else:
-                fo_agg, pp_aggs = self._aggregates()
-                fo_total, busy = fo_agg.n_total, [agg.n_total for agg in pp_aggs.values()]
+            else:  # row sums of the counts; an fo session's channel table is (0, 0)
+                table = self.counts[: 2 * self.oracle_row * self.m].reshape(self.oracle_row, 2 * self.m)
+                fo_total, busy = int(self.counts[table.size :].sum()), [n for n in table.sum(axis=1).tolist() if n]
         return {"ok": True, "absorbed": rejected.pop("ok"),
                 "bytes_read": rejected.pop("bytes_read"), "rejected": rejected,
                 "oracle_n_total": fo_total, "channels_occupied": len(busy),

@@ -34,6 +34,21 @@ class TestBuildCode:
         with pytest.raises(ValueError):
             build_code(2**17, "reference")
 
+    @pytest.mark.parametrize("stream", ["all-zero", "row-1-repeats-row-0"])
+    def test_rank_deficient_generator_is_refused(self, stream, monkeypatch):
+        # At d = 16 the generator is 4 x 16 bits, so a row is two stream bytes.
+        real = codec.prf_bytes
+
+        def deficient(key, prefix, nbytes):
+            raw = real(key, prefix, nbytes)
+            return bytes(nbytes) if stream == "all-zero" else raw[:2] * 2 + raw[4:]
+
+        monkeypatch.setattr(codec, "prf_bytes", deficient)
+        with pytest.raises(RuntimeError, match=r"\(t=4, m=16\) is rank deficient; bump the build tag"):
+            ReferenceCode(16)
+        monkeypatch.undo()
+        assert ReferenceCode(16).zeta_eff > 0
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             build_code(16, "fancy")

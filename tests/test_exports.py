@@ -36,3 +36,24 @@ def test_every_exported_name_has_a_caller():
                     used.update({node.name, node.asname} - {None})
     exported = {n for m in MODULES for n in getattr(importlib.import_module(f"ldphist.{m}"), "__all__", ())}
     assert sorted(exported - used - KEPT) == []
+
+
+# Private names one module of the package imports from another: onebit
+# draws with core's sampler and label encoder, and cli checks report files
+# against the wire widths of transport.
+KEPT_PRIVATE_IMPORTS = {
+    ("onebit", "core", "_below"),
+    ("onebit", "core", "_draw_args"),
+    ("onebit", "core", "_encode_label"),
+    ("cli", "transport", "_REPORT_BITS"),
+}
+
+
+def test_no_new_private_name_crosses_modules():
+    found = set()
+    for path in sorted((ROOT / "src" / "ldphist").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found.update((path.stem, node.module, alias.name) for alias in node.names
+                             if alias.name.startswith("_"))
+    assert sorted(found - KEPT_PRIVATE_IMPORTS, key=str) == []

@@ -340,10 +340,6 @@ class TestPrune:
         h = prune([(1, 0.5)], 0.5)
         assert h.entries == [(1, 0.5)]
 
-    def test_duplicates_keep_first(self):
-        h = prune([(1, 0.9), (1, 0.4), (2, 0.8)], 0.5)
-        assert h.entries == [(1, 0.9), (2, 0.8)]
-
     def test_clipping(self):
         h = prune([(3, 1.37)], 0.5)
         assert h.entries == [(3, 1.0)]
@@ -417,12 +413,20 @@ class TestFullProtocol:
 
     def test_finalize_is_deterministic(self):
         d, items, res, hh = _small_run(14)
-        fo_params = res.fo_params
+        assert res.fo_agg.m == derive_fo_params(d, len(items), hh.eps_channel, hh.beta / 3).m_fo
         pub = PublicRandomness.from_any(14)
         h1, c1, _ = hh_finalize(res.pp_aggs, res.fo_agg, build_code(d, "reference"), hh, pub)
         h2, c2, _ = hh_finalize(res.pp_aggs, res.fo_agg, build_code(d, "reference"), hh, pub)
         assert h1.to_csv() == h2.to_csv() == res.histogram.to_csv()
         assert c1 == c2
+
+    def test_finalize_lists_an_item_decoded_twice_once(self):
+        d, items, res, hh = _small_run(11)
+        h, candidates, decodes = hh_finalize(res.pp_aggs, res.fo_agg, build_code(d, "reference"),
+                                             hh, PublicRandomness.from_any(11))
+        assert [v for _, _, v, _ in decodes].count(d - 1) >= 2
+        assert [v for v, _ in candidates].count(d - 1) == 1
+        assert h.items().count(d - 1) == 1
 
     def test_estimates_fuse_own_channels(self):
         d, items, res, hh = _small_run(16)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from ldphist import core, freq_oracle, onebit
+from ldphist import core, onebit
 from ldphist.codec import build_code
 from ldphist.core import PublicRandomness, _encode_label
 from ldphist.freq_oracle import AggregateState
@@ -372,9 +372,7 @@ class TestSharedPrefixDraws:
 
         encoded = []
         real = onebit._encode_label
-        for module in (onebit, freq_oracle):
-            monkeypatch.setattr(module, "_encode_label", lambda parts: encoded.append(parts) or real(parts))
-        freq_oracle._phi_label.cache_clear()
+        monkeypatch.setattr(onebit, "_encode_label", lambda parts: encoded.append(parts) or real(parts))
         s = workload_structure()
         first = [acceptance_prob(v, PublicString(structure=s, user_id=0), s) for v in range(40)]
         assert [parts for parts in encoded if parts[0] not in ("pp", "fo")] == \
@@ -520,15 +518,18 @@ def test_plan_cache_stays_bounded():
     assert first == [_parent_prob(v, y, s) for v in items]
 
 
-def test_numpy_and_python_items_share_one_plan():
-    # The plan and the ("phi", v) label are cached once per item, whatever
-    # integer type the item arrives as.
+def test_numpy_and_python_items_share_one_plan(monkeypatch):
+    # The plan, which holds the encoded ("phi", v) label, is made once per
+    # item, whatever integer type the item arrives as.
     s = workload_structure()
     y = PublicString(structure=s, user_id=3)
-    freq_oracle._phi_label.cache_clear()
+    encoded = []
+    real = onebit._encode_label
+    monkeypatch.setattr(onebit, "_encode_label", lambda parts: encoded.append(parts) or real(parts))
     probs = [acceptance_prob(v, y, s) for v in (3, np.int64(3), np.int32(3))]
     assert s._layout.plan.cache_info()[:2] == (2, 1)  # hits, misses
-    assert freq_oracle._phi_label.cache_info().misses == 1
+    assert [parts for parts in encoded if parts[0] == "phi"] == [("phi", 3)]
+    monkeypatch.undo()
     assert probs == [_parent_prob(3, y, s)] * 3
 
 
@@ -562,18 +563,6 @@ def _loop_collect(accepted, s):
 def _same(a, b):
     return (a.m, a.eps, a.n_total) == (b.m, b.eps, b.n_total) and \
         np.array_equal(a.plus, b.plus) and np.array_equal(a.minus, b.minus)
-
-
-def test_phi_label_encodes_each_label_once(monkeypatch):
-    freq_oracle._phi_label.cache_clear()
-    encoded = []
-    real = freq_oracle._encode_label
-    monkeypatch.setattr(freq_oracle, "_encode_label", lambda parts: encoded.append(parts) or real(parts))
-    got = [PUB.sign_at(freq_oracle._phi_label(v), j) for v in (3, 3, 900) for j in range(0, 4000, 97)]
-    assert sorted(encoded) == [("phi", 3), ("phi", 900)]
-    monkeypatch.undo()
-    freq_oracle._phi_label.cache_clear()
-    assert got == [PUB.sign_at(("phi", v), j) for v in (3, 3, 900) for j in range(0, 4000, 97)]
 
 
 def test_cap_sized_collection_matches_int_below():

@@ -659,6 +659,21 @@ class TestBatch:
         assert (stats["channel_n_total_min"], stats["channel_n_total_max"]) == (
             min(totals), max(totals))
 
+    def test_stats_read_the_last_channel_row(self):
+        # Channel (T - 1, K - 1) is row K*T - 1, the last before the oracle's
+        # counts; of the other channels only (0, 0) holds a report.
+        state = _SessionState(_hist_config())
+        T, K, m = state.T, state.K, state.m
+        frames = [_report(0, T - 1, K - 1, position=m - 1, sign=-1), _report(1, T - 1, K - 1),
+                  _report(2, T - 1, K - 1, position=m - 1), _report(0, 0, 0, position=m - 1),
+                  _report(0, msg_type=MSG_FO_REPORT)]
+        assert not state.absorb(_decode_batch(b"".join(frames))).any()
+        fo_agg, pp_aggs = state._aggregates()
+        assert sorted(pp_aggs) == [(0, 0), (T - 1, K - 1)] and fo_agg.n_total == 1
+        stats = state.stats()
+        assert (stats["oracle_n_total"], stats["channels_occupied"]) == (1, 2)
+        assert (stats["channel_n_total_min"], stats["channel_n_total_max"]) == (1, 3)
+
     def test_stats_count_accepted_one_bit_users(self):
         # Every accepted bit stands for one report in the oracle and in
         # each of the K*T = 24 channels.
