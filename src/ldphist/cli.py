@@ -236,7 +236,7 @@ def cmd_submit(args):
     with open(args.reports, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "kind,user,t,k,position,sign":
-            raise SystemExit(f"unexpected reports header {header!r}")
+            raise ValueError(f"{args.reports}: unexpected reports header {header!r}")
         for lineno, line in enumerate(fh, start=2):
             try:
                 frames.append(_report_frame(line))
@@ -344,12 +344,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        args = parser.parse_args(argv)  # now with the file's defaults
     try:
+        args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            args = parser.parse_args(argv)  # now with the file's defaults
         return args.func(args)
-    except ValueError as exc:  # a parameter set the library refuses
+    except ValueError as exc:  # a config or report file, or a parameter set, the library refuses
         parser.error(str(exc))
 
 

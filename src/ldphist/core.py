@@ -14,18 +14,17 @@ once), the channel hash's (a, b) in ``heavy_hitter`` and the reference
 code's generator matrix in ``codec``.  The tests pin the v1 bytes of all
 three.  The sampler costs one digest when word 0 of block 0 is accepted,
 as it almost always is for small bounds; ``ints_below`` draws a grid of
-encoded label heads x suffixes, absorbing each head once.
+encoded label heads x ``_draw_args`` tuples, absorbing each head once.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 import math
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Iterable, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -212,24 +211,13 @@ def prf_bytes(key: bytes, prefix: bytes, nbytes: int) -> bytes:
     return _prf_blocks(_prf_state(key, prefix), range(-(-nbytes // _BLOCK)))[:nbytes]
 
 
-def _limit(bound: int) -> int:
-    """Largest multiple of bound in 64 bits: the sampler keeps words below it."""
-    if not (1 <= bound <= 1 << 63):
-        raise ValueError(f"bound out of range: {bound}")
-    return ((1 << 64) // bound) * bound
-
-
-def _below(state, bound: int, suffix: bytes = b"", tail: Optional[bytes] = None,
-           limit: Optional[int] = None) -> int:
-    """Rejection sampler on the (state, suffix) stream, read word by word: the
-    first u64le word below _limit(bound), mod bound.  Word 0 of block 0 is
-    tried by itself; for bound <= 2^32 the loop that follows it runs with
-    probability below 2^-32.  Block 0's input tail = suffix + u64le(0) and
-    the limit may be passed precomputed (see _draw_args)."""
-    if limit is None:
-        limit = _limit(bound)
+def _below(state, bound: int, suffix: bytes, tail: bytes, limit: int) -> int:
+    """Rejection sampler on the (state, suffix) stream of the draw
+    _draw_args(bound, suffix), read word by word: the first u64le word below
+    limit, mod bound.  Word 0 of block 0 is tried by itself, one digest of
+    tail; for bound <= 2^32 the loop that follows runs with probability below 2^-32."""
     h = state.copy()
-    h.update(suffix + _ZERO if tail is None else tail)
+    h.update(tail)
     (u,) = _WORD.unpack_from(h.digest())
     if u < limit:
         return u % bound
@@ -240,21 +228,17 @@ def _below(state, bound: int, suffix: bytes = b"", tail: Optional[bytes] = None,
 
 
 def _draw_args(bound: int, suffix: bytes) -> tuple:
-    """_below's (bound, suffix, tail, limit) for one suffix, built once by a
-    caller that draws under it from many states."""
-    return bound, suffix, suffix + _ZERO, _limit(bound)
+    """_below's (bound, suffix, tail, limit), the one description of a draw:
+    tail = suffix + u64le(0) and limit, the largest multiple of bound in 64
+    bits, which the sampler keeps words below."""
+    if not (1 <= bound <= 1 << 63):
+        raise ValueError(f"bound out of range: {bound}")
+    return bound, suffix, suffix + _ZERO, ((1 << 64) // bound) * bound
 
 
 def prf_below(key: bytes, prefix: bytes, bound: int) -> int:
     """Exactly uniform integer in [0, bound) from the (key, prefix) stream."""
-    return _below(_prf_state(key, prefix), bound)
-
-
-@functools.lru_cache(maxsize=2)
-def _tails(suffixes: tuple) -> tuple:
-    """suffix + u64le(0) for each suffix, kept across the ints_below calls
-    of one collection (its oracle and its channel suffixes)."""
-    return tuple(suffix + _ZERO for suffix in suffixes)
+    return _below(_prf_state(key, prefix), *_draw_args(bound, b""))
 
 
 def _encode_label(parts: Iterable[LabelPart]) -> bytes:
@@ -339,14 +323,16 @@ class PublicRandomness:
     def int_below(self, label: Union[Tuple[LabelPart, ...], bytes], bound: int) -> int:
         """Exactly uniform integer in [0, bound) via 64-bit rejection sampling;
         the label is a tuple or its encoding (bytes)."""
-        return _below(self._keyed, bound, label if isinstance(label, bytes) else _encode_label(label))
+        encoded = label if isinstance(label, bytes) else _encode_label(label)
+        return _below(self._keyed, *_draw_args(bound, encoded))
 
-    def ints_below(self, heads: Sequence[bytes], suffixes: Sequence[bytes], bound: int) -> np.ndarray:
-        """The (len(heads), len(suffixes)) int64 array of int_below(head +
-        suffix, bound) over encoded heads and suffixes (label encoding is
-        concatenative): one digest per entry reads word 0 of block 0, and
-        int_below redraws the rare entries whose word 0 is rejected."""
-        limit, digests, tails = _limit(bound), [], _tails(tuple(suffixes))
+    def ints_below(self, heads: Sequence[bytes], draws: Sequence[tuple]) -> np.ndarray:
+        """The (len(heads), len(draws)) int64 array of int_below(head + suffix,
+        bound) over encoded heads and _draw_args tuples (label encoding is
+        concatenative): one digest per entry reads word 0 of block 0, checked
+        against limit - 1 (bound 1's limit is 2^64), and _below redraws the
+        rare rejected entries."""
+        digests, tails = [], [tail for _, _, tail, _ in draws]
         for head in heads:
             state = self._keyed.copy()
             state.update(head)
@@ -354,11 +340,15 @@ class PublicRandomness:
                 h = state.copy()
                 h.update(tail)
                 digests.append(h.digest())
-        words = np.frombuffer(b"".join(digests), "<u8")[:: _BLOCK // 8].reshape(len(heads), len(tails))
-        draws = (words % np.uint64(bound)).astype(np.int64)
-        for i, j in zip(*np.nonzero(words > np.uint64(limit - 1))):
-            draws[i, j] = self.int_below(heads[i] + suffixes[j], bound)
-        return draws
+        words = np.frombuffer(b"".join(digests), "<u8")[:: _BLOCK // 8].reshape(len(heads), len(draws))
+        bounds = np.array([bound for bound, *_ in draws], dtype=np.uint64)
+        lasts = np.array([limit - 1 for *_, limit in draws], dtype=np.uint64)
+        out = (words % bounds).astype(np.int64)
+        for i, j in zip(*np.nonzero(words > lasts)):
+            state = self._keyed.copy()
+            state.update(heads[i])
+            out[i, j] = _below(state, *draws[j])
+        return out
 
 
 # ---------------------------------------------------------------------------

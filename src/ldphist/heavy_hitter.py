@@ -225,9 +225,12 @@ class SuccinctHistogram:
 def prune(candidates: Sequence, threshold: float) -> SuccinctHistogram:
     """Keep the candidates, distinct items as hh_finalize passes them,
     whose estimate reaches the threshold (a strict shortfall removes them;
-    equality stays), with retained estimates clipped to [0, 1]."""
+    equality stays), with retained estimates clipped to [0, 1].  A NaN or
+    infinite estimate raises ValueError naming its item."""
     entries = []
     for item, f in candidates:
+        if not np.isfinite(f):
+            raise ValueError(f"candidate {item} has a non-finite estimate {f}")
         if f < threshold:
             continue
         entries.append((int(item), float(min(1.0, max(0.0, f)))))

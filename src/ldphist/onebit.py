@@ -213,31 +213,31 @@ def onebit_server_collect(bits, structure: OneBitStructure) -> list:
     return accepted
 
 
-def _regen_aggregates(accepted: list, structure: OneBitStructure, suffixes: dict, m: int) -> dict:
-    """{key: aggregate} of each key's component suffix: each chunk of
-    accepted users draws every u in [0, 2m), the pair (u >> 1, +1 if u is
-    even else -1), under the users' ("pub-y", run, user) heads in one
-    ints_below call, into one (keys, m, 2) count table.  The heads are
-    built per chunk, not kept on the strings."""
-    pub, head, tails, width = structure.pub, structure._layout.head, list(suffixes.values()), len(suffixes)
+def _regen_aggregates(accepted: list, structure: OneBitStructure, draws: dict, m: int) -> dict:
+    """{key: aggregate} of each key's component draw: each chunk of accepted
+    users draws every u in [0, 2m), the pair (u >> 1, +1 if u is even else
+    -1), under the users' ("pub-y", run, user) heads in one ints_below call,
+    into one (keys, m, 2) count table.  The heads are built per chunk, not
+    kept on the strings."""
+    pub, head, columns, width = structure.pub, structure._layout.head, list(draws.values()), len(draws)
     counts = np.zeros(width * 2 * m, dtype=np.int64)
     step = max(1, _REGEN_CHUNK // width)
     for lo in range(0, len(accepted), step):
         heads = [head(y.user_id) for _, y in accepted[lo : lo + step]]
-        np.add.at(counts, pub.ints_below(heads, tails, 2 * m) + np.arange(width) * (2 * m), 1)
-    return channel_aggregates(suffixes, counts.reshape(width, m, 2), structure.eps_channel)
+        np.add.at(counts, pub.ints_below(heads, columns) + np.arange(width) * (2 * m), 1)
+    return channel_aggregates(draws, counts.reshape(width, m, 2), structure.eps_channel)
 
 
 def collect_fo_aggregate(accepted: list, structure: OneBitStructure) -> AggregateState:
     """Aggregate the oracle components of accepted users' strings."""
-    return _regen_aggregates(accepted, structure, {"fo": structure._layout.fo[1]}, structure.m_fo)["fo"]
+    return _regen_aggregates(accepted, structure, {"fo": structure._layout.fo}, structure.m_fo)["fo"]
 
 
 def collect_pp_aggregates(accepted: list, structure: OneBitStructure) -> dict:
     """Aggregate every hash channel of accepted users' strings (the report
     set the histogram pipeline consumes).  Materializes K*T aggregates."""
-    suffixes = {(t, k): pp[1] for t, row in enumerate(structure._layout.pp) for k, pp in enumerate(row)}
-    return _regen_aggregates(accepted, structure, suffixes, structure.code.m) if suffixes else {}
+    draws = {(t, k): pp for t, row in enumerate(structure._layout.pp) for k, pp in enumerate(row)}
+    return _regen_aggregates(accepted, structure, draws, structure.code.m) if draws else {}
 
 
 def collect_aggregates(bits, structure: OneBitStructure) -> tuple:

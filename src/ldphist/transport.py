@@ -422,9 +422,10 @@ class _SessionState:
     def finalize(self) -> Optional[str]:
         """Result CSV, or None when no oracle report (or accepted bit)
         arrived, which leaves nothing to estimate."""
-        if self.structure is not None:
-            seen = np.unpackbits(self.seen, bitorder="little")
-            users = np.flatnonzero(seen[self.oracle_row * self.config.n :][: self.config.n])
+        if self.structure is not None:  # unpack only the bytes of the oracle row's bits
+            n, start = self.config.n, self.oracle_row * self.config.n
+            seen = np.unpackbits(self.seen[start >> 3 : (start + n + 7) >> 3], bitorder="little")
+            users = np.flatnonzero(seen[start & 7 :][:n])
             fo_agg, pp_aggs = collect_aggregates(
                 zip(users.tolist(), self.bits[users].tolist()), self.structure
             )

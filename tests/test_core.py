@@ -5,11 +5,13 @@ import pytest
 
 from ldphist.core import (
     PublicRandomness,
+    _draw_args,
     _encode_label,
     c_eps,
     derive_fo_params,
     derive_hh_params,
     load_params_file,
+    prf_below,
     report_magnitude,
 )
 
@@ -163,7 +165,7 @@ class TestPublicRandomness:
         encoded_suffixes = [_encode_label(s) for s in suffixes]
         labels = [h + s for h in heads for s in suffixes]
         for bound in (1, 97, 2**64 // 3 + 1, 1 << 63):
-            got = pub.ints_below(encoded_heads, encoded_suffixes, bound)
+            got = pub.ints_below(encoded_heads, [_draw_args(bound, suffix) for suffix in encoded_suffixes])
             assert got.dtype == np.int64 and got.shape == (len(heads), len(suffixes))
             assert got.ravel().tolist() == [pub.int_below(label, bound) for label in labels]
         limit = 2 * (2**64 // 3 + 1)
@@ -177,13 +179,13 @@ class TestPublicRandomness:
 
     def test_ints_below_empty_and_refused_bounds(self):
         pub = PublicRandomness.from_any(42)
-        assert pub.ints_below([], [b"x", b"y"], 97).shape == (0, 2)
-        assert pub.ints_below([b"x", b"y", b"z"], [], 97).shape == (3, 0)
+        assert pub.ints_below([], [_draw_args(97, b"x"), _draw_args(97, b"y")]).shape == (0, 2)
+        assert pub.ints_below([b"x", b"y", b"z"], []).shape == (3, 0)
         for bound in (0, (1 << 63) + 1):
             with pytest.raises(ValueError, match="bound"):
-                pub.ints_below([b""], [b""], bound)
+                _draw_args(bound, b"")
             with pytest.raises(ValueError, match="bound"):
-                pub.ints_below([], [], bound)
+                prf_below(b"k", b"", bound)
             with pytest.raises(ValueError, match="bound"):
                 pub.int_below(("ab",), bound)
 

@@ -36,6 +36,7 @@ def test_every_exported_name_has_a_caller():
                     used.update({node.name, node.asname} - {None})
     exported = {n for m in MODULES for n in getattr(importlib.import_module(f"ldphist.{m}"), "__all__", ())}
     assert sorted(exported - used - KEPT) == []
+    assert sorted(KEPT & used) == []  # a kept name that gained a caller leaves KEPT
 
 
 # Private names one module of the package imports from another: onebit
@@ -57,3 +58,4 @@ def test_no_new_private_name_crosses_modules():
                 found.update((path.stem, node.module, alias.name) for alias in node.names
                              if alias.name.startswith("_"))
     assert sorted(found - KEPT_PRIVATE_IMPORTS, key=str) == []
+    assert sorted(KEPT_PRIVATE_IMPORTS - found, key=str) == []  # and no entry outlives its import

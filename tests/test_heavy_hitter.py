@@ -344,6 +344,11 @@ class TestPrune:
         h = prune([(3, 1.37)], 0.5)
         assert h.entries == [(3, 1.0)]
 
+    @pytest.mark.parametrize("f", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_estimate_refused(self, f):
+        with pytest.raises(ValueError, match="candidate 1 has a non-finite estimate"):
+            prune([(2, 0.7), (1, f)], 0.5)
+
     def test_estimate_lookup(self):
         h = prune([(5, 0.7)], 0.1)
         assert h.estimate(5) == 0.7

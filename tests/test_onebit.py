@@ -8,7 +8,7 @@ import pytest
 
 from ldphist import core, onebit
 from ldphist.codec import build_code
-from ldphist.core import PublicRandomness, _encode_label
+from ldphist.core import PublicRandomness, _draw_args, _encode_label
 from ldphist.freq_oracle import AggregateState
 from ldphist.heavy_hitter import BOT, FAITHFUL_CHANNEL_CAP, channel_of, draw_hash_seeds
 from ldphist.onebit import (
@@ -308,8 +308,8 @@ class TestSharedPrefixDraws:
         s = workload_structure()
         suffixes = [_encode_label(("pp", t, k)) for t in range(s.T) for k in range(s.K)]
         heads = [_encode_label(("pub-y", s.run_id, user)) for user in range(self.USERS)]
-        pp = PUB.ints_below(heads, suffixes, 2 * s.code.m)
-        fo = PUB.ints_below(heads, [_encode_label(("fo",))], 2 * s.m_fo)
+        pp = PUB.ints_below(heads, [_draw_args(2 * s.code.m, suffix) for suffix in suffixes])
+        fo = PUB.ints_below(heads, [_draw_args(2 * s.m_fo, _encode_label(("fo",)))])
         for user in range(self.USERS):
             head = ("pub-y", s.run_id, user)
             want = [PUB.int_below(head + suffix, bound) for suffix, bound in _channels(s)]
@@ -328,7 +328,7 @@ class TestSharedPrefixDraws:
         suffixes = [_encode_label(suffix) for suffix, _ in _channels(s)]
         past_word0 = past_block0 = 0
         draws = PUB.ints_below([_encode_label(("pub-y", s.run_id, user)) for user in range(self.USERS)],
-                               suffixes, bound)
+                               [_draw_args(bound, suffix) for suffix in suffixes])
         for user in range(self.USERS):
             head = ("pub-y", s.run_id, user)
             labels = [head + suffix for suffix, _ in _channels(s)]
@@ -391,7 +391,11 @@ class TestSharedPrefixDraws:
         def limit(bound):
             return (2**65 // 3 // bound) * bound
 
-        monkeypatch.setattr(core, "_limit", limit)
+        def draw_args(bound, suffix, real=core._draw_args):
+            return real(bound, suffix)[:3] + (limit(bound),)
+
+        monkeypatch.setattr(core, "_draw_args", draw_args)
+        monkeypatch.setattr(onebit, "_draw_args", draw_args)
         s = workload_structure()
         past_word0 = past_block0 = 0
         for user in range(self.USERS):

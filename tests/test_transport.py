@@ -1,9 +1,11 @@
 import functools
 import json
 import logging
+import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +17,14 @@ from ldphist.codec import build_code
 from ldphist.core import PublicRandomness, derive_fo_params, derive_hh_params
 from ldphist.freq_oracle import AggregateState, fo_client_report, fo_estimate_many
 from ldphist.heavy_hitter import BOT, channel_of, draw_hash_seeds, hh_finalize, pp_client_report
-from ldphist.onebit import OneBitStructure, PublicString, acceptance_prob, collect_fo_aggregate, onebit_server_collect
+from ldphist.onebit import (
+    OneBitStructure,
+    PublicString,
+    acceptance_prob,
+    collect_aggregates,
+    collect_fo_aggregate,
+    onebit_server_collect,
+)
 from ldphist.transport import (
     MSG_ACK,
     MSG_BATCH,
@@ -367,6 +376,28 @@ class TestOneBitSession:
                             seed=1, k_override=100_000, one_bit=True)
         with pytest.raises(ValueError, match="K\\*T"):
             _SessionState(cfg)
+
+    def test_close_unpacks_only_the_oracle_row(self):
+        # A hist close reads the accepted users from the dedup bitmap's last
+        # row, which starts mid-byte here (K*T*n is odd); unpacking all
+        # (K*T + 1) * n bits of the bitmap would take about 114 MiB.
+        cfg = SessionConfig(protocol="hist", d=16, n=20_001, eps=math.log(2), beta=0.5,
+                            seed=5, k_override=1_999, one_bit=True)
+        state = _SessionState(cfg)
+        bits = {0: 1, 7: 0, 1_999: 1, 10_000: 1, 20_000: 1}
+        state.absorb(_decode_batch(b"".join(encode_frame(MSG_ONE_BIT, OneBitPayload(u, b).pack())
+                                            for u, b in bits.items())))
+        tracemalloc.start()
+        try:
+            csv = state.finalize()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.oracle_row * cfg.n % 8 != 0
+        assert peak < (state.oracle_row + 1) * cfg.n / 8
+        fo_agg, pp_aggs = collect_aggregates(sorted(bits.items()), state.structure)
+        hist, _, _ = hh_finalize(pp_aggs, fo_agg, state.setup.code, state.setup.hh, state.pub)
+        assert csv == hist.to_csv()
 
 
 CLOSE = encode_frame(MSG_CONTROL, json.dumps({"action": "close"}).encode("utf-8"))
