@@ -20,7 +20,6 @@ import time
 
 import numpy as np
 
-from .core import load_params_file
 from .harness import DatasetSpec, ExperimentConfig, fo_scaling_sweep, run_experiment
 from .randomizer import (
     amplified_epsilon,
@@ -52,26 +51,37 @@ def _out_dir(args) -> str:
 
 
 class _ConfigDefaults(argparse.Action):
-    """--config FILE: each key=value entry is parsed as the option it names
-    (an error if the subcommand has none) and becomes its default; ``main``
-    parses again so that the command line overrides the file."""
+    """--config FILE: each key = value line ('#' starts a comment) becomes
+    the default of the option it names (an error if the subcommand has
+    none): a flag takes 1 or 0, and a list option space-separated words.  A
+    value or word is parsed as "--key=value", so it can only be that
+    option's value.  ``main`` parses again so that the command line
+    overrides the file."""
 
     def __call__(self, parser, namespace, path, option_string=None):
-        tokens, attrs = [], []
-        for key, value in load_params_file(path).items():
-            attr = key.replace("-", "_")
-            if attr in ("config", "func") or not hasattr(namespace, attr):
-                parser.error(f"{path}: unknown key {key!r}")
-            flag, default = "--" + attr.replace("_", "-"), getattr(namespace, attr)
-            if isinstance(default, bool):  # store_true: 1 or 0, any other value is refused
-                tokens += {1: [flag], 0: []}.get(value, [flag, str(value)])
-            elif isinstance(default, list):  # nargs="+"
-                tokens += [flag, *str(value).split()]
-            else:
-                tokens += [flag, str(value)]
-            attrs.append(attr)
-        from_file = parser.parse_args(tokens)
-        parser.set_defaults(**{attr: getattr(from_file, attr) for attr in attrs})
+        defaults = {}
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                key, eq, value = (part.strip() for part in line.split("#", 1)[0].partition("="))
+                if not eq:
+                    if key:
+                        parser.error(f"{path}:{lineno}: expected key=value, got {key!r}")
+                    continue  # a blank or comment line
+                attr = key.replace("-", "_")
+                if attr in ("config", "func") or not hasattr(namespace, attr):
+                    parser.error(f"{path}:{lineno}: unknown key {key!r}")
+                flag, default = "--" + attr.replace("_", "-"), getattr(namespace, attr)
+                if isinstance(default, bool):  # store_true
+                    if value not in ("0", "1"):
+                        parser.error(f"{path}:{lineno}: {key} takes 1 or 0, "
+                                     f"unrecognized arguments: {value}")
+                    defaults[attr] = value == "1"
+                elif isinstance(default, list):  # nargs="+"
+                    defaults[attr] = [x for word in value.split() or [""]
+                                      for x in getattr(parser.parse_args([f"{flag}={word}"]), attr)]
+                else:
+                    defaults[attr] = getattr(parser.parse_args([f"{flag}={value}"]), attr)
+        parser.set_defaults(**defaults)
         setattr(namespace, self.dest, path)
 
 
@@ -144,12 +154,26 @@ def cmd_hist(args):
     return 0
 
 
+# audit_ldp builds float64 arrays of (2^m)^2 * 2m entries; --m-list is
+# capped where one would exceed 64 MiB (m = 9).
+_AUDIT_ARRAY_BYTES = 64 << 20
+_AUDIT_M_MAX = max(m for m in range(1, 32) if 8 * 4**m * 2 * m <= _AUDIT_ARRAY_BYTES)
+
+
+def _sign_vectors(m: int) -> list:
+    """All 2^m sign vectors of length m, the i-th sign from bit i of v."""
+    return [np.array([1 - 2 * ((v >> i) & 1) for i in range(m)], dtype=np.int8)
+            for v in range(2**m)]
+
+
 def cmd_audit(args):
+    refused = [m for m in args.m_list if not 1 <= m <= _AUDIT_M_MAX]
+    if refused:
+        raise ValueError(f"--m-list takes m in [1, {_AUDIT_M_MAX}], got {refused[0]}")
     out = _out_dir(args)
     rows = ["m,eps,eps_observed,delta_at_eps"]
     for m in args.m_list:
-        inputs = [np.array([1 - 2 * ((v >> i) & 1) for i in range(m)], dtype=np.int8)
-                  for v in range(2**m)]
+        inputs = _sign_vectors(m)
         for eps in args.eps_list:
             ch = randomizer_channel(inputs, m, eps)
             res = audit_ldp(ch)
@@ -157,8 +181,7 @@ def cmd_audit(args):
             _echo("audit", {"m": m, "eps": eps, "eps_observed": res.eps_observed})
     amp_rows = ["eta,eps,amplified_bound,eps_observed,mutual_information_nats"]
     m, d = 4, 16
-    base_inputs = [np.array([1 - 2 * ((v >> i) & 1) for i in range(m)], dtype=np.int8)
-                   for v in range(d)]
+    base_inputs = _sign_vectors(m)
     for eps in args.eps_list:
         base = randomizer_channel(base_inputs, m, eps)
         for eta in (0.0, 0.25, 0.5, 1.0):
@@ -349,7 +372,7 @@ def main(argv=None) -> int:
         if getattr(args, "config", None):
             args = parser.parse_args(argv)  # now with the file's defaults
         return args.func(args)
-    except ValueError as exc:  # a config or report file, or a parameter set, the library refuses
+    except (OSError, ValueError) as exc:  # a file or service it cannot open, or a refused input
         parser.error(str(exc))
 
 

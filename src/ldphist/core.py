@@ -38,7 +38,6 @@ __all__ = [
     "derive_hh_params",
     "c_eps",
     "report_magnitude",
-    "load_params_file",
 ]
 
 
@@ -349,32 +348,3 @@ class PublicRandomness:
             state.update(heads[i])
             out[i, j] = _below(state, *draws[j])
         return out
-
-
-# ---------------------------------------------------------------------------
-# Plain-text parameter files
-# ---------------------------------------------------------------------------
-
-def _parse_value(text: str):
-    text = text.strip()
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text
-
-
-def load_params_file(path: str) -> dict:
-    """Load key=value parameter lines; '#' starts a comment."""
-    params = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            params[key.strip()] = _parse_value(value)
-    return params

@@ -511,7 +511,7 @@ class _Handler(socketserver.StreamRequestHandler):
         if action == "stats":
             return _ack(state.stats())
         if action != "close":
-            raise PayloadBoundsError(f"unknown control action {body!r}")
+            raise PayloadBoundsError(f"unknown control action {repr(body)[:80]}")  # a small ack
         result = state.close()
         if result is None:
             return _ack({"ok": False, "code": "empty-session", "error": "no reports to estimate from"})

@@ -94,6 +94,62 @@ class TestCliExperiments:
         manifest = json.loads((tmp_path / "fo_manifest.json").read_text())
         assert manifest["config"]["one_bit"] is True
 
+    def test_config_file_roundtrip(self, tmp_path, capsys):
+        # Comments, blank lines and spacing around "=" are skipped; a
+        # string value is kept as its stripped text.
+        cfg = tmp_path / "run.params"
+        cfg.write_text("# comment\n\nd = 16\neps=1.5\nn = 400\nbeta = 0.2\n"
+                       "dataset = planted  # trailing\nplanted = 3:0.5\n")
+        out = _run(["fo", "--config", str(cfg), "--out-dir", str(tmp_path)], capsys)
+        fo = json.loads(out.split("[derived] ", 1)[1].split("\n", 1)[0])["fo_params"]
+        assert (fo["d"], fo["n"], fo["eps"]) == (16, 400, 1.5)
+        manifest = json.loads((tmp_path / "fo_manifest.json").read_text())
+        assert manifest["config"]["dataset"]["planted"] == [[3, 0.5]]
+
+    def test_config_file_rejects_garbage(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.params"
+        cfg.write_text("n = 400\nnot a pair\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["fo", "--config", str(cfg), "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"{cfg}:2: expected key=value, got 'not a pair'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, entry, refused", [
+        ("audit", "m-list = 2 --help", "invalid int value: '--help'"),
+        ("audit", "m-list = 2 --config {cfg}", "invalid int value: '--config'"),
+        ("audit", "m-list =", "invalid int value: ''"),
+        ("fo", "n = --config {cfg}", "invalid int value: '--config {cfg}'"),
+        ("fo", "one-bit = 1.0", "one-bit takes 1 or 0"),
+        ("fo", "one-bit = 01", "one-bit takes 1 or 0"),
+        ("fo", "one-bit = --help", "one-bit takes 1 or 0"),
+    ], ids=["list-help", "list-self", "list-empty", "scalar-self", "flag-float",
+            "flag-padded", "flag-help"])
+    def test_config_value_sets_only_its_option(self, tmp_path, capsys, command, entry, refused):
+        # A value is never read as another option, so a file can neither
+        # ask for help nor name itself again.
+        cfg = tmp_path / "params.cfg"
+        cfg.write_text(entry.format(cfg=cfg) + "\n")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg), "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert refused.format(cfg=cfg) in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("argv", [
+        ["fo", "--config", "{missing}"],
+        ["fo", "--config", "{dir}"],
+        ["submit", "--port", "1", "--reports", "{missing}"],
+    ], ids=["config-missing", "config-directory", "reports-missing"])
+    def test_unopenable_file_exits_with_message(self, tmp_path, capsys, argv):
+        paths = {"missing": str(tmp_path / "missing.txt"), "dir": str(tmp_path)}
+        argv = [arg.format(**paths) for arg in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert argv[-1] in err and "Traceback" not in err
+
     @pytest.mark.parametrize("argv, refused", [
         (["hist", "--d", "16", "--n", "1000", "--eps", "0.6"], "threshold 1.465"),
         (["serve", "--one-bit", "--eps", "2.0", "--port", "0"], "budget 2.0000"),
@@ -107,8 +163,12 @@ class TestCliExperiments:
          "planted item 70 outside [0, 64)"),
         (["fo", "--d", "64", "--dataset", "planted", "--planted=-3:0.5"],
          "planted item -3 outside [0, 64)"),
+        (["audit", "--m-list", "2", "0"], "got 0"),
+        (["audit", "--m-list", "-2"], "got -2"),
+        (["audit", "--m-list", str(cli._AUDIT_M_MAX + 1)], f"got {cli._AUDIT_M_MAX + 1}"),
     ], ids=["hist", "serve-one-bit", "fo-one-bit", "fo-universe", "fo-no-trials",
-            "sweep-no-trials", "pp-item", "fo-planted-above", "fo-planted-negative"])
+            "sweep-no-trials", "pp-item", "fo-planted-above", "fo-planted-negative",
+            "audit-m-zero", "audit-m-negative", "audit-m-above-cap"])
     def test_refused_parameters_exit_with_message(self, tmp_path, capsys, argv, refused):
         # The library's ValueError becomes a one-line usage error, not a
         # traceback, and no output file is written.

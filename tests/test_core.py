@@ -10,7 +10,6 @@ from ldphist.core import (
     c_eps,
     derive_fo_params,
     derive_hh_params,
-    load_params_file,
     prf_below,
     report_magnitude,
 )
@@ -252,17 +251,3 @@ _GOLDEN_LABELS = [
     ((True,), "691000000001000000000000000000000000000000"),
     ((12345,), "691000000039300000000000000000000000000000"),
 ]
-
-
-class TestParamsFile:
-    def test_roundtrip(self, tmp_path):
-        p = tmp_path / "run.params"
-        p.write_text("# comment\nd = 1024\neps=1.5\nname = planted  # trailing\n")
-        params = load_params_file(str(p))
-        assert params == {"d": 1024, "eps": 1.5, "name": "planted"}
-
-    def test_rejects_garbage(self, tmp_path):
-        p = tmp_path / "bad.params"
-        p.write_text("not a pair\n")
-        with pytest.raises(ValueError):
-            load_params_file(str(p))

@@ -8,6 +8,7 @@ SystemExit(2) from the command line.  Anything else fails the test.
 """
 
 import json
+import os
 import socket
 from unittest import mock
 
@@ -235,6 +236,25 @@ def test_config_files(workdir, text):
     path = workdir / "params.cfg"
     path.write_bytes(text)
     assert _cli(["fo", "--config", str(path)], cmd_fo=lambda args: 0) in (0, 2)
+
+
+GOLDEN_AUDIT_CONFIG = b"m-list = 2 4\neps-list = 0.25 1.0  # nats\n"
+
+
+@given(text=_fuzzed([GOLDEN_AUDIT_CONFIG]))
+@example(text=b"m-list = 2 --help\n")
+@example(text=b"m-list = 2 --config audit.cfg\n")  # the file names itself
+@settings(max_examples=100, deadline=None)
+def test_audit_config_files(workdir, text):
+    # List options: every word must parse as the option's own value.  The
+    # path is relative to workdir, so that a file can name itself.
+    (workdir / "audit.cfg").write_bytes(text)
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        assert _cli(["audit", "--config", "audit.cfg"], cmd_audit=lambda args: 0) in (0, 2)
+    finally:
+        os.chdir(cwd)
 
 
 GOLDEN_REPORTS = b"kind,user,t,k,position,sign\nfo,0,0,0,1,-1\npp,3,1,2,5,1\nbit,7,0,0,0,1\n"

@@ -427,6 +427,23 @@ class TestRobustness:
             conn.close()
             server.shutdown()
 
+    def test_unknown_control_action_echo_bounded(self):
+        # A 60,001-byte [1, 1, ...] body has a repr of about 90,000
+        # characters; the bad-frame ack echoes only an excerpt of it.
+        cfg = SessionConfig(protocol="fo", d=8, n=10, eps=1.0, beta=0.2, seed=3)
+        payload = b"[" + b"1," * 29_999 + b"1]"
+        server = AggregationServer(cfg)
+        conn = _Connection(server.start())
+        try:
+            msg_type, body = conn.roundtrip(encode_frame(MSG_CONTROL, payload))
+            assert msg_type == MSG_ACK and len(body) < 1024
+            ack = json.loads(body)
+            assert not ack["ok"] and ack["code"] == "bad-frame"
+            assert ack["error"].startswith("unknown control action [1, 1, 1")
+        finally:
+            conn.close()
+            server.shutdown()
+
     def test_declared_length_bounded(self):
         # A frame of exactly MAX_REQUEST_PAYLOAD bytes is read and served; a
         # header declaring more is refused before its payload is awaited,
