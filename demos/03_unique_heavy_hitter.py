@@ -11,7 +11,8 @@ rounding, so the item pops out even when only a fraction of users hold it.
 import numpy as np
 
 from ldphist.codec import build_code
-from ldphist.heavy_hitter import BOT, pp_aggregate, pp_decode, pp_run
+from ldphist.core import BOT
+from ldphist.heavy_hitter import decode_channels, pp_aggregate, pp_run
 
 d, n, eps = 2**16, 100_000, 2.0
 code = build_code(d, "concatenated")
@@ -34,6 +35,6 @@ print(f"all users idle: decoded item = {noise_only.item}, estimate {noise_only.e
 # the rounded vector's distance to the decoded codeword is what a
 # verifying caller checks against the correction radius
 agg = pp_aggregate(np.full(n, secret, dtype=np.int64), code, eps, rng)
-res = pp_decode(agg, code, verify=True)
+res = decode_channels([agg], code, verify=True)[0]
 print(f"verified decode at full support: item {res.item}, "
       f"{res.flips} flipped coordinates (radius {code.correctable_flips():.0f})")

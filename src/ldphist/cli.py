@@ -55,32 +55,38 @@ class _ConfigDefaults(argparse.Action):
     the default of the option it names (an error if the subcommand has
     none): a flag takes 1 or 0, and a list option space-separated words.  A
     value or word is parsed as "--key=value", so it can only be that
-    option's value.  ``main`` parses again so that the command line
-    overrides the file."""
+    option's value.  Every refusal names the file, and its line but for a
+    file that is not UTF-8.  ``main`` parses again so that the command
+    line overrides the file."""
 
     def __call__(self, parser, namespace, path, option_string=None):
-        defaults = {}
+        defaults, parser.exit_on_error = {}, False  # a refused value raises ArgumentError
         with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                key, eq, value = (part.strip() for part in line.split("#", 1)[0].partition("="))
-                if not eq:
-                    if key:
-                        parser.error(f"{path}:{lineno}: expected key=value, got {key!r}")
-                    continue  # a blank or comment line
-                attr = key.replace("-", "_")
-                if attr in ("config", "func") or not hasattr(namespace, attr):
-                    parser.error(f"{path}:{lineno}: unknown key {key!r}")
-                flag, default = "--" + attr.replace("_", "-"), getattr(namespace, attr)
-                if isinstance(default, bool):  # store_true
-                    if value not in ("0", "1"):
-                        parser.error(f"{path}:{lineno}: {key} takes 1 or 0, "
-                                     f"unrecognized arguments: {value}")
-                    defaults[attr] = value == "1"
-                elif isinstance(default, list):  # nargs="+"
-                    defaults[attr] = [x for word in value.split() or [""]
-                                      for x in getattr(parser.parse_args([f"{flag}={word}"]), attr)]
-                else:
-                    defaults[attr] = getattr(parser.parse_args([f"{flag}={value}"]), attr)
+            try:
+                for lineno, line in enumerate(fh, 1):
+                    key, eq, value = (part.strip() for part in line.split("#", 1)[0].partition("="))
+                    if not eq:
+                        if key:
+                            raise ValueError(f"expected key=value, got {key!r}")
+                        continue  # a blank or comment line
+                    attr = key.replace("-", "_")
+                    if attr in ("config", "func") or not hasattr(namespace, attr):
+                        raise ValueError(f"unknown key {key!r}")
+                    flag, default = "--" + attr.replace("_", "-"), getattr(namespace, attr)
+                    if isinstance(default, bool):  # store_true
+                        if value not in ("0", "1"):
+                            raise ValueError(f"{key} takes 1 or 0, unrecognized arguments: {value}")
+                        defaults[attr] = value == "1"
+                    elif isinstance(default, list):  # nargs="+"
+                        defaults[attr] = [x for word in value.split() or [""]
+                                          for x in getattr(parser.parse_args([f"{flag}={word}"]), attr)]
+                    else:
+                        defaults[attr] = getattr(parser.parse_args([f"{flag}={value}"]), attr)
+            except UnicodeDecodeError as exc:  # raised while reading, so no line to name
+                parser.error(f"{path}: {exc}")
+            except (argparse.ArgumentError, ValueError) as exc:
+                parser.error(f"{path}:{lineno}: {exc}")
+        parser.exit_on_error = True
         parser.set_defaults(**defaults)
         setattr(namespace, self.dest, path)
 
@@ -90,20 +96,22 @@ def _echo(tag: str, payload: dict):
 
 
 def _dataset_from_args(args) -> DatasetSpec:
-    kind = args.dataset
-    extra = {}
-    if kind.startswith("zipf"):
-        extra["s"] = float(kind.split(":", 1)[1]) if ":" in kind else 1.1
+    """--dataset's spec; ValueError naming the option for a value that does not parse."""
+    kind, extra = args.dataset, {}
+    if kind == "zipf" or kind.startswith("zipf:"):
+        try:
+            extra["s"] = float(kind.split(":", 1)[1]) if ":" in kind else 1.1
+        except ValueError:
+            raise ValueError(f"--dataset takes zipf[:s] with a number s, got {kind!r}") from None
         kind = "zipf"
     elif kind == "planted":
-        pairs = []
-        for part in (args.planted or "").split(","):
-            if not part:
-                continue
-            item, freq = part.split(":")
-            pairs.append((int(item), float(freq)))
+        try:
+            pairs = [(int(item), float(freq)) for item, freq in
+                     (part.split(":") for part in (args.planted or "").split(",") if part)]
+        except ValueError:
+            pairs = []
         if not pairs:
-            raise SystemExit("--planted item:freq[,item:freq...] is required")
+            raise ValueError(f"--planted takes item:freq[,item:freq...], got {args.planted!r}")
         extra["planted"] = tuple(pairs)
     return DatasetSpec(kind=kind, d=args.d, n=args.n, seed=args.seed, **extra)
 

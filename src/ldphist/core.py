@@ -29,6 +29,7 @@ from typing import Iterable, Sequence, Tuple, Union
 import numpy as np
 
 __all__ = [
+    "BOT",
     "FoParams",
     "HhParams",
     "PublicRandomness",
@@ -41,6 +42,7 @@ __all__ = [
 ]
 
 
+BOT = -1  # the item of a user holding nothing, who randomizes the zero input
 LabelPart = Union[str, int, bytes]
 
 

@@ -22,7 +22,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .core import FoParams, PublicRandomness, c_eps
+from .core import BOT, FoParams, PublicRandomness, c_eps
 from .randomizer import SparseReport, randomize, randomize_many
 
 __all__ = [
@@ -137,9 +137,9 @@ def fo_client_report(
     v: int, params: FoParams, pub: PublicRandomness, eps: float, rng: np.random.Generator
 ) -> SparseReport:
     """One user's privatized report: the basic randomizer applied to the
-    user's projection column.  A user with no item (v is None) randomizes
-    the zero input."""
-    if v is None:
+    user's projection column.  A user with no item (v is None or BOT)
+    randomizes the zero input."""
+    if v is None or v == BOT:
         return randomize(None, params.m_fo, eps, rng)
     if not (0 <= v < params.d):
         raise ValueError(f"item {v} outside universe of size {params.d}")
@@ -159,13 +159,13 @@ def absorb_groups(
     groups yields (item, count) pairs, drawn in the order given (seeded
     runs depend on it); the count users holding item run the basic
     randomizer on its input, read only at their positions as
-    signs_of(item, positions), and item -1 stands for users holding
+    signs_of(item, positions), and item BOT stands for users holding
     nothing, who randomize the zero input.  Any other negative item is
     refused when its group is reached."""
     for v, count in groups:
-        if v < -1:
-            raise ValueError(f"item {v}: items must lie in [0, d) or be -1 (no item)")
-        x = None if v < 0 else functools.partial(signs_of, int(v))
+        if v < BOT:
+            raise ValueError(f"item {v}: items must lie in [0, d) or be {BOT} (no item)")
+        x = None if v == BOT else functools.partial(signs_of, int(v))
         positions, signs = randomize_many(x, int(count), eps, len(cells) // 2, rng)
         np.add.at(cells, 2 * positions + (signs < 0), 1)
 
@@ -212,8 +212,8 @@ def fo_simulate_reports(
     Sampling is grouped by distinct item, and each group hashes only the
     column blocks its users' positions fall in; per-user draws are
     identical in distribution to calling fo_client_report in a loop.
-    Items equal to -1 denote users with no item, whose reports are
-    uniform; items below -1 are refused before any draw (np.unique sorts
+    Items equal to BOT denote users with no item, whose reports are
+    uniform; items below BOT are refused before any draw (np.unique sorts
     them first).
     """
     values, counts = np.unique(np.asarray(items), return_counts=True)

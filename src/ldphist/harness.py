@@ -19,9 +19,9 @@ from typing import Optional
 import numpy as np
 
 from .codec import Code, build_code
-from .core import FoParams, HhParams, PublicRandomness, derive_fo_params, derive_hh_params
+from .core import BOT, FoParams, HhParams, PublicRandomness, derive_fo_params, derive_hh_params
 from .freq_oracle import fo_estimate_many, fo_simulate_reports
-from .heavy_hitter import BOT, MERSENNE_P, SuccinctHistogram, hh_execute, hh_finalize, pp_run
+from .heavy_hitter import MERSENNE_P, SuccinctHistogram, hh_execute, hh_finalize, pp_run
 from .onebit import OneBitStructure, PublicString, collect_aggregates, onebit_client
 
 __all__ = [

@@ -36,7 +36,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .codec import Code, round_to_hypercube
-from .core import FoParams, HhParams, PublicRandomness, c_eps, prf_below
+from .core import BOT, FoParams, HhParams, PublicRandomness, c_eps, prf_below
 from .freq_oracle import (
     AggregateState,
     absorb_groups,
@@ -47,15 +47,14 @@ from .freq_oracle import (
 from .randomizer import SparseReport, randomize
 
 __all__ = [
-    "BOT",
     "MERSENNE_P",
     "HashSeed",
     "draw_hash_seeds",
     "channel_of",
+    "check_channel_cap",
     "pp_client_report",
     "simulate_idle_noise",
     "decode_channels",
-    "pp_decode",
     "PpDecodeResult",
     "pp_run",
     "SuccinctHistogram",
@@ -67,8 +66,6 @@ __all__ = [
 
 MERSENNE_P = (1 << 61) - 1
 _HASH_PRF_KEY = b"ldphist-channel-hash-v1"
-BOT = -1  # sentinel item for users holding nothing
-
 FAITHFUL_CHANNEL_CAP = 1 << 14
 
 
@@ -106,6 +103,13 @@ def channel_of(seed: HashSeed, v: int, K: int) -> int:
         raise ValueError("item exceeds the hash prime; universe too large")
     a, b = seed.pair
     return ((a * v + b) % MERSENNE_P) % K
+
+
+def check_channel_cap(K: int, T: int, what: str, instead: str = "a smaller K override") -> None:
+    """Refuse K*T above FAITHFUL_CHANNEL_CAP, naming what materializes the channels."""
+    if K * T > FAITHFUL_CHANNEL_CAP:
+        raise ValueError(f"{what} materializes K*T = {K * T} channels; "
+                         f"cap is {FAITHFUL_CHANNEL_CAP}, use {instead}")
 
 
 def pp_client_report(
@@ -165,22 +169,17 @@ def decode_channels(aggs: Sequence[AggregateState], code: Code, verify: bool) ->
     return [r if r is not None else PpDecodeResult(item=None, estimate=0.0) for r in out]
 
 
-def pp_decode(agg: AggregateState, code: Code, verify: bool = False) -> PpDecodeResult:
-    """Decode one promise-protocol aggregate (see ``decode_channels``).
+def pp_run(
+    items: np.ndarray, code: Code, eps: float, rng: np.random.Generator
+) -> PpDecodeResult:
+    """Run the promise protocol end to end on items (BOT = no item).
 
     Below the promise (too few users holding the item for its signal to
     dominate the rounding noise) the result is unspecified: decoding may
     return an arbitrary item or fail even at a single user and huge eps,
     since one report fixes a single coordinate of the mean vector.
     """
-    return decode_channels([agg], code, verify)[0]
-
-
-def pp_run(
-    items: np.ndarray, code: Code, eps: float, rng: np.random.Generator
-) -> PpDecodeResult:
-    """Run the promise protocol end to end on items (BOT = no item)."""
-    return pp_decode(pp_aggregate(items, code, eps, rng), code)
+    return decode_channels([pp_aggregate(items, code, eps, rng)], code, verify=False)[0]
 
 
 def pp_aggregate(
@@ -283,11 +282,8 @@ def hh_execute(
     if n != hh_params.n:
         raise ValueError(f"got {n} items but parameters were derived for n={hh_params.n}")
     K, T, eps_ch = hh_params.K, hh_params.T, hh_params.eps_channel
-    if mode == "faithful" and K * T > FAITHFUL_CHANNEL_CAP:
-        raise ValueError(
-            f"faithful mode materializes K*T = {K * T} channels; cap is "
-            f"{FAITHFUL_CHANNEL_CAP}, use fast mode or a smaller K override"
-        )
+    if mode == "faithful":
+        check_channel_cap(K, T, "faithful mode", "fast mode or a smaller K override")
 
     seeds = draw_hash_seeds(pub, T, hh_params.ell)
     values, counts = np.unique(items[items != BOT], return_counts=True)

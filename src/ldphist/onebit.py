@@ -34,9 +34,9 @@ from typing import Optional
 import numpy as np
 
 from .codec import Code
-from .core import FoParams, HhParams, PublicRandomness, _below, _draw_args, _encode_label
+from .core import BOT, FoParams, HhParams, PublicRandomness, _below, _draw_args, _encode_label
 from .freq_oracle import AggregateState, channel_aggregates
-from .heavy_hitter import BOT, FAITHFUL_CHANNEL_CAP, channel_of, draw_hash_seeds
+from .heavy_hitter import channel_of, check_channel_cap, draw_hash_seeds
 
 __all__ = [
     "OneBitStructure",
@@ -78,11 +78,7 @@ class OneBitStructure:
             raise ValueError("hash channels require a code")
         if self.T > 0 and len(self.seeds) != self.T:
             raise ValueError(f"need {self.T} hash seeds, got {len(self.seeds)}")
-        if self.T > 0 and self.K * self.T > FAITHFUL_CHANNEL_CAP:
-            raise ValueError(
-                f"one-bit collection materializes K*T = {self.K * self.T} channels; "
-                f"cap is {FAITHFUL_CHANNEL_CAP}, use a smaller K override"
-            )
+        check_channel_cap(self.K, self.T, "one-bit collection")
         if self.total_eps() > MAX_TOTAL_EPS + 1e-12:
             raise ValueError(
                 f"total budget {self.total_eps():.4f} exceeds ln 2; the acceptance "

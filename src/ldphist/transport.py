@@ -66,7 +66,7 @@ import numpy as np
 from .core import PublicRandomness
 from .freq_oracle import channel_aggregates, fo_estimate_many
 from .harness import protocol_setup
-from .heavy_hitter import FAITHFUL_CHANNEL_CAP, hh_finalize
+from .heavy_hitter import check_channel_cap, hh_finalize
 from .onebit import collect_aggregates
 
 __all__ = [
@@ -150,6 +150,9 @@ _HANDLER_THREADS = 8
 
 # Mask of dedup flag i within its byte of the packed bitmap, indexed by i % 8.
 _BIT = (1 << np.arange(8)).astype(np.uint8)
+
+# A one-bit session's vote of a user who has sent none; wire bits are 0 or 1.
+_NO_VOTE = 2
 
 
 class TransportError(Exception):
@@ -320,16 +323,12 @@ class _SessionState:
                                     config.beta, config.k_override, config.code_kind)
         hh = self.setup.hh
         self.K, self.T, self.m = (hh.K, hh.T, self.setup.code.m) if hh else (0, 0, 0)
-        if self.K * self.T > FAITHFUL_CHANNEL_CAP:
-            raise ValueError(
-                f"a hist session keeps K*T = {self.K * self.T} channels; "
-                f"cap is {FAITHFUL_CHANNEL_CAP}, use a smaller K override"
-            )
+        check_channel_cap(self.K, self.T, "a hist session")
         self.structure = self.setup.one_bit(self.pub) if config.one_bit else None
         self.oracle_row = self.K * self.T
         self.seen = np.zeros(((self.oracle_row + 1) * config.n + 7) // 8, dtype=np.uint8)
         self.counts = np.zeros(2 * (self.oracle_row * self.m + self.setup.fo.m_fo), dtype=np.int64)
-        self.bits = np.zeros(config.n, dtype=np.uint8)
+        self.bits = np.full(config.n, _NO_VOTE, dtype=np.uint8)
         self.tally = dict.fromkeys(_STATUS_CODES + ("bad-frame", "bytes_read"), 0)
 
     def _place(self, rec: np.ndarray) -> tuple:
@@ -385,7 +384,7 @@ class _SessionState:
         with self.lock:
             rejected = dict(self.tally)
             if self.structure is not None:  # every accepted bit feeds every channel
-                fo_total = int(self.bits.sum())
+                fo_total = int(np.count_nonzero(self.bits == 1))
                 busy = [fo_total] * self.oracle_row if fo_total else []
             else:  # row sums of the counts; an fo session's channel table is (0, 0)
                 table = self.counts[: 2 * self.oracle_row * self.m].reshape(self.oracle_row, 2 * self.m)
@@ -422,10 +421,8 @@ class _SessionState:
     def finalize(self) -> Optional[str]:
         """Result CSV, or None when no oracle report (or accepted bit)
         arrived, which leaves nothing to estimate."""
-        if self.structure is not None:  # unpack only the bytes of the oracle row's bits
-            n, start = self.config.n, self.oracle_row * self.config.n
-            seen = np.unpackbits(self.seen[start >> 3 : (start + n + 7) >> 3], bitorder="little")
-            users = np.flatnonzero(seen[start & 7 :][:n])
+        if self.structure is not None:
+            users = np.flatnonzero(self.bits != _NO_VOTE)
             fo_agg, pp_aggs = collect_aggregates(
                 zip(users.tolist(), self.bits[users].tolist()), self.structure
             )

@@ -122,8 +122,10 @@ class TestCliExperiments:
         ("fo", "one-bit = 1.0", "one-bit takes 1 or 0"),
         ("fo", "one-bit = 01", "one-bit takes 1 or 0"),
         ("fo", "one-bit = --help", "one-bit takes 1 or 0"),
+        ("fo", "d = 16.5", "{cfg}:1: argument --d: invalid int value: '16.5'"),
+        ("hist", "mode = slow", "{cfg}:1: argument --mode: invalid choice: 'slow'"),
     ], ids=["list-help", "list-self", "list-empty", "scalar-self", "flag-float",
-            "flag-padded", "flag-help"])
+            "flag-padded", "flag-help", "scalar-type-named", "scalar-choice-named"])
     def test_config_value_sets_only_its_option(self, tmp_path, capsys, command, entry, refused):
         # A value is never read as another option, so a file can neither
         # ask for help nor name itself again.
@@ -166,9 +168,16 @@ class TestCliExperiments:
         (["audit", "--m-list", "2", "0"], "got 0"),
         (["audit", "--m-list", "-2"], "got -2"),
         (["audit", "--m-list", str(cli._AUDIT_M_MAX + 1)], f"got {cli._AUDIT_M_MAX + 1}"),
+        (["hist", "--planted", ","], "--planted takes item:freq[,item:freq...], got ','"),
+        (["hist", "--planted", "x"], "--planted takes item:freq[,item:freq...], got 'x'"),
+        (["hist", "--planted", "1:2:3"], "--planted takes item:freq[,item:freq...], got '1:2:3'"),
+        (["fo", "--dataset", "zipf:abc"], "--dataset takes zipf[:s] with a number s, got 'zipf:abc'"),
+        (["fo", "--dataset", "zipfoo"], "unknown dataset kind 'zipfoo'"),
     ], ids=["hist", "serve-one-bit", "fo-one-bit", "fo-universe", "fo-no-trials",
             "sweep-no-trials", "pp-item", "fo-planted-above", "fo-planted-negative",
-            "audit-m-zero", "audit-m-negative", "audit-m-above-cap"])
+            "audit-m-zero", "audit-m-negative", "audit-m-above-cap", "hist-planted-empty",
+            "hist-planted-one-field", "hist-planted-three-fields", "fo-zipf-exponent",
+            "fo-zipf-prefix"])
     def test_refused_parameters_exit_with_message(self, tmp_path, capsys, argv, refused):
         # The library's ValueError becomes a one-line usage error, not a
         # traceback, and no output file is written.

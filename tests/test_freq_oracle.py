@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ldphist.core import PublicRandomness, c_eps, derive_fo_params
+from ldphist.core import BOT, PublicRandomness, c_eps, derive_fo_params
 from ldphist.freq_oracle import (
     AggregateState,
     channel_aggregates,
@@ -216,6 +216,15 @@ class TestClientReport:
         for _ in range(50):
             r = fo_client_report(5, params, PUB, 1.0, rng)
             assert 0 <= r.position < params.m_fo
+
+    @pytest.mark.parametrize("v", [None, BOT])
+    def test_no_item_randomizes_the_zero_input(self, v):
+        # BOT and None are the same user: the zero input's report, draw for
+        # draw from the same generator.
+        params = derive_fo_params(16, 100, 1.0, 0.2)
+        rng, ref = np.random.default_rng(6), np.random.default_rng(6)
+        for _ in range(50):
+            assert fo_client_report(v, params, PUB, 1.0, rng) == randomize(None, params.m_fo, 1.0, ref)
 
     def test_toy_channel_audits_to_eps(self):
         # Exact channel over 4 items with an 8-coordinate projection.

@@ -7,6 +7,8 @@ TransportError subclass from the wire, ValueError from a blob, and
 SystemExit(2) from the command line.  Anything else fails the test.
 """
 
+import contextlib
+import io
 import json
 import os
 import socket
@@ -230,12 +232,18 @@ GOLDEN_CONFIG = (b"d = 16\nn = 400\neps = 1.5  # nats\nbeta = 0.2\ntrials = 2\n"
 
 
 @given(text=_fuzzed([GOLDEN_CONFIG]))
+@example(text=b"d = 16.5\n")  # a value its option refuses
+@example(text=b"n = 400\n\xff\n")  # not UTF-8
 @settings(max_examples=100, deadline=None)
 def test_config_files(workdir, text):
-    # Only the parse: the experiment itself is stubbed out.
+    # Only the parse: the experiment itself is stubbed out, so every
+    # refusal comes from the file and must name it.
     path = workdir / "params.cfg"
     path.write_bytes(text)
-    assert _cli(["fo", "--config", str(path)], cmd_fo=lambda args: 0) in (0, 2)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        status = _cli(["fo", "--config", str(path)], cmd_fo=lambda args: 0)
+    assert status == 0 or str(path) in err.getvalue()
 
 
 GOLDEN_AUDIT_CONFIG = b"m-list = 2 4\neps-list = 0.25 1.0  # nats\n"
@@ -244,17 +252,20 @@ GOLDEN_AUDIT_CONFIG = b"m-list = 2 4\neps-list = 0.25 1.0  # nats\n"
 @given(text=_fuzzed([GOLDEN_AUDIT_CONFIG]))
 @example(text=b"m-list = 2 --help\n")
 @example(text=b"m-list = 2 --config audit.cfg\n")  # the file names itself
+@example(text=b"m-list = 2\n\xff\n")  # not UTF-8
 @settings(max_examples=100, deadline=None)
 def test_audit_config_files(workdir, text):
     # List options: every word must parse as the option's own value.  The
     # path is relative to workdir, so that a file can name itself.
     (workdir / "audit.cfg").write_bytes(text)
-    cwd = os.getcwd()
+    cwd, err = os.getcwd(), io.StringIO()
     os.chdir(workdir)
     try:
-        assert _cli(["audit", "--config", "audit.cfg"], cmd_audit=lambda args: 0) in (0, 2)
+        with contextlib.redirect_stderr(err):
+            status = _cli(["audit", "--config", "audit.cfg"], cmd_audit=lambda args: 0)
     finally:
         os.chdir(cwd)
+    assert status == 0 or "audit.cfg" in err.getvalue()
 
 
 GOLDEN_REPORTS = b"kind,user,t,k,position,sign\nfo,0,0,0,1,-1\npp,3,1,2,5,1\nbit,7,0,0,0,1\n"

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from ldphist.freq_oracle import (
 )
 from ldphist.heavy_hitter import (
     BOT,
+    FAITHFUL_CHANNEL_CAP,
     HashSeed,
     channel_of,
     decode_channels,
@@ -22,11 +24,11 @@ from ldphist.heavy_hitter import (
     hh_finalize,
     pp_aggregate,
     pp_client_report,
-    pp_decode,
     pp_run,
     prune,
     simulate_idle_noise,
 )
+from ldphist.onebit import OneBitStructure
 from ldphist.randomizer import (
     ChannelMatrix,
     audit_ldp,
@@ -34,6 +36,7 @@ from ldphist.randomizer import (
     randomize_many,
     report_distribution,
 )
+from ldphist.transport import SessionConfig, _SessionState
 
 PUB = PublicRandomness.from_any(77)
 
@@ -192,7 +195,7 @@ class TestPpDecode:
     def test_requires_reports(self):
         code = build_code(16, "reference")
         with pytest.raises(ValueError):
-            pp_decode(AggregateState(m=code.m, eps=1.0), code)
+            decode_channels([AggregateState(m=code.m, eps=1.0)], code, verify=False)
 
     def test_verify_rejects_noise(self):
         code = build_code(1024, "reference")
@@ -200,7 +203,7 @@ class TestPpDecode:
         rejected = 0
         for _ in range(50):
             agg = pp_aggregate(np.full(3000, BOT), code, 1.0, rng)
-            res = pp_decode(agg, code, verify=True)
+            res = decode_channels([agg], code, verify=True)[0]
             rejected += res.item is None
         assert rejected >= 48
 
@@ -558,3 +561,31 @@ class TestBudgetIdentity:
                 differing += 1
                 assert differing <= 2 * hh.T + 1
                 assert total <= eps + 1e-9
+
+
+def _build_at_channels(caller, K):
+    """Build what the caller materializes with K channels in each of T = 4
+    repetitions (beta = 0.25 gives T = 4, so K = cap / 4 meets the cap)."""
+    d, n, eps, beta = 16, 200, 2.0, 0.25
+    if caller == "one-bit collection":
+        OneBitStructure(pub=PUB, run_id=0, K=K, T=4, eps_channel=math.log(2) / 9, m_fo=4,
+                        code=build_code(d, "reference"), seeds=tuple(draw_hash_seeds(PUB, 4, 16)))
+    elif caller == "a hist session":
+        _SessionState(SessionConfig(protocol="hist", d=d, n=n, eps=eps, beta=beta, seed=1, k_override=K))
+    else:
+        hh = derive_hh_params(d, n, eps, beta, k_override=K)
+        fo = derive_fo_params(d, n, hh.eps_channel, beta / 3)
+        hh_execute(np.zeros(n, dtype=int), build_code(d, "reference"), hh, fo, PUB,
+                   np.random.default_rng(0), mode="faithful")
+
+
+@pytest.mark.parametrize("caller", ["faithful mode", "one-bit collection", "a hist session"])
+def test_channel_cap_callers(caller):
+    # K*T equal to the cap is built; one channel per repetition more is
+    # refused by the one check, naming the caller, K*T and the cap.
+    assert FAITHFUL_CHANNEL_CAP % 4 == 0
+    _build_at_channels(caller, FAITHFUL_CHANNEL_CAP // 4)
+    refused = re.escape(f"{caller} materializes K*T = {FAITHFUL_CHANNEL_CAP + 4} channels; "
+                        f"cap is {FAITHFUL_CHANNEL_CAP}")
+    with pytest.raises(ValueError, match=refused):
+        _build_at_channels(caller, FAITHFUL_CHANNEL_CAP // 4 + 1)
