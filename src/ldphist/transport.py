@@ -36,8 +36,8 @@ refuses its parameters, or if it is a "hist" session with K*T above
 FAITHFUL_CHANNEL_CAP, which bounds its (K*T + 1) x n dedup bitmap.  A
 frame header declaring more than MAX_REQUEST_PAYLOAD bytes is refused
 before its payload is read, and a connection silent for READ_TIMEOUT_S is
-dropped.  A fixed pool of handler threads serves the connections, and
-one that arrives while every thread is busy waits in a queue.
+dropped.  One selector loop thread reads, frames and answers every
+connection, and a close request is decoded in a thread of its own.
 {"action": "stats"} is answered with the reports absorbed, the rejections
 by code, the request bytes read, the oracle's n_total, and the number of
 occupied hash channels with their least and greatest n_total.  A close
@@ -52,12 +52,14 @@ A request that fails in the service is logged through "ldphist.service".
 
 from __future__ import annotations
 
+import contextlib
 import json
 import queue
+import selectors
 import socket
-import socketserver
 import struct
 import threading
+import time
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -112,8 +114,8 @@ MSG_BATCH = 6
 # report frames fits.
 MAX_REQUEST_PAYLOAD = 64 * 1024
 
-# Seconds a handler waits for the next bytes of a client before it drops
-# the connection, so that a stalled client cannot hold a thread forever.
+# Seconds the service waits for the next bytes of a client before it drops
+# the connection.
 READ_TIMEOUT_S = 30.0
 
 _HEADER = struct.Struct("<4sBBI")
@@ -141,12 +143,9 @@ _STATUS_CODES = ("ok", "bounds", "duplicate", "session-closed")
 _REASONS = ("", "is out of range for this session", "was already reported",
             "arrived after the session closed")
 
-# Seconds between serve_forever's shutdown checks, so that shutdown()
-# returns within this long (the socketserver default is 0.5 s).
+# Seconds between the service loop's looks for connections silent for
+# READ_TIMEOUT_S.
 _POLL_S = 0.05
-
-# Handler threads a server keeps; a connection beyond them waits its turn.
-_HANDLER_THREADS = 8
 
 # Mask of dedup flag i within its byte of the packed bitmap, indexed by i % 8.
 _BIT = (1 << np.arange(8)).astype(np.uint8)
@@ -444,133 +443,229 @@ def _read_exact(rfile, count: int) -> bytes:
     return data
 
 
-def read_frame(rfile, max_payload: Optional[int] = None) -> tuple:
-    """(msg_type, payload) of the next frame; a declared payload longer
-    than max_payload is refused before it is read."""
+def read_frame(rfile) -> tuple:
+    """(msg_type, payload) of the next frame."""
     msg_type, length = _parse_header(_read_exact(rfile, _HEADER.size))
-    if max_payload is not None and length > max_payload:
-        raise PayloadBoundsError(f"declared payload of {length} bytes exceeds {max_payload}")
     return msg_type, _read_exact(rfile, length)
 
 
-class _Handler(socketserver.StreamRequestHandler):
-    def setup(self):
-        self.request.settimeout(READ_TIMEOUT_S)
-        super().setup()
-
-    def handle(self):
-        state: _SessionState = self.server.state
-        try:
-            while True:
-                try:
-                    msg_type, payload = read_frame(self.rfile, MAX_REQUEST_PAYLOAD)
-                except TruncatedFrameError:
-                    return  # client went away
-                except TransportError as exc:
-                    state.count("bad-frame", 1)
-                    self.wfile.write(_ack({"ok": False, "code": "bad-frame", "error": str(exc)}))
-                    return
-                state.count("bytes_read", _HEADER.size + len(payload))
-                try:
-                    reply = self._dispatch(state, msg_type, payload)
-                except TransportError as exc:
-                    state.count("bad-frame", 1)
-                    reply = _ack({"ok": False, "code": "bad-frame", "error": str(exc)})
-                self.wfile.write(reply)
-                self.wfile.flush()
-        except OSError:
-            return  # client went away, or sent nothing for READ_TIMEOUT_S
-
-    def _dispatch(self, state: _SessionState, msg_type: int, payload: bytes) -> bytes:
-        if msg_type == MSG_CONTROL:
-            return self._control(state, payload)
-        if msg_type == MSG_BATCH:
-            rec = _decode_batch(payload)
-        elif msg_type in (MSG_FO_REPORT, MSG_PP_REPORT, MSG_ONE_BIT):
-            rec = _decode_batch(encode_frame(msg_type, payload))
-        else:
-            raise BadTypeError(f"unexpected message type {msg_type}")
-        status = state.absorb(rec)
-        errors = [[i, _STATUS_CODES[status[i]], f"report of user {rec['user'][i]} {_REASONS[status[i]]}"]
-                  for i in np.flatnonzero(status).tolist()]
-        if msg_type == MSG_BATCH:
-            return _ack({"ok": not errors, "errors": errors})
-        if errors:
-            return _ack({"ok": False, "code": errors[0][1], "error": errors[0][2]})
-        return _ack({"ok": True})
-
-    def _control(self, state: _SessionState, payload: bytes) -> bytes:
-        try:
-            body = json.loads(payload.decode("utf-8"))
-        except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deep JSON
-            raise PayloadBoundsError(f"control payload is not UTF-8 JSON: {exc}") from None
-        action = body.get("action") if isinstance(body, dict) else None
-        if action == "stats":
-            return _ack(state.stats())
-        if action != "close":
-            raise PayloadBoundsError(f"unknown control action {repr(body)[:80]}")  # a small ack
-        result = state.close()
-        if result is None:
-            return _ack({"ok": False, "code": "empty-session", "error": "no reports to estimate from"})
-        return encode_frame(MSG_RESULT, result.encode("utf-8"))
+def _take_frame(inbox: bytearray) -> Optional[tuple]:
+    """(msg_type, payload) of the whole frame at the start of inbox, taken
+    out of it, or None while it is incomplete; a declared payload above
+    MAX_REQUEST_PAYLOAD is refused before it arrives."""
+    if len(inbox) < _HEADER.size:
+        return None
+    msg_type, length = _parse_header(inbox)
+    if length > MAX_REQUEST_PAYLOAD:
+        raise PayloadBoundsError(f"declared payload of {length} bytes exceeds {MAX_REQUEST_PAYLOAD}")
+    end = _HEADER.size + length
+    if len(inbox) < end:
+        return None
+    payload = bytes(inbox[_HEADER.size : end])
+    del inbox[:end]
+    return msg_type, payload
 
 
-class AggregationServer(socketserver.TCPServer):
+def _dispatch(state: _SessionState, msg_type: int, payload: bytes) -> Optional[bytes]:
+    """The reply to one frame; None for a close request, whose reply
+    _close_reply makes."""
+    if msg_type == MSG_CONTROL:
+        return _control(state, payload)
+    if msg_type == MSG_BATCH:
+        rec = _decode_batch(payload)
+    elif msg_type in (MSG_FO_REPORT, MSG_PP_REPORT, MSG_ONE_BIT):
+        rec = _decode_batch(encode_frame(msg_type, payload))
+    else:
+        raise BadTypeError(f"unexpected message type {msg_type}")
+    status = state.absorb(rec)
+    errors = [[i, _STATUS_CODES[status[i]], f"report of user {rec['user'][i]} {_REASONS[status[i]]}"]
+              for i in np.flatnonzero(status).tolist()]
+    if msg_type == MSG_BATCH:
+        return _ack({"ok": not errors, "errors": errors})
+    if errors:
+        return _ack({"ok": False, "code": errors[0][1], "error": errors[0][2]})
+    return _ack({"ok": True})
+
+
+def _control(state: _SessionState, payload: bytes) -> Optional[bytes]:
+    try:
+        body = json.loads(payload.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deep JSON
+        raise PayloadBoundsError(f"control payload is not UTF-8 JSON: {exc}") from None
+    action = body.get("action") if isinstance(body, dict) else None
+    if action == "stats":
+        return _ack(state.stats())
+    if action != "close":
+        raise PayloadBoundsError(f"unknown control action {repr(body)[:80]}")  # a small ack
+    return None  # a close: the service runs it in a thread of its own
+
+
+def _close_reply(state: _SessionState) -> bytes:
+    result = state.close()
+    if result is None:
+        return _ack({"ok": False, "code": "empty-session", "error": "no reports to estimate from"})
+    return encode_frame(MSG_RESULT, result.encode("utf-8"))
+
+
+def _log_failure(address) -> None:
+    import logging  # on a failure only: it adds ~4 ms to every start-up
+    logging.getLogger("ldphist.service").exception("request from %s failed", address)
+
+
+class _Peer:
+    """A connection of the service loop: the bytes it sent that are not yet
+    framed, the reply bytes not yet sent to it, and when it is dropped."""
+
+    def __init__(self, sock: socket.socket, address):
+        self.sock, self.address, self.inbox, self.outbox = sock, address, bytearray(), bytearray()
+        self.deadline = time.monotonic() + READ_TIMEOUT_S
+        self.events = selectors.EVENT_READ  # 0 while it waits for its close reply
+        self.ended = False  # it sends no more: close it once its frames are answered
+
+
+class AggregationServer:
     """Aggregation service for one session, bound to (host, port).
 
-    ``start`` serves in daemon threads until ``shutdown``: one accepts
-    connections and queues them, and _HANDLER_THREADS handler threads
-    serve them from the queue; ``shutdown`` closes those still queued.  A
-    close request does not stop the service, and later close requests get
-    the same result."""
-
-    allow_reuse_address = True
+    ``start`` serves every connection from one selector loop thread until
+    ``shutdown``.  The loop answers each connection's frames in order and
+    reads no more from it while a reply waits to be sent.  A close request
+    is decoded in a thread of its own while its connection waits.  A close
+    request does not stop the service, and later close requests get the
+    same result."""
 
     def __init__(self, config: SessionConfig, host: str = "127.0.0.1", port: int = 0):
         self.state = _SessionState(config)
-        self._started = False
-        self._waiting = queue.SimpleQueue()  # (request, client address), or None: stop
-        super().__init__((host, port), _Handler)
+        self.socket = socket.create_server((host, port))
+        self.server_address = self.socket.getsockname()
+        self._selector, self._peers = selectors.DefaultSelector(), set()
+        self._closing = set()  # peers whose close reply is not yet sent in full
+        self._wake, self._waker = socket.socketpair()  # a close reply is ready, or shutdown
+        self._replies = queue.SimpleQueue()  # peers handed back by their close threads
+        self._thread, self._stopping = None, False
 
     def start(self) -> tuple:
         """Serve in the background; returns the bound (host, port)."""
-        for _ in range(_HANDLER_THREADS):
-            threading.Thread(target=self._serve_waiting, daemon=True).start()
-        threading.Thread(target=self.serve_forever, args=(_POLL_S,), daemon=True).start()
-        self._started = True
+        self.socket.setblocking(False)
+        self._selector.register(self.socket, selectors.EVENT_READ)
+        self._selector.register(self._wake, selectors.EVENT_READ)
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
         return self.server_address
 
-    def process_request(self, request, client_address):
-        self._waiting.put((request, client_address))
+    def _serve(self):
+        sweep = time.monotonic() + _POLL_S
+        try:
+            while not self._stopping or self._closing:
+                for key, events in self._selector.select(_POLL_S):
+                    if key.fileobj is self.socket:
+                        self._accept()
+                    elif key.fileobj is self._wake:
+                        self._wake.recv(4096)
+                        while not self._replies.empty():
+                            self._serve_peer(self._replies.get(), 0)
+                    else:
+                        self._serve_peer(key.data, events & selectors.EVENT_READ)
+                now = time.monotonic()
+                if now >= sweep:  # drop the silent, but not those awaiting a close
+                    sweep = now + _POLL_S
+                    for peer in [p for p in self._peers if p.events and p.deadline < now]:
+                        self._drop(peer)
+        finally:
+            for peer in list(self._peers):
+                self._drop(peer)
 
-    def _serve_waiting(self):
-        """One handler thread: serve queued connections until a None."""
-        for request, client_address in iter(self._waiting.get, None):
-            try:
-                self.finish_request(request, client_address)
-            except Exception:
-                self.handle_error(request, client_address)
-            finally:
-                self.shutdown_request(request)
+    def _accept(self):
+        try:
+            sock, address = self.socket.accept()
+        except OSError:
+            return  # the client gave up first, or no descriptor is free
+        sock.setblocking(False)
+        peer = _Peer(sock, address)
+        self._peers.add(peer)
+        self._selector.register(sock, peer.events, peer)
 
-    def handle_error(self, request, client_address):
-        import logging  # on a failure only: it adds ~4 ms to every start-up
-        logging.getLogger("ldphist.service").exception("request from %s failed", client_address)
+    def _serve_peer(self, peer: _Peer, read: int):
+        """Read from peer if read is set, and answer its whole frames in
+        order while each reply goes out at once; then wait for what lets it
+        go on.  A failure other than a TransportError closes it."""
+        try:
+            if read:
+                data = peer.sock.recv(MAX_REQUEST_PAYLOAD)
+                peer.inbox += data
+                peer.ended, peer.deadline = not data, time.monotonic() + READ_TIMEOUT_S
+            while True:
+                if peer.outbox:
+                    with contextlib.suppress(BlockingIOError):
+                        del peer.outbox[: peer.sock.send(peer.outbox)]
+                    if peer.outbox:
+                        return self._watch(peer, selectors.EVENT_WRITE)
+                    self._closing.discard(peer)  # its close reply, if it had one, is sent
+                frame = None
+                try:
+                    frame = _take_frame(peer.inbox)
+                    if frame is None:
+                        break
+                    self.state.count("bytes_read", _HEADER.size + len(frame[1]))
+                    reply = _dispatch(self.state, *frame)
+                except TransportError as exc:
+                    self.state.count("bad-frame", 1)
+                    reply = _ack({"ok": False, "code": "bad-frame", "error": str(exc)})
+                    if frame is None:  # a bad header: close once it is acked
+                        peer.inbox, peer.ended = bytearray(), True
+                if reply is None:  # a close request
+                    self._closing.add(peer)
+                    threading.Thread(target=self._close, args=(peer,), daemon=True).start()
+                    return self._watch(peer, 0)
+                peer.outbox += reply
+            if peer.ended:  # a frame cut short by the client's end gets no reply
+                self._drop(peer)
+            else:
+                self._watch(peer, selectors.EVENT_READ)
+        except BlockingIOError:
+            pass  # nothing to read after all
+        except OSError:
+            self._drop(peer)  # the client went away
+        except Exception:
+            _log_failure(peer.address)
+            self._drop(peer)
+
+    def _watch(self, peer: _Peer, events: int):
+        if events != peer.events:
+            if peer.events:
+                self._selector.unregister(peer.sock)
+            if events:
+                self._selector.register(peer.sock, events, peer)
+            peer.events = events
+
+    def _drop(self, peer: _Peer):
+        self._peers.discard(peer)
+        self._closing.discard(peer)
+        self._watch(peer, 0)
+        peer.sock.close()
+
+    def _close(self, peer: _Peer):
+        """A close request's thread, which owns peer until it hands it back
+        to the loop with the reply queued, or ended if the close failed."""
+        try:
+            peer.outbox += _close_reply(self.state)
+        except Exception:
+            _log_failure(peer.address)
+            peer.inbox, peer.ended = bytearray(), True
+        peer.deadline = time.monotonic() + READ_TIMEOUT_S
+        self._replies.put(peer)
+        self._waker.send(b"\0")  # open: shutdown waits for every close in flight
 
     def shutdown(self):
-        # The base shutdown waits for serve_forever to return, which never
-        # happens when it was never called.
-        if self._started:
-            self._started = False
-            super().shutdown()
-            try:
-                while True:
-                    self.shutdown_request(self._waiting.get_nowait()[0])
-            except queue.Empty:
-                pass
-            for _ in range(_HANDLER_THREADS):
-                self._waiting.put(None)
-        self.server_close()
+        """Stop serving and close every connection, once each close request
+        being served has its reply sent; returns at once when ``start``
+        never ran."""
+        if self._thread is not None:
+            self._stopping = True
+            self._waker.send(b"\0")
+            self._thread.join()
+            self._thread = None
+        for sock in (self._selector, self.socket, self._wake, self._waker):
+            sock.close()
 
 
 class _Connection:

@@ -38,8 +38,9 @@ from ldphist.transport import (
     TruncatedFrameError,
     _REPORT_BITS,
     _Connection,
+    _close_reply,
     _decode_batch,
-    _Handler,
+    _dispatch,
     _SessionState,
     decode_frame,
     encode_frame,
@@ -52,9 +53,6 @@ SESSIONS = {
                              k_override=8, one_bit=True),
 }
 STATUS_CODES = {"bounds", "duplicate", "session-closed"}
-
-# A handler with no connection: its _dispatch turns one frame into a reply.
-HANDLER = object.__new__(_Handler)
 
 
 def _report(msg_type, user, t=0, k=0, position=0, sign=1) -> bytes:
@@ -100,10 +98,11 @@ def _fuzzed(goldens):
 
 
 def _serve(state, msg_type, payload):
-    """The body of the ack a handler sends for one frame, None for the
-    bad-frame ack of a TransportError, or the CSV of a close."""
+    """The body of the ack the service sends for one frame, None for the
+    bad-frame ack of a TransportError, or the CSV of a close (whose reply
+    _close_reply makes, as the service's close thread does)."""
     try:
-        reply = HANDLER._dispatch(state, msg_type, payload)
+        reply = _dispatch(state, msg_type, payload) or _close_reply(state)
     except TransportError:
         return None
     reply_type, body, used = decode_frame(reply)
@@ -301,7 +300,7 @@ STREAM = b"".join([
 
 
 def _frames_read(stream) -> tuple:
-    """The (type, payload) frames a handler reads from a stream that then
+    """The (type, payload) frames the service reads from a stream that then
     ends, and whether it stops on a header it refuses with a bad-frame ack
     (a bad magic, version or type, or a payload above MAX_REQUEST_PAYLOAD)."""
     frames, pos = [], 0

@@ -2,6 +2,7 @@ import functools
 import json
 import logging
 import math
+import socket
 import sys
 import threading
 import time
@@ -43,7 +44,6 @@ from ldphist.transport import (
     ReportPayload,
     SessionConfig,
     TruncatedFrameError,
-    _HANDLER_THREADS,
     _Connection,
     _SessionState,
     _decode_batch,
@@ -51,6 +51,7 @@ from ldphist.transport import (
     client_submit,
     decode_frame,
     encode_frame,
+    read_frame,
 )
 
 
@@ -401,6 +402,7 @@ class TestOneBitSession:
 
 
 CLOSE = encode_frame(MSG_CONTROL, json.dumps({"action": "close"}).encode("utf-8"))
+STATS = encode_frame(MSG_CONTROL, json.dumps({"action": "stats"}).encode("utf-8"))
 
 
 def _ack_body(reply) -> dict:
@@ -766,17 +768,17 @@ class TestServerLifetime:
         monkeypatch.setattr(_SessionState, "finalize", broken_finalize)
         server = AggregationServer(FO_CONFIG)
         addr = server.start()
-        # More failed requests than handler threads, then one more connection.
-        conns = [_Connection(addr) for _ in range(_HANDLER_THREADS + 2)]
+        # Nine failed requests, each on its own connection, then one more.
+        conns = [_Connection(addr) for _ in range(10)]
         try:
             with caplog.at_level(logging.ERROR, logger="ldphist.service"):
                 for conn in conns[:-1]:
                     conn.sock.settimeout(5.0)
                     conn.sock.sendall(CLOSE)
-                    # The handler's error is logged before its connection closes.
+                    # The error is logged before its connection closes.
                     assert conn.rfile.read(1) == b""
             records = [r for r in caplog.records if r.name == "ldphist.service"]
-            assert len(records) == _HANDLER_THREADS + 1
+            assert len(records) == 9
             assert all(r.levelno == logging.ERROR and r.exc_info[0] is RuntimeError
                        for r in records)
             conns[-1].sock.settimeout(5.0)
@@ -791,28 +793,6 @@ class TestServerLifetime:
             server.shutdown()
 
 
-def _slow_absorb(monkeypatch, release: threading.Event):
-    """Make absorb wait for release; returns the list of how many handlers
-    are inside it at each entry."""
-    real, inside, lock = _SessionState.absorb, [], threading.Lock()
-    active = 0
-
-    def absorb(state, rec):
-        nonlocal active
-        with lock:
-            active += 1
-            inside.append(active)
-        try:
-            release.wait(10.0)
-            return real(state, rec)
-        finally:
-            with lock:
-                active -= 1
-
-    monkeypatch.setattr(_SessionState, "absorb", absorb)
-    return inside
-
-
 def _wait_for(predicate, timeout=5.0):
     deadline = time.monotonic() + timeout
     while not predicate():
@@ -820,54 +800,151 @@ def _wait_for(predicate, timeout=5.0):
         time.sleep(0.01)
 
 
-class TestHandlerPool:
-    def test_connections_beyond_the_pool_wait_their_turn(self, monkeypatch):
-        release = threading.Event()
-        inside = _slow_absorb(monkeypatch, release)
-        server = AggregationServer(FO_CONFIG)
+class TestServiceLoop:
+    """One loop thread serves every connection: none holds it by being
+    silent, slow or by never reading its replies."""
+
+    def test_concurrent_uploads_are_all_acked(self):
+        cfg = SessionConfig(protocol="fo", d=8, n=16, eps=1.0, beta=0.2, seed=3)
+        server = AggregationServer(cfg)
         addr = server.start()
-        acks = [None] * (_HANDLER_THREADS + 2)
+        acks = [None] * cfg.n
 
         def upload(user):
             acks[user] = client_submit(addr, [_report(user, msg_type=MSG_FO_REPORT)])
 
-        threads = [threading.Thread(target=upload, args=(u,)) for u in range(len(acks))]
+        threads = [threading.Thread(target=upload, args=(u,), daemon=True) for u in range(cfg.n)]
         try:
             for th in threads:
                 th.start()
-            _wait_for(lambda: len(inside) == _HANDLER_THREADS and server._waiting.qsize() == 2)
-            release.set()
             for th in threads:
                 th.join(10.0)
             assert not any(th.is_alive() for th in threads)
+            assert acks == [[{"ok": True}]] * cfg.n
+            assert server.state.stats()["absorbed"] == cfg.n
         finally:
-            release.set()
             server.shutdown()
-        assert max(inside) == _HANDLER_THREADS and len(inside) == len(acks)
-        assert acks == [[{"ok": True}]] * len(acks)
 
-    def test_shutdown_closes_queued_connections(self, monkeypatch):
-        release = threading.Event()
-        inside = _slow_absorb(monkeypatch, release)
+    def test_shutdown_closes_every_connection(self):
+        before = set(threading.enumerate())
         server = AggregationServer(FO_CONFIG)
         addr = server.start()
-        busy = [_Connection(addr) for _ in range(_HANDLER_THREADS)]
-        queued = _Connection(addr)
+        conns = [_Connection(addr) for _ in range(16)]
         try:
-            for user, conn in enumerate(busy):
-                conn.sock.sendall(_report(user, msg_type=MSG_FO_REPORT))
-            _wait_for(lambda: len(inside) == _HANDLER_THREADS and server._waiting.qsize() == 1)
+            conns[0].sock.sendall(CLOSE[:5])  # half a header
+            assert _ack_body(conns[1].roundtrip(_report(0, msg_type=MSG_FO_REPORT)))["ok"]
+            assert len(set(threading.enumerate()) - before) <= 2
             th = threading.Thread(target=server.shutdown, daemon=True)
             th.start()
-            th.join(5.0)
+            th.join(1.0)
             assert not th.is_alive()
-            queued.sock.settimeout(5.0)
-            assert queued.rfile.read(1) == b""
+            for conn in conns:
+                conn.sock.settimeout(5.0)
+                assert conn.rfile.read(1) == b""
         finally:
-            release.set()
-            for conn in busy + [queued]:
+            for conn in conns:
                 conn.close()
             server.shutdown()
+
+    def test_shutdown_sends_the_reply_of_a_close_in_flight(self, monkeypatch):
+        # `ldphist serve` shuts down once the result is set, which happens
+        # before the close's reply reaches the loop.
+        real, closed = _SessionState.close, threading.Event()
+
+        def close(state):
+            result = real(state)
+            closed.set()
+            time.sleep(0.2)
+            return result
+
+        monkeypatch.setattr(_SessionState, "close", close)
+        server = AggregationServer(FO_CONFIG)
+        addr = server.start()
+        conn = _Connection(addr)
+        try:
+            assert client_submit(addr, [_report(0, msg_type=MSG_FO_REPORT)]) == [{"ok": True}]
+            conn.sock.settimeout(5.0)
+            conn.sock.sendall(CLOSE)
+            assert closed.wait(5.0)
+            server.shutdown()
+            msg_type, payload = read_frame(conn.rfile)
+            assert msg_type == MSG_RESULT and payload.decode("utf-8") == server.state.result_csv
+        finally:
+            conn.close()
+            server.shutdown()
+
+    def test_silent_connections_do_not_delay_stats(self):
+        server = AggregationServer(FO_CONFIG)
+        addr = server.start()
+        silent = [_Connection(addr) for _ in range(17)]
+        conn = _Connection(addr)
+        try:
+            silent[-1].sock.sendall(CLOSE[:5])  # half a header, then silence
+            conn.sock.settimeout(5.0)
+            start = time.monotonic()
+            assert _ack_body(conn.roundtrip(STATS))["ok"]
+            assert time.monotonic() - start < 2.0
+        finally:
+            for c in silent + [conn]:
+                c.close()
+            server.shutdown()
+
+    def test_frame_sent_one_byte_per_send_is_acked(self):
+        server = AggregationServer(FO_CONFIG)
+        conn = _Connection(server.start())
+        try:
+            conn.sock.settimeout(5.0)
+            conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            frame = _batch([_report(user, msg_type=MSG_FO_REPORT) for user in range(3)])
+            for i in range(len(frame)):
+                conn.sock.send(frame[i : i + 1])
+            assert _ack_body(read_frame(conn.rfile)) == {"ok": True, "errors": []}
+        finally:
+            conn.close()
+            server.shutdown()
+
+    def test_two_frames_in_one_send_get_two_replies_in_order(self):
+        server = AggregationServer(FO_CONFIG)
+        conn = _Connection(server.start())
+        try:
+            conn.sock.settimeout(5.0)
+            report = _report(0, msg_type=MSG_FO_REPORT)
+            conn.sock.sendall(report + report)
+            assert _ack_body(read_frame(conn.rfile)) == {"ok": True}
+            assert _ack_body(read_frame(conn.rfile))["code"] == "duplicate"
+        finally:
+            conn.close()
+            server.shutdown()
+
+    def test_client_that_never_reads_does_not_block_others(self):
+        # The writer pipelines stats requests until its send times out,
+        # which happens once the service stops reading from it.
+        server = AggregationServer(FO_CONFIG)
+        addr = server.start()
+        writer, stalled = _Connection(addr), threading.Event()
+
+        def pipeline():
+            writer.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)  # fills sooner
+            writer.sock.settimeout(0.5)
+            try:
+                while True:
+                    writer.sock.sendall(STATS * 64)
+            except socket.timeout:
+                stalled.set()
+
+        th = threading.Thread(target=pipeline, daemon=True)
+        try:
+            th.start()
+            assert stalled.wait(30.0)
+            socket.setdefaulttimeout(5.0)  # the upload's own socket: fail, not hang
+            acks = client_submit(addr, [_report(0, msg_type=MSG_FO_REPORT)])
+            assert acks == [{"ok": True}]
+        finally:
+            socket.setdefaulttimeout(None)
+            writer.close()
+            server.shutdown()
+            th.join(5.0)
+        assert not th.is_alive()
 
 
 class TestCloseOffTheLock:
