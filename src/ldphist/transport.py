@@ -37,7 +37,7 @@ FAITHFUL_CHANNEL_CAP, which bounds its (K*T + 1) x n dedup bitmap.  A
 frame header declaring more than MAX_REQUEST_PAYLOAD bytes is refused
 before its payload is read, and a connection silent for READ_TIMEOUT_S is
 dropped.  One selector loop thread reads, frames and answers every
-connection, and a close request is decoded in a thread of its own.
+connection, and two close worker threads decode close requests.
 {"action": "stats"} is answered with the reports absorbed, the rejections
 by code, the request bytes read, the oracle's n_total, and the number of
 occupied hash channels with their least and greatest n_total.  A close
@@ -146,6 +146,14 @@ _REASONS = ("", "is out of range for this session", "was already reported",
 # Seconds between the service loop's looks for connections silent for
 # READ_TIMEOUT_S.
 _POLL_S = 0.05
+
+# Threads that decode close requests: two closes can wait at the closing
+# lock together, and further ones wait their turn in a queue.
+_CLOSE_WORKERS = 2
+
+# Seconds shutdown gives the replies in flight before it closes their
+# connections.
+_GRACE_S = 1.0
 
 # Mask of dedup flag i within its byte of the packed bitmap, indexed by i % 8.
 _BIT = (1 << np.arange(8)).astype(np.uint8)
@@ -436,17 +444,13 @@ class _SessionState:
         return "item,estimated_frequency\n" + "".join(f"{v},{e:.17g}\n" for v, e in enumerate(ests))
 
 
-def _read_exact(rfile, count: int) -> bytes:
-    data = rfile.read(count)
-    if data is None or len(data) < count:
-        raise TruncatedFrameError(f"connection closed mid-frame ({len(data or b'')}/{count})")
-    return data
-
-
 def read_frame(rfile) -> tuple:
     """(msg_type, payload) of the next frame."""
-    msg_type, length = _parse_header(_read_exact(rfile, _HEADER.size))
-    return msg_type, _read_exact(rfile, length)
+    msg_type, length = _parse_header(rfile.read(_HEADER.size))
+    payload = rfile.read(length)
+    if len(payload) < length:
+        raise TruncatedFrameError(f"connection closed mid-payload ({len(payload)}/{length})")
+    return msg_type, payload
 
 
 def _take_frame(inbox: bytearray) -> Optional[tuple]:
@@ -497,7 +501,7 @@ def _control(state: _SessionState, payload: bytes) -> Optional[bytes]:
         return _ack(state.stats())
     if action != "close":
         raise PayloadBoundsError(f"unknown control action {repr(body)[:80]}")  # a small ack
-    return None  # a close: the service runs it in a thread of its own
+    return None  # a close: a close worker of the service answers it
 
 
 def _close_reply(state: _SessionState) -> bytes:
@@ -526,21 +530,21 @@ class _Peer:
 class AggregationServer:
     """Aggregation service for one session, bound to (host, port).
 
-    ``start`` serves every connection from one selector loop thread until
-    ``shutdown``.  The loop answers each connection's frames in order and
-    reads no more from it while a reply waits to be sent.  A close request
-    is decoded in a thread of its own while its connection waits.  A close
-    request does not stop the service, and later close requests get the
-    same result."""
+    ``start`` serves every connection from one selector loop thread, and
+    decodes close requests in _CLOSE_WORKERS threads, until ``shutdown``.
+    The loop answers each connection's frames in order and reads no more
+    from it while a reply waits to be sent or its close is decoded.  A
+    close request does not stop the service, and later close requests get
+    the same result."""
 
     def __init__(self, config: SessionConfig, host: str = "127.0.0.1", port: int = 0):
         self.state = _SessionState(config)
         self.socket = socket.create_server((host, port))
         self.server_address = self.socket.getsockname()
         self._selector, self._peers = selectors.DefaultSelector(), set()
-        self._closing = set()  # peers whose close reply is not yet sent in full
         self._wake, self._waker = socket.socketpair()  # a close reply is ready, or shutdown
-        self._replies = queue.SimpleQueue()  # peers handed back by their close threads
+        # Peers with a close request for the workers, and peers they hand back.
+        self._closes, self._replies = queue.SimpleQueue(), queue.SimpleQueue()
         self._thread, self._stopping = None, False
 
     def start(self) -> tuple:
@@ -548,14 +552,16 @@ class AggregationServer:
         self.socket.setblocking(False)
         self._selector.register(self.socket, selectors.EVENT_READ)
         self._selector.register(self._wake, selectors.EVENT_READ)
+        for _ in range(_CLOSE_WORKERS):
+            threading.Thread(target=self._close_worker, daemon=True).start()
         self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
         return self.server_address
 
     def _serve(self):
-        sweep = time.monotonic() + _POLL_S
+        sweep, end = time.monotonic() + _POLL_S, None
         try:
-            while not self._stopping or self._closing:
+            while end is None or (self._peers and time.monotonic() < end):
                 for key, events in self._selector.select(_POLL_S):
                     if key.fileobj is self.socket:
                         self._accept()
@@ -566,6 +572,11 @@ class AggregationServer:
                     else:
                         self._serve_peer(key.data, events & selectors.EVENT_READ)
                 now = time.monotonic()
+                if self._stopping and end is None:  # finish only the replies in flight
+                    end = now + _GRACE_S
+                    self._selector.unregister(self.socket)
+                    for peer in [p for p in self._peers if p.events == selectors.EVENT_READ]:
+                        self._drop(peer)
                 if now >= sweep:  # drop the silent, but not those awaiting a close
                     sweep = now + _POLL_S
                     for peer in [p for p in self._peers if p.events and p.deadline < now]:
@@ -575,31 +586,37 @@ class AggregationServer:
                 self._drop(peer)
 
     def _accept(self):
-        try:
-            sock, address = self.socket.accept()
-        except OSError:
-            return  # the client gave up first, or no descriptor is free
-        sock.setblocking(False)
-        peer = _Peer(sock, address)
-        self._peers.add(peer)
-        self._selector.register(sock, peer.events, peer)
+        """Accept every connection waiting, so that none is left to be
+        reset when shutdown closes the listener."""
+        while True:
+            try:
+                sock, address = self.socket.accept()
+            except OSError:
+                return  # none waits, the client gave up first, or no descriptor is free
+            sock.setblocking(False)
+            peer = _Peer(sock, address)
+            self._peers.add(peer)
+            self._selector.register(sock, peer.events, peer)
 
     def _serve_peer(self, peer: _Peer, read: int):
         """Read from peer if read is set, and answer its whole frames in
         order while each reply goes out at once; then wait for what lets it
-        go on.  A failure other than a TransportError closes it."""
+        go on.  Each call (bytes sent or taken, a close reply) puts off its
+        deadline.  A failure other than a TransportError closes it."""
+        peer.deadline = time.monotonic() + READ_TIMEOUT_S
         try:
             if read:
                 data = peer.sock.recv(MAX_REQUEST_PAYLOAD)
                 peer.inbox += data
-                peer.ended, peer.deadline = not data, time.monotonic() + READ_TIMEOUT_S
+                peer.ended = not data
             while True:
                 if peer.outbox:
                     with contextlib.suppress(BlockingIOError):
                         del peer.outbox[: peer.sock.send(peer.outbox)]
                     if peer.outbox:
                         return self._watch(peer, selectors.EVENT_WRITE)
-                    self._closing.discard(peer)  # its close reply, if it had one, is sent
+                if self._stopping:  # its replies are sent, and it gets no more
+                    return self._drop(peer)
                 frame = None
                 try:
                     frame = _take_frame(peer.inbox)
@@ -612,10 +629,9 @@ class AggregationServer:
                     reply = _ack({"ok": False, "code": "bad-frame", "error": str(exc)})
                     if frame is None:  # a bad header: close once it is acked
                         peer.inbox, peer.ended = bytearray(), True
-                if reply is None:  # a close request
-                    self._closing.add(peer)
-                    threading.Thread(target=self._close, args=(peer,), daemon=True).start()
-                    return self._watch(peer, 0)
+                if reply is None:  # a close request, for a close worker
+                    self._watch(peer, 0)
+                    return self._closes.put(peer)
                 peer.outbox += reply
             if peer.ended:  # a frame cut short by the client's end gets no reply
                 self._drop(peer)
@@ -639,31 +655,33 @@ class AggregationServer:
 
     def _drop(self, peer: _Peer):
         self._peers.discard(peer)
-        self._closing.discard(peer)
         self._watch(peer, 0)
         peer.sock.close()
 
-    def _close(self, peer: _Peer):
-        """A close request's thread, which owns peer until it hands it back
-        to the loop with the reply queued, or ended if the close failed."""
-        try:
-            peer.outbox += _close_reply(self.state)
-        except Exception:
-            _log_failure(peer.address)
-            peer.inbox, peer.ended = bytearray(), True
-        peer.deadline = time.monotonic() + READ_TIMEOUT_S
-        self._replies.put(peer)
-        self._waker.send(b"\0")  # open: shutdown waits for every close in flight
+    def _close_worker(self):
+        """Decode close requests until shutdown, handing each peer back to
+        the loop with its reply queued, or ended if its close failed."""
+        for peer in iter(self._closes.get, None):
+            try:
+                peer.outbox += _close_reply(self.state)
+            except Exception:
+                _log_failure(peer.address)
+                peer.inbox, peer.ended = bytearray(), True
+            self._replies.put(peer)
+            with contextlib.suppress(OSError):  # shutdown closed the wake-up meanwhile
+                self._waker.send(b"\0")
 
     def shutdown(self):
-        """Stop serving and close every connection, once each close request
-        being served has its reply sent; returns at once when ``start``
-        never ran."""
+        """Stop serving and close every connection, once the replies in
+        flight are sent or _GRACE_S has passed; returns at once when
+        ``start`` never ran."""
         if self._thread is not None:
             self._stopping = True
             self._waker.send(b"\0")
             self._thread.join()
             self._thread = None
+            for _ in range(_CLOSE_WORKERS):
+                self._closes.put(None)
         for sock in (self._selector, self.socket, self._wake, self._waker):
             sock.close()
 
@@ -672,16 +690,13 @@ class _Connection:
     def __init__(self, address: tuple):
         self.sock = socket.create_connection(address)
         self.rfile = self.sock.makefile("rb")
-        self.wfile = self.sock.makefile("wb")
 
     def roundtrip(self, frame: bytes) -> tuple:
-        self.wfile.write(frame)
-        self.wfile.flush()
+        self.sock.sendall(frame)
         return read_frame(self.rfile)
 
     def close(self):
         self.rfile.close()
-        self.wfile.close()
         self.sock.close()
 
 

@@ -100,7 +100,7 @@ def _fuzzed(goldens):
 def _serve(state, msg_type, payload):
     """The body of the ack the service sends for one frame, None for the
     bad-frame ack of a TransportError, or the CSV of a close (whose reply
-    _close_reply makes, as the service's close thread does)."""
+    _close_reply makes, as the service's close workers do)."""
     try:
         reply = _dispatch(state, msg_type, payload) or _close_reply(state)
     except TransportError:

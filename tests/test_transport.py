@@ -833,7 +833,7 @@ class TestServiceLoop:
         try:
             conns[0].sock.sendall(CLOSE[:5])  # half a header
             assert _ack_body(conns[1].roundtrip(_report(0, msg_type=MSG_FO_REPORT)))["ok"]
-            assert len(set(threading.enumerate()) - before) <= 2
+            assert len(set(threading.enumerate()) - before) <= 1 + transport._CLOSE_WORKERS
             th = threading.Thread(target=server.shutdown, daemon=True)
             th.start()
             th.join(1.0)
@@ -869,6 +869,88 @@ class TestServiceLoop:
             server.shutdown()
             msg_type, payload = read_frame(conn.rfile)
             assert msg_type == MSG_RESULT and payload.decode("utf-8") == server.state.result_csv
+        finally:
+            conn.close()
+            server.shutdown()
+
+    def test_closes_beyond_the_workers_wait_with_threads_bounded(self, monkeypatch):
+        entered, release = threading.Event(), threading.Event()
+        real = _SessionState.finalize
+
+        def slow_finalize(state):
+            entered.set()
+            release.wait(10.0)
+            return real(state)
+
+        monkeypatch.setattr(_SessionState, "finalize", slow_finalize)
+        before = set(threading.enumerate())
+        server = AggregationServer(FO_CONFIG)
+        addr = server.start()
+        conns = [_Connection(addr) for _ in range(3 * transport._CLOSE_WORKERS)]
+        try:
+            assert client_submit(addr, [_report(0, msg_type=MSG_FO_REPORT)]) == [{"ok": True}]
+            read = server.state.stats()["bytes_read"]
+            for conn in conns:
+                conn.sock.settimeout(5.0)
+                conn.sock.sendall(CLOSE)
+            assert entered.wait(5.0)
+            _wait_for(lambda: server.state.stats()["bytes_read"] == read + len(conns) * len(CLOSE))
+            assert len(set(threading.enumerate()) - before) <= 1 + transport._CLOSE_WORKERS
+            release.set()
+            for conn in conns:
+                msg_type, payload = read_frame(conn.rfile)
+                assert msg_type == MSG_RESULT and payload.decode("utf-8") == server.state.result_csv
+        finally:
+            release.set()
+            for conn in conns:
+                conn.close()
+            server.shutdown()
+
+    def test_shutdown_returns_while_a_close_reply_is_unread(self, monkeypatch):
+        closed = threading.Event()
+
+        def close(state):
+            closed.set()
+            return "0" * (8 << 20)  # more than the socket buffers hold
+
+        monkeypatch.setattr(_SessionState, "close", close)
+        server = AggregationServer(FO_CONFIG)
+        conn = _Connection(server.start())
+        try:
+            conn.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            conn.sock.sendall(CLOSE)  # and never read the reply
+            assert closed.wait(5.0)
+            time.sleep(0.1)
+            th = threading.Thread(target=server.shutdown, daemon=True)
+            start = time.monotonic()
+            th.start()
+            th.join(10.0)
+            assert not th.is_alive() and time.monotonic() - start < transport._GRACE_S + 0.5
+        finally:
+            conn.close()
+            server.shutdown()
+
+    def test_slow_reader_of_a_long_reply_is_not_dropped(self, monkeypatch):
+        # The reply takes several READ_TIMEOUT_S to read, but each read
+        # takes some of it.
+        monkeypatch.setattr(transport, "READ_TIMEOUT_S", 0.2)
+        reply = "0" * (2 << 20)
+        monkeypatch.setattr(_SessionState, "close", lambda state: reply)
+        server = AggregationServer(FO_CONFIG)
+        # Accepted sockets inherit it: most of the reply waits in the service.
+        server.socket.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        conn = _Connection(server.start())
+        try:
+            conn.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 65536)
+            conn.sock.settimeout(5.0)
+            conn.sock.sendall(CLOSE)
+            data = bytearray()
+            while len(data) < len(reply) + 10:
+                time.sleep(0.01)
+                chunk = conn.sock.recv(16384)
+                assert chunk, f"dropped after {len(data)} bytes"
+                data += chunk
+            assert decode_frame(bytes(data)) == (MSG_RESULT, reply.encode("utf-8"), len(data))
         finally:
             conn.close()
             server.shutdown()
