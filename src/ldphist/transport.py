@@ -36,8 +36,8 @@ refuses its parameters, or if it is a "hist" session with K*T above
 FAITHFUL_CHANNEL_CAP, which bounds its (K*T + 1) x n dedup bitmap.  A
 frame header declaring more than MAX_REQUEST_PAYLOAD bytes is refused
 before its payload is read, and a connection silent for READ_TIMEOUT_S is
-dropped.  One selector loop thread reads, frames and answers every
-connection, and two close worker threads decode close requests.
+dropped.  One selector loop thread answers each connection a frame per
+turn, and one close worker thread decodes close requests.
 {"action": "stats"} is answered with the reports absorbed, the rejections
 by code, the request bytes read, the oracle's n_total, and the number of
 occupied hash channels with their least and greatest n_total.  A close
@@ -146,10 +146,6 @@ _REASONS = ("", "is out of range for this session", "was already reported",
 # Seconds between the service loop's looks for connections silent for
 # READ_TIMEOUT_S.
 _POLL_S = 0.05
-
-# Threads that decode close requests: two closes can wait at the closing
-# lock together, and further ones wait their turn in a queue.
-_CLOSE_WORKERS = 2
 
 # Seconds shutdown gives the replies in flight before it closes their
 # connections.
@@ -501,7 +497,7 @@ def _control(state: _SessionState, payload: bytes) -> Optional[bytes]:
         return _ack(state.stats())
     if action != "close":
         raise PayloadBoundsError(f"unknown control action {repr(body)[:80]}")  # a small ack
-    return None  # a close: a close worker of the service answers it
+    return None  # a close: the service's close worker answers it
 
 
 def _close_reply(state: _SessionState) -> bytes:
@@ -531,7 +527,7 @@ class AggregationServer:
     """Aggregation service for one session, bound to (host, port).
 
     ``start`` serves every connection from one selector loop thread, and
-    decodes close requests in _CLOSE_WORKERS threads, until ``shutdown``.
+    decodes close requests in one close worker thread, until ``shutdown``.
     The loop answers each connection's frames in order and reads no more
     from it while a reply waits to be sent or its close is decoded.  A
     close request does not stop the service, and later close requests get
@@ -552,8 +548,7 @@ class AggregationServer:
         self.socket.setblocking(False)
         self._selector.register(self.socket, selectors.EVENT_READ)
         self._selector.register(self._wake, selectors.EVENT_READ)
-        for _ in range(_CLOSE_WORKERS):
-            threading.Thread(target=self._close_worker, daemon=True).start()
+        threading.Thread(target=self._close_worker, daemon=True).start()
         self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
         return self.server_address
@@ -599,9 +594,9 @@ class AggregationServer:
             self._selector.register(sock, peer.events, peer)
 
     def _serve_peer(self, peer: _Peer, read: int):
-        """Read from peer if read is set, and answer its whole frames in
-        order while each reply goes out at once; then wait for what lets it
-        go on.  Each call (bytes sent or taken, a close reply) puts off its
+        """Read from peer if read is set; once its replies are sent, answer
+        its next whole frame, leaving any further one to the loop's next
+        turn.  Each call (bytes sent or taken, a close reply) puts off its
         deadline.  A failure other than a TransportError closes it."""
         peer.deadline = time.monotonic() + READ_TIMEOUT_S
         try:
@@ -609,11 +604,12 @@ class AggregationServer:
                 data = peer.sock.recv(MAX_REQUEST_PAYLOAD)
                 peer.inbox += data
                 peer.ended = not data
+            answered = False  # one frame per call: the other ready connections go first
             while True:
                 if peer.outbox:
                     with contextlib.suppress(BlockingIOError):
                         del peer.outbox[: peer.sock.send(peer.outbox)]
-                    if peer.outbox:
+                    if peer.outbox or (answered and peer.inbox):  # the rest waits a turn
                         return self._watch(peer, selectors.EVENT_WRITE)
                 if self._stopping:  # its replies are sent, and it gets no more
                     return self._drop(peer)
@@ -629,10 +625,11 @@ class AggregationServer:
                     reply = _ack({"ok": False, "code": "bad-frame", "error": str(exc)})
                     if frame is None:  # a bad header: close once it is acked
                         peer.inbox, peer.ended = bytearray(), True
-                if reply is None:  # a close request, for a close worker
+                if reply is None:  # a close request, for the close worker
                     self._watch(peer, 0)
                     return self._closes.put(peer)
                 peer.outbox += reply
+                answered = True
             if peer.ended:  # a frame cut short by the client's end gets no reply
                 self._drop(peer)
             else:
@@ -680,8 +677,7 @@ class AggregationServer:
             self._waker.send(b"\0")
             self._thread.join()
             self._thread = None
-            for _ in range(_CLOSE_WORKERS):
-                self._closes.put(None)
+            self._closes.put(None)
         for sock in (self._selector, self.socket, self._wake, self._waker):
             sock.close()
 

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import json
 import logging
@@ -43,6 +44,7 @@ from ldphist.transport import (
     PayloadBoundsError,
     ReportPayload,
     SessionConfig,
+    TransportError,
     TruncatedFrameError,
     _Connection,
     _SessionState,
@@ -833,7 +835,7 @@ class TestServiceLoop:
         try:
             conns[0].sock.sendall(CLOSE[:5])  # half a header
             assert _ack_body(conns[1].roundtrip(_report(0, msg_type=MSG_FO_REPORT)))["ok"]
-            assert len(set(threading.enumerate()) - before) <= 1 + transport._CLOSE_WORKERS
+            assert len(set(threading.enumerate()) - before) <= 2
             th = threading.Thread(target=server.shutdown, daemon=True)
             th.start()
             th.join(1.0)
@@ -886,7 +888,7 @@ class TestServiceLoop:
         before = set(threading.enumerate())
         server = AggregationServer(FO_CONFIG)
         addr = server.start()
-        conns = [_Connection(addr) for _ in range(3 * transport._CLOSE_WORKERS)]
+        conns = [_Connection(addr) for _ in range(4)]
         try:
             assert client_submit(addr, [_report(0, msg_type=MSG_FO_REPORT)]) == [{"ok": True}]
             read = server.state.stats()["bytes_read"]
@@ -895,7 +897,7 @@ class TestServiceLoop:
                 conn.sock.sendall(CLOSE)
             assert entered.wait(5.0)
             _wait_for(lambda: server.state.stats()["bytes_read"] == read + len(conns) * len(CLOSE))
-            assert len(set(threading.enumerate()) - before) <= 1 + transport._CLOSE_WORKERS
+            assert len(set(threading.enumerate()) - before) <= 2
             release.set()
             for conn in conns:
                 msg_type, payload = read_frame(conn.rfile)
@@ -1028,6 +1030,39 @@ class TestServiceLoop:
             th.join(5.0)
         assert not th.is_alive()
 
+    def test_pipelined_stats_do_not_hold_another_upload(self):
+        # 8,190 channels make each stats answer cost about 0.5 ms, so the
+        # whole pipeline takes about a second to answer.
+        cfg = SessionConfig(protocol="hist", d=16, n=200, eps=2.0, beta=0.5, seed=42,
+                            k_override=2730)
+        server = AggregationServer(cfg)
+        addr = server.start()
+        pipe, replies = _Connection(addr), []
+
+        def read_replies():
+            with contextlib.suppress(TransportError, OSError):
+                while True:
+                    replies.append(read_frame(pipe.rfile))
+
+        reader = threading.Thread(target=read_replies, daemon=True)
+        try:
+            assert server.state.K * server.state.T == 8190
+            reader.start()
+            pipe.sock.sendall(STATS * 2000)
+            _wait_for(lambda: replies)
+            socket.setdefaulttimeout(5.0)  # the upload's own socket: fail, not hang
+            start = time.monotonic()
+            acks = client_submit(addr, [_report(0, msg_type=MSG_FO_REPORT)])
+            answered = len(replies)
+            assert acks == [{"ok": True}]
+            assert time.monotonic() - start < 0.3 and answered < 2000
+        finally:
+            socket.setdefaulttimeout(None)
+            server.shutdown()  # with most of the pipeline unanswered: the reader ends
+            reader.join(5.0)
+            pipe.close()
+        assert not reader.is_alive()
+
 
 class TestCloseOffTheLock:
     def test_stats_and_uploads_answered_during_a_slow_close(self, monkeypatch):
@@ -1043,18 +1078,6 @@ class TestCloseOffTheLock:
         monkeypatch.setattr(_SessionState, "finalize", slow_finalize)
         server = AggregationServer(FO_CONFIG)
         addr = server.start()
-        # Counts the closes that reach the closing lock.
-        arrived, closing = threading.Semaphore(0), server.state.closing
-
-        class ArrivingLock:
-            def __enter__(self):
-                arrived.release()
-                closing.acquire()
-
-            def __exit__(self, *exc):
-                closing.release()
-
-        server.state.closing = ArrivingLock()
         results = []
         closes = [threading.Thread(target=lambda: results.append(client_close(addr)))
                   for _ in range(2)]
@@ -1062,9 +1085,12 @@ class TestCloseOffTheLock:
         try:
             conn.sock.settimeout(5.0)
             assert client_submit(addr, [_report(0, msg_type=MSG_FO_REPORT)]) == [{"ok": True}]
+            read = server.state.stats()["bytes_read"]
             for th in closes:
                 th.start()
-            assert entered.wait(5.0) and arrived.acquire(timeout=5.0) and arrived.acquire(timeout=5.0)
+            # One close is being decoded and the other has been read.
+            assert entered.wait(5.0)
+            _wait_for(lambda: server.state.stats()["bytes_read"] == read + 2 * len(CLOSE))
             stats = encode_frame(MSG_CONTROL, json.dumps({"action": "stats"}).encode("utf-8"))
             assert _ack_body(conn.roundtrip(stats))["absorbed"] == 1
             body = _ack_body(conn.roundtrip(_report(1, msg_type=MSG_FO_REPORT)))
