@@ -43,9 +43,14 @@ REFERENCE_CODE_TAG = b"ldphist-reference-code-v2"
 REFERENCE_CODE_RATE_DEN = 4  # m = 4 * t
 REFERENCE_D_CAP = 1 << 16
 CONCATENATED_D_CAP = 1 << 64
-_DECODE_ROWS = 4096  # rows per float32 chunk in decode_many
+_DECODE_BYTES = 1 << 22  # the widest array of one decode chunk, whatever the row count
 
 _GF_PRIM_POLY = 0x11D  # x^8 + x^4 + x^3 + x^2 + 1
+
+
+def _chunk_rows(row_bytes: int) -> int:
+    """Rows per decode chunk whose widest array, row_bytes a row, fits _DECODE_BYTES."""
+    return max(1, _DECODE_BYTES // row_bytes)
 
 
 def round_to_hypercube(zbar: np.ndarray) -> np.ndarray:
@@ -63,6 +68,7 @@ class Code:
     t: int
     m: int
     zeta_eff: float
+    _decode_width: int
 
     def encode(self, v: int) -> np.ndarray:
         return self.encode_many([v])[0]
@@ -76,13 +82,14 @@ class Code:
 
     def decode_many(self, Y: np.ndarray) -> list:
         """The item of each row of an (rows, m) array, or None on a decoding
-        failure; rows go through a float32 copy 4,096 at a time."""
+        failure; rows go through float32 chunks whose widest array in
+        _decode_rows, of _decode_width floats a row, fits _DECODE_BYTES."""
         Y = np.asarray(Y)
         if Y.ndim != 2 or Y.shape[1] != self.m:
             raise ValueError(f"expected an array of shape (rows, {self.m}), got {Y.shape}")
-        out = []
-        for start in range(0, len(Y), _DECODE_ROWS):
-            out += self._decode_rows(Y[start : start + _DECODE_ROWS].astype(np.float32))
+        out, step = [], _chunk_rows(4 * self._decode_width)
+        for start in range(0, len(Y), step):
+            out += self._decode_rows(Y[start : start + step].astype(np.float32))
         return out
 
     def _decode_rows(self, Y: np.ndarray) -> list:
@@ -141,6 +148,7 @@ class ReferenceCode(Code):
         self.zeta_eff = dmin / self.m
         self._codebook = (1 - 2 * span_bits[: self.d].astype(np.int8)).astype(np.int8)
         self._codebook_f = self._codebook.astype(np.float32)
+        self._decode_width = max(self.m, self.d)  # a row's correlations with every codeword
 
     @staticmethod
     def _build_generator(t: int, m: int) -> np.ndarray:
@@ -329,7 +337,7 @@ class ConcatenatedCode(Code):
         self.t = max(1, math.ceil(math.log2(d)))
         self.sigma = -(-self.t // 8)  # data symbols (bytes)
         self.n_out = 2 * self.sigma  # rate-1/2 outer code
-        self.m = 256 * self.n_out
+        self.m = self._decode_width = 256 * self.n_out
         self._rs = _ReedSolomon(self.n_out, self.sigma)
         self._byte_shifts = 8 * np.arange(self.sigma, dtype=np.uint64)  # data is little endian
 

@@ -145,16 +145,17 @@ def gen_dataset(spec: DatasetSpec) -> np.ndarray:
     # planted: exact counts, remainder uniform over the other items
     items = np.empty(spec.n, dtype=np.int64)
     pos = 0
-    planted_ids = [v for v, _ in spec.planted]
     for v, f in spec.planted:
         cnt = int(round(f * spec.n))
         items[pos : pos + cnt] = v
         pos += cnt
-    rest = np.setdiff1d(np.arange(spec.d), np.array(planted_ids, dtype=np.int64))
+    planted = np.sort(np.array([v for v, _ in spec.planted], dtype=np.int64))
     if pos < spec.n:
-        if len(rest) == 0:
+        if len(planted) == spec.d:
             raise ValueError("no unplanted items left for the remainder")
-        items[pos:] = rng.choice(rest, size=spec.n - pos)
+        # rng.choice over the unplanted items: item i is i + #{j : planted[j] - j <= i}.
+        rank = rng.integers(0, spec.d - len(planted), size=spec.n - pos)
+        items[pos:] = rank + np.searchsorted(planted - np.arange(len(planted)), rank, side="right")
     return items
 
 

@@ -35,7 +35,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .codec import Code, round_to_hypercube
+from .codec import Code, _chunk_rows, round_to_hypercube
 from .core import BOT, FoParams, HhParams, PublicRandomness, c_eps, prf_below
 from .freq_oracle import (
     AggregateState,
@@ -145,16 +145,22 @@ def decode_channels(aggs: Sequence[AggregateState], code: Code, verify: bool) ->
     """One PpDecodeResult per aggregate: round its mean report vector to
     the hypercube from the integer counts (ties at zero go positive),
     decode, and estimate the decoded item's frequency as c_eps / n_total
-    times its codeword's exact int64 product with the count differences
-    (all rows at once).  Decoding failure gives item None and estimate 0,
-    and so does, with verify=True, a codeword not strictly inside the
-    correction radius of the rounded vector (which keeps noise-only
-    channels from emitting candidates)."""
+    times its codeword's exact int64 product with the count differences.
+    Decoding failure gives item None and estimate 0, and so does, with
+    verify=True, a codeword not strictly inside the correction radius of
+    the rounded vector (which keeps noise-only channels from emitting
+    candidates).  Rows go in chunks whose int64 count differences fit
+    codec's byte budget, so no transient grows with the number of rows."""
     if any(agg.n_total < 1 for agg in aggs):
         raise ValueError("no reports absorbed")
-    if not aggs:
-        return []
-    diff = np.array([agg.plus for agg in aggs]) - np.array([agg.minus for agg in aggs])
+    step = _chunk_rows(8 * code.m)
+    return [r for s in range(0, len(aggs), step) for r in _decode_chunk(aggs[s : s + step], code, verify)]
+
+
+def _decode_chunk(aggs: Sequence[AggregateState], code: Code, verify: bool) -> list:
+    """decode_channels on one chunk of rows, all at once."""
+    diff = np.array([agg.plus for agg in aggs])
+    diff -= np.array([agg.minus for agg in aggs])
     Y = round_to_hypercube(diff)
     decoded = code.decode_many(Y)
     rows = [i for i, v in enumerate(decoded) if v is not None]

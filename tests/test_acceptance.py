@@ -114,6 +114,47 @@ class TestCriterion01Privacy:
         report(1, True, f"randomizer audits exact to eps (worst gap {worst:.2e}), {elapsed:.2f}s")
 
 
+class TestWholeUserPrivacy:
+    """Directional audit of one faithful user's whole report set: the
+    oracle report plus, in each of T repetitions, one report per channel:
+    the codeword in the item's own channel, the zero input in every other.
+
+    Given the public coins the reports are independent, so for an ordered
+    pair (v, w) the sup of the whole set's log-likelihood ratio is the sum,
+    over the reports, of each report's directional sup max_z log P_v(z) /
+    P_w(z).  The budget charges (2T + 1) * eps_channel = eps, two channels
+    per repetition; the exact maximum is (T + 1) * eps_channel.  Where v and
+    w hash to different channels a and b, a's directional sup
+    ln(2 e^e / (1 + e^e)) and b's ln((1 + e^e) / 2), at e = eps_channel,
+    sum to eps_channel, and where they share a channel that channel alone
+    gives eps_channel.  So the accounting has slack T * eps_channel.  (A
+    per-report sum of audit_ldp, which maximizes over both orders of a
+    pair, would overstate the total: it is not directional.)"""
+
+    @pytest.mark.parametrize("eps, T, K", [(1.0, 2, 4), (2.0, 3, 4), (math.log(2), 1, 2)])
+    def test_directional_audit_of_a_faithful_users_reports(self, eps, T, K):
+        started = time.time()
+        d, m_fo, eps_ch = 16, 8, eps / (2 * T + 1)
+        code = build_code(d, "reference")
+        pub = PublicRandomness.from_any(f"whole-user:{eps}:{T}:{K}")
+        seeds = draw_hash_seeds(pub, T, 2 * code.t)
+        # One pmf per item for each report: the oracle column, then channel (t, k).
+        reports = [[report_distribution(pub.signs_at(("phi", v), np.arange(m_fo)), m_fo, eps_ch)
+                    for v in range(d)]]
+        for seed in seeds:
+            own = [channel_of(seed, v, K) for v in range(d)]
+            reports += [[report_distribution(code.encode(v) if own[v] == k else None, code.m, eps_ch)
+                         for v in range(d)] for k in range(K)]
+        total = np.zeros((d, d))  # [v, w]: the sum of directional sups
+        for pmfs in reports:
+            logp = np.log(np.array(pmfs))
+            total += (logp[:, None, :] - logp[None, :, :]).max(axis=2)
+        worst = float(total.max())
+        assert worst <= eps + 1e-12
+        assert abs(worst - (T + 1) * eps_ch) < 1e-9
+        assert time.time() - started < 1.0
+
+
 class TestCriterion02Unbiasedness:
     def test_closed_form_expectation(self):
         started = time.time()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,9 +178,29 @@ class TestDecode:
         Y = np.concatenate([c.encode_many(range(0, 1000, 50)),
                             rng.choice(np.array([-1, 1], dtype=np.int8), size=(30, c.m))])
         whole = c.decode_many(Y)
-        monkeypatch.setattr(codec, "_DECODE_ROWS", 7)
+        # Seven rows a chunk: the widest array holds d correlations a row
+        # for the reference code, m for the concatenated one.
+        width = c.d if kind == "reference" else c.m
+        monkeypatch.setattr(codec, "_DECODE_BYTES", 7 * 4 * width)
+        sizes, rows = [], c._decode_rows
+        monkeypatch.setattr(c, "_decode_rows", lambda Y: sizes.append(len(Y)) or rows(Y))
         assert c.decode_many(Y) == whole
+        assert sizes == [7] * 7 + [1]
         assert whole[:20] == list(range(0, 1000, 50))
+
+    def test_reference_decode_memory_is_bounded(self):
+        # One 4,096-row decode correlates every row with 4,096 codewords:
+        # 64 MiB as one float32 array, held to chunks within the budget.
+        c = ReferenceCode(2**12)
+        Y = np.random.default_rng(12).choice(np.array([-1, 1], dtype=np.int8), size=(4096, c.m))
+        tracemalloc.start()
+        try:
+            decoded = c.decode_many(Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(decoded) == 4096
+        assert peak < 4 * codec._DECODE_BYTES
 
     def test_out_of_universe_decode_rejected(self):
         # d below a byte boundary: decoded payloads >= d signal failure.

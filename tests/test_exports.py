@@ -40,13 +40,15 @@ def test_every_exported_name_has_a_caller():
 
 
 # Private names one module of the package imports from another: onebit
-# draws with core's sampler and label encoder, and cli checks report files
-# against the wire widths of transport.
+# draws with core's sampler and label encoder, cli checks report files
+# against the wire widths of transport, and heavy_hitter sizes its decode
+# chunks from codec's byte budget.
 KEPT_PRIVATE_IMPORTS = {
     ("onebit", "core", "_below"),
     ("onebit", "core", "_draw_args"),
     ("onebit", "core", "_encode_label"),
     ("cli", "transport", "_REPORT_BITS"),
+    ("heavy_hitter", "codec", "_chunk_rows"),
 }
 
 

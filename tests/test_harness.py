@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -37,6 +38,41 @@ class TestDatasets:
         rest = items[(items != 1) & (items != 2)]
         assert len(rest) == 250
         assert set(np.unique(rest)) <= set(range(8)) - {1, 2}
+
+    @pytest.mark.parametrize("d, planted", [
+        (2, ((0, 0.5),)),
+        (2, ((1, 0.3),)),
+        (5, ((4, 0.2), (0, 0.2))),
+        (16, ((15, 0.1), (0, 0.1), (7, 0.3))),
+        (64, ((3, 0.1), (4, 0.1), (5, 0.1), (63, 0.1))),
+        (1000, ((998, 0.3), (999, 0.2))),
+        (4, ((0, 0.5), (1, 0.5))),
+    ])
+    def test_planted_remainder_matches_choice_over_the_rest(self, d, planted):
+        # The remainder as rng.choice over the explicit unplanted items draws it.
+        spec = DatasetSpec(kind="planted", d=d, n=2000, seed=d, planted=planted)
+        rng = np.random.default_rng([spec.seed, 0xD5EED])
+        ids = [v for v, _ in planted]
+        head = np.repeat(ids, [int(round(f * spec.n)) for _, f in planted])
+        rest = np.setdiff1d(np.arange(d), np.array(ids, dtype=np.int64))
+        tail = rng.choice(rest, size=spec.n - len(head)) if len(head) < spec.n else []
+        want = np.concatenate([head, tail]).astype(np.int64)
+        assert gen_dataset(spec).tobytes() == want.tobytes()
+
+    def test_planted_refuses_a_remainder_with_no_items_left(self):
+        spec = DatasetSpec(kind="planted", d=2, n=10, seed=0, planted=((0, 0.3), (1, 0.3)))
+        with pytest.raises(ValueError, match="no unplanted items left"):
+            gen_dataset(spec)
+
+    def test_planted_draw_does_not_grow_with_d(self):
+        d = 2**40
+        spec = DatasetSpec(kind="planted", d=d, n=1000, seed=4, planted=((0, 0.3), (d - 1, 0.2)))
+        started = time.perf_counter()
+        items = gen_dataset(spec)
+        assert time.perf_counter() - started < 0.2
+        rest = items[500:]
+        assert (items[:300] == 0).all() and (items[300:500] == d - 1).all()
+        assert ((rest > 0) & (rest < d - 1)).all() and len(np.unique(rest)) == 500
 
     def test_planted_mass_validation(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,13 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from ldphist import codec
 from ldphist.codec import build_code, round_to_hypercube
 from ldphist.core import PublicRandomness, c_eps, derive_fo_params, derive_hh_params
 from ldphist.freq_oracle import (
@@ -245,8 +247,9 @@ def _count_table(code, flip_counts, rng, scale=40):
 
 
 class TestDecodeChannelsEquivalence:
-    """decode_channels computes flips and estimates over all decoded rows
-    at once; every result equals the per-channel loop's, floats to the bit."""
+    """decode_channels computes flips and estimates over the decoded rows
+    of each row chunk at once; every result equals the per-channel loop's,
+    floats to the bit, whether the rows fit one chunk or span several."""
 
     FLIPS = {
         "reference": [0, 1, 2, 3, 5, 8, 12, 16] * 4,
@@ -255,16 +258,32 @@ class TestDecodeChannelsEquivalence:
 
     @pytest.mark.parametrize("kind, d", [("reference", 256), ("concatenated", 2**16)])
     @pytest.mark.parametrize("verify", [False, True])
-    def test_matches_per_channel_loop(self, kind, d, verify):
+    def test_matches_per_channel_loop(self, kind, d, verify, monkeypatch):
+        self._check(kind, d, verify, monkeypatch, small_chunks=False)
+
+    @pytest.mark.parametrize("kind, d", [("reference", 256), ("concatenated", 2**16)])
+    @pytest.mark.parametrize("verify", [False, True])
+    def test_matches_per_channel_loop_in_small_chunks(self, kind, d, verify, monkeypatch):
+        self._check(kind, d, verify, monkeypatch, small_chunks=True)
+
+    def _check(self, kind, d, verify, monkeypatch, small_chunks):
         code = build_code(d, kind)
         rng = np.random.default_rng(19)
         table = _count_table(code, self.FLIPS[kind], rng)
         # Counts past 2^24 in sum(|diff|), where the loop's kernel leaves float32.
         table = np.concatenate([table, _count_table(code, [0, 3], rng, scale=1 << 22)])
         aggs = list(channel_aggregates(range(len(table)), table, 0.7).values())
-        got = [(r.item, r.estimate.hex(), r.flips) for r in decode_channels(aggs, code, verify)]
         want = [(v, est.hex(), f) for v, est, f in _decode_loop(aggs, code, verify)]
+        sizes, decode_many = [], code.decode_many
+        monkeypatch.setattr(code, "decode_many", lambda Y: sizes.append(len(Y)) or decode_many(Y))
+        if small_chunks:  # eight rows of int64 count differences a chunk
+            monkeypatch.setattr(codec, "_DECODE_BYTES", 8 * 8 * code.m)
+        got = [(r.item, r.estimate.hex(), r.flips) for r in decode_channels(aggs, code, verify)]
         assert got == want
+        if small_chunks:
+            assert len(sizes) >= 3 and sizes[:-1] == [8] * (len(sizes) - 1) and 0 < sizes[-1] < 8
+        else:
+            assert sizes == [len(aggs)]
         failed = [v is None and f is None for v, _, f in want]
         rejected = [v is None and f is not None for v, _, f in want]
         assert any(v is not None for v, _, _ in want)
@@ -282,6 +301,29 @@ class TestDecodeChannelsEquivalence:
             aggs = list(channel_aggregates(range(4), table, 1.0).values())
             got = decode_channels(aggs, code, verify=False)
             assert [(r.item, r.estimate, r.flips) for r in got] == [(None, 0.0, None)] * 4
+
+
+def test_decode_channels_memory_is_bounded():
+    """decode_channels' transients, above the count table it reads, stay
+    within a few times codec's byte budget however many rows it decodes:
+    stacking the whole (rows, m) count difference alone would take 32 MiB
+    here, and each stacked input as much again."""
+    code = build_code(2**32, "concatenated")
+    rng = np.random.default_rng(21)
+    table = rng.integers(0, 30, (2048, code.m, 2))
+    items = rng.integers(0, code.d, 16)
+    words = code.encode_many(items.tolist())
+    table[:16, :, 0] += 60 * (words > 0)  # rows that decode
+    table[:16, :, 1] += 60 * (words < 0)
+    aggs = list(channel_aggregates(range(len(table)), table, 1.0).values())
+    tracemalloc.start()
+    try:
+        results = decode_channels(aggs, code, verify=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r.item for r in results[:16]] == items.tolist()
+    assert peak < 4 * codec._DECODE_BYTES
 
 
 def _per_group_fill(items, code, hh, fo, pub, rng, mode):
