@@ -43,7 +43,7 @@ REFERENCE_CODE_TAG = b"ldphist-reference-code-v2"
 REFERENCE_CODE_RATE_DEN = 4  # m = 4 * t
 REFERENCE_D_CAP = 1 << 16
 CONCATENATED_D_CAP = 1 << 64
-_DECODE_BYTES = 1 << 22  # the widest array of one decode chunk, whatever the row count
+_DECODE_BYTES = 1 << 20  # the widest array of one decode chunk, whatever the row count
 
 _GF_PRIM_POLY = 0x11D  # x^8 + x^4 + x^3 + x^2 + 1
 
@@ -54,9 +54,9 @@ def _chunk_rows(row_bytes: int) -> int:
 
 
 def round_to_hypercube(zbar: np.ndarray) -> np.ndarray:
-    """Coordinate-wise sign rounding; zero rounds to +1."""
-    zbar = np.asarray(zbar)
-    return np.where(zbar >= 0, 1, -1).astype(np.int8)
+    """Coordinate-wise int8 sign rounding of the same shape; zero rounds to +1, NaN to -1."""
+    signs = np.greater_equal(zbar, 0, out=np.empty(np.shape(zbar), dtype=bool)).view(np.int8)
+    return np.subtract(2 * signs, 1, out=signs)
 
 
 class Code:
@@ -148,7 +148,7 @@ class ReferenceCode(Code):
         self.zeta_eff = dmin / self.m
         self._codebook = (1 - 2 * span_bits[: self.d].astype(np.int8)).astype(np.int8)
         self._codebook_f = self._codebook.astype(np.float32)
-        self._decode_width = max(self.m, self.d)  # a row's correlations with every codeword
+        self._decode_width = max(self.m, min(self.d, math.isqrt(_DECODE_BYTES // 4)))  # square blocks
 
     @staticmethod
     def _build_generator(t: int, m: int) -> np.ndarray:
@@ -172,8 +172,19 @@ class ReferenceCode(Code):
         return self._codebook[self._items(vs)]
 
     def _decode_rows(self, Y: np.ndarray) -> list:
-        """Nearest codeword by correlation; ties resolve to the smallest item."""
-        return np.argmax(Y @ self._codebook_f.T, axis=1).tolist()
+        """Nearest codeword, correlating one codebook slice at a time; a later
+        slice takes a row only on a strictly greater maximum, so ties go to the
+        smallest item.  +-1 correlations are integers within +-m, exact in float32."""
+        step, rows = self._decode_width, np.arange(len(Y))
+        best, arg = np.full(len(Y), -np.inf, dtype=np.float32), np.zeros(len(Y), dtype=np.int64)
+        buf = np.empty((len(Y), step), dtype=np.float32)  # every slice's correlations
+        for start in range(0, self.d, step):
+            block = self._codebook_f[start : start + step]
+            corr = np.matmul(Y, block.T, out=buf[:, : len(block)])
+            top = np.argmax(corr, axis=1)
+            better = corr[rows, top] > best
+            best[better], arg[better] = corr[rows, top][better], top[better] + start
+        return arg.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ CSV_SCHEMA_VERSION = 1
 # Largest oracle universe: closing an oracle run estimates every item, about
 # 1.4 s for 2^16 items at m_fo = 2,000.
 FO_UNIVERSE_CAP = 1 << 16
+_ZIPF_D_CAP = 1 << 22  # a zipf draw weighs every item: about 0.2 s and 100 MB at the cap
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,7 @@ def protocol_setup(protocol: str, d: int, n: int, eps: float, beta: float,
 class DatasetSpec:
     """A deterministic synthetic dataset.
 
-    kinds: "uniform"; "zipf" with exponent s over ranks 0..d-1;
+    kinds: "uniform"; "zipf" with exponent s over ranks 0..d-1, d <= 2^22;
     "planted" with exact per-item counts from (item, frequency) pairs and
     the remaining users uniform over the unplanted items; "promise" where
     ceil(eta * n) users hold `item` and everyone else holds nothing (BOT).
@@ -119,6 +120,8 @@ class DatasetSpec:
                 raise ValueError(f"planted frequencies sum to {total} > 1")
             if len({v for v, _ in self.planted}) != len(self.planted):
                 raise ValueError("planted items must be distinct")
+        if self.kind == "zipf" and self.d > _ZIPF_D_CAP:
+            raise ValueError(f"a zipf dataset weighs all d = {self.d} items; cap is {_ZIPF_D_CAP}")
         if self.kind == "promise" and not (0.0 <= self.eta <= 1.0):
             raise ValueError("eta must be in [0, 1]")
         held = {"planted": [v for v, _ in self.planted], "promise": [self.item]}.get(self.kind, [])
@@ -133,8 +136,7 @@ def gen_dataset(spec: DatasetSpec) -> np.ndarray:
     if spec.kind == "uniform":
         return rng.integers(0, spec.d, spec.n).astype(np.int64)
     if spec.kind == "zipf":
-        ranks = np.arange(1, spec.d + 1, dtype=np.float64)
-        weights = ranks ** (-spec.s)
+        weights = np.arange(1, spec.d + 1, dtype=np.float64) ** (-spec.s)
         weights /= weights.sum()
         return rng.choice(spec.d, size=spec.n, p=weights).astype(np.int64)
     if spec.kind == "promise":

@@ -154,13 +154,15 @@ def decode_channels(aggs: Sequence[AggregateState], code: Code, verify: bool) ->
     if any(agg.n_total < 1 for agg in aggs):
         raise ValueError("no reports absorbed")
     step = _chunk_rows(8 * code.m)
-    return [r for s in range(0, len(aggs), step) for r in _decode_chunk(aggs[s : s + step], code, verify)]
+    buf = np.empty((min(step, len(aggs)), code.m), dtype=np.int64)  # every chunk's count differences
+    return [r for s in range(0, len(aggs), step) for r in _decode_chunk(aggs[s : s + step], buf, code, verify)]
 
 
-def _decode_chunk(aggs: Sequence[AggregateState], code: Code, verify: bool) -> list:
-    """decode_channels on one chunk of rows, all at once."""
-    diff = np.array([agg.plus for agg in aggs])
-    diff -= np.array([agg.minus for agg in aggs])
+def _decode_chunk(aggs: Sequence[AggregateState], buf: np.ndarray, code: Code, verify: bool) -> list:
+    """decode_channels on one chunk of rows at once, their count differences in buf's first rows."""
+    diff = buf[: len(aggs)]
+    for row, agg in zip(diff, aggs):  # one pass over the strided count-table views
+        np.subtract(agg.plus, agg.minus, out=row)
     Y = round_to_hypercube(diff)
     decoded = code.decode_many(Y)
     rows = [i for i, v in enumerate(decoded) if v is not None]

@@ -188,6 +188,20 @@ class TestCliExperiments:
         assert refused in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_zipf_above_its_cap_is_refused_before_drawing(self, tmp_path, capsys):
+        # A zipf draw weighs all d items; at d = 2^32 that is 32 GiB of
+        # float64 weights, so the refusal must come before any is built.
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(["hist", "--d", "4294967296", "--dataset", "zipf", "--code", "concatenated",
+                  "--out-dir", str(tmp_path)])
+        assert time.perf_counter() - start < 1.0
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "zipf dataset weighs all d = 4294967296 items; cap is 4194304" in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 2  # usage, error
+        assert list(tmp_path.iterdir()) == []
+
     def test_pp(self, tmp_path, capsys):
         out = _run(
             ["pp", "--d", "256", "--n", "20000", "--eps", "2.0", "--beta", "0.1",

@@ -178,15 +178,45 @@ class TestDecode:
         Y = np.concatenate([c.encode_many(range(0, 1000, 50)),
                             rng.choice(np.array([-1, 1], dtype=np.int8), size=(30, c.m))])
         whole = c.decode_many(Y)
-        # Seven rows a chunk: the widest array holds d correlations a row
-        # for the reference code, m for the concatenated one.
-        width = c.d if kind == "reference" else c.m
-        monkeypatch.setattr(codec, "_DECODE_BYTES", 7 * 4 * width)
+        # Seven rows a chunk: at this budget the widest array holds m floats
+        # a row for either code (the reference code's codebook slices are
+        # never narrower than a row).  A code takes its width when built.
+        monkeypatch.setattr(codec, "_DECODE_BYTES", 7 * 4 * c.m)
+        c = build_code(1000, kind)
+        assert c._decode_width == c.m
         sizes, rows = [], c._decode_rows
         monkeypatch.setattr(c, "_decode_rows", lambda Y: sizes.append(len(Y)) or rows(Y))
         assert c.decode_many(Y) == whole
         assert sizes == [7] * 7 + [1]
         assert whole[:20] == list(range(0, 1000, 50))
+
+    def test_reference_decode_in_codebook_slices(self, monkeypatch):
+        # 256-codeword slices: 16 of them over d = 2^12, in 256-row chunks.
+        monkeypatch.setattr(codec, "_DECODE_BYTES", 4 * 256 * 256)
+        c = ReferenceCode(2**12)
+        assert c._decode_width == 256
+        Y = np.random.default_rng(13).choice(np.array([-1, 1], dtype=np.int8), size=(600, c.m))
+        corr = Y.astype(np.int32) @ c.encode_many(range(c.d)).astype(np.int32).T
+        assert c.decode_many(Y) == np.argmax(corr, axis=1).tolist()
+        # Rows whose maximum is reached in two or more slices: the first wins.
+        at_max = corr == corr.max(axis=1, keepdims=True)
+        slices_at_max = at_max.reshape(len(Y), c.d // 256, 256).any(axis=2).sum(axis=1)
+        assert np.count_nonzero(slices_at_max >= 2) >= 10
+
+    def test_reference_decode_chunks_are_square_blocks(self, monkeypatch):
+        # At d = 2^16 a row's correlations with the whole codebook take
+        # 256 KiB, which would leave a handful of rows a chunk, each chunk
+        # re-reading the 16 MiB codebook.  Slices keep the chunks at the
+        # budget's square side, whatever d is.
+        c = ReferenceCode(2**16)
+        side = math.isqrt(codec._DECODE_BYTES // 4)
+        assert c._decode_width == side and side >= 256
+        Y = np.random.default_rng(14).choice(np.array([-1, 1], dtype=np.int8), size=(2 * side + 5, c.m))
+        Y[:5] = c.encode_many([0, 1, 2**15, c.d - 2, c.d - 1])
+        sizes, rows = [], c._decode_rows
+        monkeypatch.setattr(c, "_decode_rows", lambda Y: sizes.append(len(Y)) or rows(Y))
+        assert c.decode_many(Y)[:5] == [0, 1, 2**15, c.d - 2, c.d - 1]
+        assert sizes == [side, side, 5]
 
     def test_reference_decode_memory_is_bounded(self):
         # One 4,096-row decode correlates every row with 4,096 codewords:
@@ -448,6 +478,18 @@ class TestRounding:
     def test_zero_goes_positive(self):
         y = round_to_hypercube(np.array([0.3, -0.1, 0.0]))
         assert np.array_equal(y, np.array([1, -1, 1], dtype=np.int8))
+
+    @pytest.mark.parametrize("z", [
+        np.array([5, 0, -3, -(2**62), 2**62], dtype=np.int64),
+        np.array([[0, -1, 1], [-7, 0, 9]], dtype=np.int64),
+        np.array([0.0, -0.0, 1e-300, -1e-300, np.inf, -np.inf, np.nan]),
+        np.array([[np.nan, 0.0], [-2.5, 3.5]], dtype=np.float32),
+    ], ids=["int64-1d", "int64-2d", "float64-1d", "float32-2d"])
+    def test_contract(self, z):
+        y = round_to_hypercube(z)
+        assert y.dtype == np.int8 and y.shape == z.shape
+        assert np.array_equal(y, np.where(z >= 0, 1, -1))
+        assert np.all(y[np.isnan(z)] == -1) and np.all(y[z == 0] == 1)
 
     @given(st.floats(min_value=0.01, max_value=100.0))
     @settings(max_examples=30, deadline=None)
