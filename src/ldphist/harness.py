@@ -115,11 +115,19 @@ class DatasetSpec:
         if self.kind not in ("uniform", "zipf", "planted", "promise"):
             raise ValueError(f"unknown dataset kind {self.kind!r}")
         if self.kind == "planted":
+            for v, f in self.planted:
+                if not 0.0 <= f <= 1.0:  # NaN fails both comparisons
+                    raise ValueError(f"planted frequency {f} of item {v} outside [0, 1]")
+            counts = sum(round(f * self.n) for _, f in self.planted)
+            if counts > self.n:
+                raise ValueError(f"planted counts sum to {counts} > n = {self.n}")
             total = sum(f for _, f in self.planted)
             if total > 1.0 + 1e-12:
                 raise ValueError(f"planted frequencies sum to {total} > 1")
             if len({v for v, _ in self.planted}) != len(self.planted):
                 raise ValueError("planted items must be distinct")
+        if self.kind == "zipf" and not math.isfinite(self.s):
+            raise ValueError(f"zipf exponent s must be finite, got {self.s}")
         if self.kind == "zipf" and self.d > _ZIPF_D_CAP:
             raise ValueError(f"a zipf dataset weighs all d = {self.d} items; cap is {_ZIPF_D_CAP}")
         if self.kind == "promise" and not (0.0 <= self.eta <= 1.0):
@@ -162,7 +170,8 @@ def gen_dataset(spec: DatasetSpec) -> np.ndarray:
 
 
 def truth_frequencies(items: np.ndarray, d: int) -> np.ndarray:
-    """Empirical frequency of every item; BOT users count toward n."""
+    """Length-d empirical frequencies; BOT users count toward n.  Only the
+    benchmark calls it: perfbench's oracle check and harness.check span."""
     held = items[items != BOT]
     return np.bincount(held, minlength=d) / len(items)
 
@@ -171,20 +180,19 @@ def items_checksum(items: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(items, dtype=np.int64).tobytes()).hexdigest()
 
 
-def linf_error(truth: np.ndarray, hist: SuccinctHistogram) -> float:
-    """Worst-case absolute error over the whole universe, with items off
-    the histogram implicitly estimated as 0."""
-    est = np.zeros(len(truth))
-    for v, f in hist.entries:
-        est[v] = f
-    return float(np.max(np.abs(est - truth)))
+def linf_error(truth: dict, hist: SuccinctHistogram) -> float:
+    """Worst-case absolute error over the whole universe.  An item off the
+    histogram estimates to 0 and one off the truth mapping holds 0, so only
+    items held or published can differ."""
+    est = dict(hist.entries)
+    return max((abs(est.get(v, 0.0) - truth.get(v, 0.0)) for v in truth.keys() | est), default=0.0)
 
 
-def hh_precision_recall(truth: np.ndarray, hist: SuccinctHistogram, threshold: float) -> tuple:
+def hh_precision_recall(truth: dict, hist: SuccinctHistogram, threshold: float) -> tuple:
     """Precision/recall of the output list against the true heavy set
-    {v : f(v) >= threshold}.  Empty sets score 1.0."""
+    {v : f(v) >= threshold}, threshold > 0.  Empty sets score 1.0."""
     out = set(hist.items())
-    heavy = {int(v) for v in np.nonzero(truth >= threshold)[0]}
+    heavy = {v for v, f in truth.items() if f >= threshold}
     precision = 1.0 if not out else len(out & heavy) / len(out)
     recall = 1.0 if not heavy else len(out & heavy) / len(heavy)
     return precision, recall
@@ -256,7 +264,8 @@ def run_experiment(
     for trial in range(config.trials):
         items = gen_dataset(DatasetSpec(**{**asdict(spec), "seed": spec.seed + trial}))
         checksum = items_checksum(items)
-        truth = truth_frequencies(items, d)
+        held, counts = np.unique(items[items != BOT], return_counts=True)
+        truth = dict(zip(held.tolist(), (counts / len(items)).tolist()))  # BOT users count toward n
         pub = PublicRandomness.from_any(f"experiment:{config.seed}:{trial}")
         rng = np.random.default_rng([config.seed, trial, 0xC0FFEE])
         metrics, rows, extra = runner(config, setup, items, truth, trial, pub, rng)
@@ -304,12 +313,11 @@ def _run_fo_trial(config: ExperimentConfig, setup: ProtocolSetup, items, truth, 
     else:
         agg = fo_simulate_reports(items, setup.fo.m_fo, config.eps, pub, rng)
         acceptance = 1.0
-    est = fo_estimate_many(agg, pub, np.arange(spec.d))
-    linf = float(np.max(np.abs(est - truth)))
+    est = fo_estimate_many(agg, pub, np.arange(spec.d)).tolist()
     rows = ["item,true_frequency,estimated_frequency"]
-    rows += [f"{v},{truth[v]:.17g},{est[v]:.17g}" for v in range(spec.d)]
+    rows += [f"{v},{truth.get(v, 0.0):.17g},{e:.17g}" for v, e in enumerate(est)]
     metrics = {
-        "linf_error": linf,
+        "linf_error": max(abs(e - truth.get(v, 0.0)) for v, e in enumerate(est)),
         "acceptance_rate": acceptance,
         "n_reports": int(agg.n_total),
         "aggregate_blob": agg.to_bytes(),
@@ -325,12 +333,12 @@ def _run_pp_trial(config: ExperimentConfig, setup: ProtocolSetup, items, truth, 
     if planted is None:
         err = 0.0
     elif recovered:
-        err = abs(res.estimate - truth[planted])
+        err = abs(res.estimate - truth.get(planted, 0.0))
     else:
-        err = float(truth[planted])  # the missing item's implicit-zero error
+        err = truth.get(planted, 0.0)  # the missing item's implicit-zero error
     rows = ["recovered_item,estimate,true_frequency"]
     rows.append(f"{res.item if res.item is not None else ''},{res.estimate:.17g},"
-                f"{truth[planted] if planted is not None else 0:.17g}")
+                f"{truth.get(planted, 0.0):.17g}")
     metrics = {
         "linf_error": err,
         "recovered": bool(recovered),
@@ -356,7 +364,7 @@ def _run_hist_trial(config: ExperimentConfig, setup: ProtocolSetup, items, truth
         hist, seeds, mode = res.histogram, res.seeds, config.mode
     linf = linf_error(truth, hist)
     precision, recall = hh_precision_recall(truth, hist, hh.threshold)
-    junk = [int(v) for v in hist.items() if truth[v] < hh.threshold / 2]
+    junk = [int(v) for v in hist.items() if truth.get(v, 0.0) < hh.threshold / 2]
     metrics = {
         "linf_error": linf,
         "precision": precision,
@@ -364,7 +372,7 @@ def _run_hist_trial(config: ExperimentConfig, setup: ProtocolSetup, items, truth
         "output_size": len(hist.entries),
         "junk_items": junk,
         "planted_errors": {
-            int(v): float(hist.estimate(v) - truth[v]) for v, _ in spec.planted
+            int(v): float(hist.estimate(v) - truth.get(v, 0.0)) for v, _ in spec.planted
         },
         "planted_recovered": all(v in hist.items() for v, _ in spec.planted),
         **extra,

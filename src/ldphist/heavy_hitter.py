@@ -225,7 +225,7 @@ class SuccinctHistogram:
     def to_csv(self, truth=None) -> str:
         lines = ["item,estimated_frequency" + ("" if truth is None else ",true_frequency")]
         for v, f in sorted(self.entries, key=lambda e: (-e[1], e[0])):
-            lines.append(f"{v},{f:.17g}" + ("" if truth is None else f",{float(truth[v]):.17g}"))
+            lines.append(f"{v},{f:.17g}" + ("" if truth is None else f",{truth.get(v, 0.0):.17g}"))
         return "\n".join(lines) + "\n"
 
 

@@ -173,11 +173,20 @@ class TestCliExperiments:
         (["hist", "--planted", "1:2:3"], "--planted takes item:freq[,item:freq...], got '1:2:3'"),
         (["fo", "--dataset", "zipf:abc"], "--dataset takes zipf[:s] with a number s, got 'zipf:abc'"),
         (["fo", "--dataset", "zipfoo"], "unknown dataset kind 'zipfoo'"),
+        (["fo", "--d", "64", "--n", "1000", "--dataset", "planted", "--planted", "1:-0.1,2:0.6"],
+         "planted frequency -0.1 of item 1 outside [0, 1]"),
+        (["fo", "--d", "64", "--dataset", "planted", "--planted", "1:nan"],
+         "planted frequency nan of item 1 outside [0, 1]"),
+        (["fo", "--d", "64", "--n", "3", "--dataset", "planted", "--planted", "1:0.5,2:0.5"],
+         "planted counts sum to 4 > n = 3"),
+        (["fo", "--dataset", "zipf:nan"], "zipf exponent s must be finite, got nan"),
+        (["fo", "--dataset", "zipf:inf"], "zipf exponent s must be finite, got inf"),
     ], ids=["hist", "serve-one-bit", "fo-one-bit", "fo-universe", "fo-no-trials",
             "sweep-no-trials", "pp-item", "fo-planted-above", "fo-planted-negative",
             "audit-m-zero", "audit-m-negative", "audit-m-above-cap", "hist-planted-empty",
             "hist-planted-one-field", "hist-planted-three-fields", "fo-zipf-exponent",
-            "fo-zipf-prefix"])
+            "fo-zipf-prefix", "fo-planted-frequency-negative", "fo-planted-frequency-nan",
+            "fo-planted-counts-above-n", "fo-zipf-nan", "fo-zipf-inf"])
     def test_refused_parameters_exit_with_message(self, tmp_path, capsys, argv, refused):
         # The library's ValueError becomes a one-line usage error, not a
         # traceback, and no output file is written.
@@ -201,6 +210,22 @@ class TestCliExperiments:
         assert "zipf dataset weighs all d = 4294967296 items; cap is 4194304" in err
         assert "Traceback" not in err and len(err.strip().splitlines()) == 2  # usage, error
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, names", [
+        (["hist", "--eps", "2", "--beta", "0.5", "--dataset", "planted"],
+         ["hist_manifest.json", "histogram.csv"]),
+        (["pp", "--eps", "2"], ["pp_manifest.json", "pp_result.csv"]),
+    ], ids=["hist", "pp"])
+    def test_paper_universe_runs_in_seconds(self, tmp_path, capsys, argv, names):
+        # The metrics read only the items held or published, so no run
+        # builds anything of length d: a dense truth at d = 2^32 is 32 GiB.
+        start = time.perf_counter()
+        _run(argv + ["--d", "4294967296", "--n", "2000", "--code", "concatenated", "--trials", "1",
+                     "--seed", "1", "--out-dir", str(tmp_path)], capsys)
+        assert time.perf_counter() - start < 5.0
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+        manifest = json.loads((tmp_path / names[0]).read_text())
+        assert manifest["config"]["dataset"]["d"] == 2**32
 
     def test_pp(self, tmp_path, capsys):
         out = _run(

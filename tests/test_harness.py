@@ -74,6 +74,21 @@ class TestDatasets:
         assert (items[:300] == 0).all() and (items[300:500] == d - 1).all()
         assert ((rest > 0) & (rest < d - 1)).all() and len(np.unique(rest)) == 500
 
+    @pytest.mark.parametrize("extra, named", [
+        ({"planted": ((1, -0.1), (2, 0.6))}, "planted frequency -0.1 of item 1 outside [0, 1]"),
+        ({"planted": ((1, math.nan),)}, "planted frequency nan of item 1 outside [0, 1]"),
+        ({"n": 3, "planted": ((1, 0.5), (2, 0.5))}, "planted counts sum to 4 > n = 3"),
+        ({"n": 2, "planted": ((1, 1 / 3), (2, 1 / 3), (3, 1 / 3))}, "planted counts sum to 3 > n = 2"),
+        ({"kind": "zipf", "s": math.nan}, "zipf exponent s must be finite, got nan"),
+        ({"kind": "zipf", "s": math.inf}, "zipf exponent s must be finite, got inf"),
+    ], ids=["planted-negative", "planted-nan", "planted-halves-at-3", "planted-thirds-at-2",
+            "zipf-nan", "zipf-inf"])
+    def test_refuses_a_spec_whose_dataset_would_differ(self, extra, named):
+        # Each would otherwise draw a dataset other than the one the
+        # manifest records, or fail late inside numpy.
+        with pytest.raises(ValueError, match=re.escape(named)):
+            DatasetSpec(**{"kind": "planted", "d": 64, "n": 100, "seed": 0, **extra})
+
     def test_planted_mass_validation(self):
         with pytest.raises(ValueError):
             DatasetSpec(kind="planted", d=8, n=10, seed=0,
@@ -116,32 +131,69 @@ class TestDatasets:
         assert gen_dataset(DatasetSpec(d=64, n=100, seed=0, **edge)).max() == 63
 
 
+def _truth_mapping(items):
+    """{item: frequency} of the items held, as run_experiment builds it."""
+    held, counts = np.unique(items[items != BOT], return_counts=True)
+    return dict(zip(held.tolist(), (counts / len(items)).tolist()))
+
+
+def _dense_linf(truth: np.ndarray, hist: SuccinctHistogram) -> float:
+    # The length-d formula the mapping replaced, kept as the reference.
+    est = np.zeros(len(truth))
+    for v, f in hist.entries:
+        est[v] = f
+    return float(np.max(np.abs(est - truth)))
+
+
+def _dense_precision_recall(truth: np.ndarray, hist: SuccinctHistogram, threshold: float):
+    out = set(hist.items())
+    heavy = {int(v) for v in np.nonzero(truth >= threshold)[0]}
+    precision = 1.0 if not out else len(out & heavy) / len(out)
+    recall = 1.0 if not heavy else len(out & heavy) / len(heavy)
+    return precision, recall
+
+
 class TestLinfError:
     def test_exact_restriction_is_zero(self):
-        truth = np.zeros(8)
-        truth[2], truth[5] = 0.6, 0.4
+        truth = {2: 0.6, 5: 0.4}
         hist = SuccinctHistogram(entries=[(2, 0.6), (5, 0.4)], threshold=0.1)
         assert linf_error(truth, hist) == 0.0
 
     def test_empty_estimate_point_mass(self):
-        truth = np.zeros(8)
-        truth[3] = 1.0
+        truth = {3: 1.0}
         hist = SuccinctHistogram(entries=[], threshold=0.1)
         assert linf_error(truth, hist) == 1.0
 
     def test_hand_case_dominated_by_missing_item(self):
-        truth = np.zeros(4)
-        truth[0], truth[1] = 0.5, 0.5
+        truth = {0: 0.5, 1: 0.5}
         hist = SuccinctHistogram(entries=[(0, 0.45)], threshold=0.1)
         assert linf_error(truth, hist) == pytest.approx(0.5)
 
     def test_precision_recall(self):
-        truth = np.zeros(8)
-        truth[1], truth[2] = 0.5, 0.3
+        truth = {1: 0.5, 2: 0.3}
         hist = SuccinctHistogram(entries=[(1, 0.52), (7, 0.2)], threshold=0.15)
         precision, recall = hh_precision_recall(truth, hist, 0.15)
         assert precision == 0.5
         assert recall == 0.5
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_mapping_metrics_equal_the_dense_formulas(self, seed):
+        # Seeds cycle through no, some and only BOT users (seed % 3) and an
+        # empty or a random histogram (seed % 4), which publishes items that
+        # nobody holds as well as held ones.
+        rng = np.random.default_rng([seed, 0x7A11])
+        d, n = int(rng.integers(1, 17)), int(rng.integers(1, 60))
+        items = rng.integers(0, d, n)
+        items[rng.random(n) < (0.0, 0.4, 1.0)[seed % 3]] = BOT
+        published = [] if seed % 4 == 0 else rng.choice(d, int(rng.integers(1, d + 1)), replace=False)
+        hist = SuccinctHistogram(entries=[(int(v), float(rng.random())) for v in published],
+                                 threshold=0.1)
+        dense, truth = truth_frequencies(items, d), _truth_mapping(items)
+        assert truth == {v: f for v, f in enumerate(dense.tolist()) if f}
+        assert linf_error(truth, hist) == _dense_linf(dense, hist)
+        for threshold in (0.05, float(rng.uniform(0.01, 1.0)), 1.0):
+            assert hh_precision_recall(truth, hist, threshold) == _dense_precision_recall(
+                dense, hist, threshold)
 
 
 class TestProtocolSetup:
@@ -259,6 +311,26 @@ class TestRunExperiment:
         items = np.array([1, 1, BOT, BOT])
         truth = truth_frequencies(items, 4)
         assert truth[1] == 0.5
+
+    def test_scored_truth_includes_bot_in_denominator(self, tmp_path):
+        # Half of the users hold item 1 and half hold nothing; every run
+        # scores against frequency 0.5 for it, and 0 for every other item.
+        spec = DatasetSpec(kind="promise", d=4, n=200, seed=0, eta=0.5, item=1)
+        csv = tmp_path / "fo.csv"
+        run_experiment(ExperimentConfig("fo", spec, eps=1.0, beta=0.2), out_csv=str(csv))
+        truths = [line.split(",")[1] for line in csv.read_text().splitlines()[1:]]
+        assert truths == ["0", "0.5", "0", "0"]
+        pp = run_experiment(ExperimentConfig("pp", spec, eps=2.0, beta=0.1))
+        assert pp.trial_metrics[0]["recovered"]
+        assert pp.linf_error == abs(pp.trial_metrics[0]["estimate"] - 0.5)
+
+    def test_pp_with_nobody_holding_the_item_scores_zero(self, tmp_path):
+        spec = DatasetSpec(kind="promise", d=64, n=500, seed=4, eta=0.0, item=5)
+        csv = tmp_path / "pp.csv"
+        rec = run_experiment(ExperimentConfig("pp", spec, eps=2.0, beta=0.1), out_csv=str(csv))
+        assert not rec.trial_metrics[0]["recovered"]
+        assert rec.linf_error == 0.0
+        assert csv.read_text().splitlines()[1].endswith(",0")
 
     def test_hist_one_bit_pipeline(self):
         # Mechanics of the single-bit collection path: acceptance near 1/2

@@ -400,11 +400,13 @@ class TestPrune:
         assert h.estimate(6) == 0.0
 
     def test_csv_with_truth(self):
-        h = prune([(5, 0.7), (2, 0.9)], 0.1)
+        # The truth maps held items only: a published item nobody holds reads 0.
+        h = prune([(5, 0.7), (2, 0.9), (9, 0.3)], 0.1)
         csv = h.to_csv(truth={5: 0.71, 2: 0.88})
         lines = csv.strip().split("\n")
         assert lines[0] == "item,estimated_frequency,true_frequency"
         assert lines[1].startswith("2,")
+        assert lines[3] == "9,0.29999999999999999,0"
 
 
 def _small_run(seed, mode="fast", n=10_000, plant=0.6):
