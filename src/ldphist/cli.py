@@ -45,9 +45,15 @@ from .transport import (
 
 
 def _out_dir(args) -> str:
-    path = args.out_dir or os.environ.get("LDPHIST_OUT", ".")
-    os.makedirs(path, exist_ok=True)
-    return path
+    """--out-dir, else $LDPHIST_OUT, else "."; made by the first write into
+    it, so a refused run leaves none behind."""
+    return args.out_dir or os.environ.get("LDPHIST_OUT", ".")
+
+
+def _write_rows(out: str, name: str, rows: list) -> None:
+    os.makedirs(out, exist_ok=True)
+    with open(os.path.join(out, name), "w") as fh:
+        fh.write("\n".join(rows) + "\n")
 
 
 class _ConfigDefaults(argparse.Action):
@@ -95,9 +101,13 @@ def _echo(tag: str, payload: dict):
     print(f"[{tag}] " + json.dumps(payload, sort_keys=True, default=str))
 
 
-def _dataset_from_args(args) -> DatasetSpec:
-    """--dataset's spec; ValueError naming the option for a value that does not parse."""
+def _dataset_from_args(args, planted: str = None) -> DatasetSpec:
+    """--dataset's spec, planting the given items when --dataset planted
+    comes without --planted; ValueError naming the option for a value that
+    does not parse, and for --planted without --dataset planted."""
     kind, extra = args.dataset, {}
+    if args.planted is not None and kind != "planted":
+        raise ValueError(f"--planted needs --dataset planted, got --dataset {kind}")
     if kind == "zipf" or kind.startswith("zipf:"):
         try:
             extra["s"] = float(kind.split(":", 1)[1]) if ":" in kind else 1.1
@@ -105,13 +115,14 @@ def _dataset_from_args(args) -> DatasetSpec:
             raise ValueError(f"--dataset takes zipf[:s] with a number s, got {kind!r}") from None
         kind = "zipf"
     elif kind == "planted":
+        text = planted if args.planted is None else args.planted
         try:
             pairs = [(int(item), float(freq)) for item, freq in
-                     (part.split(":") for part in (args.planted or "").split(",") if part)]
+                     (part.split(":") for part in (text or "").split(",") if part)]
         except ValueError:
             pairs = []
         if not pairs:
-            raise ValueError(f"--planted takes item:freq[,item:freq...], got {args.planted!r}")
+            raise ValueError(f"--planted takes item:freq[,item:freq...], got {text!r}")
         extra["planted"] = tuple(pairs)
     return DatasetSpec(kind=kind, d=args.d, n=args.n, seed=args.seed, **extra)
 
@@ -151,9 +162,13 @@ def cmd_pp(args):
     return 0
 
 
+_HIST_PLANTED = "1:0.3,2:0.2"  # hist's items for --dataset planted without --planted
+
+
 def cmd_hist(args):
-    record = _experiment(args, "hist", _dataset_from_args(args), k_override=args.k_override,
-                         code_kind=args.code, mode=args.mode, one_bit=args.one_bit)
+    record = _experiment(args, "hist", _dataset_from_args(args, _HIST_PLANTED),
+                         k_override=args.k_override, code_kind=args.code, mode=args.mode,
+                         one_bit=args.one_bit)
     _echo("metrics", {
         "median_linf_error": record.linf_error,
         "median_precision": record.hh_precision,
@@ -199,10 +214,8 @@ def cmd_audit(args):
             amp_rows.append(
                 f"{eta},{eps},{amplified_epsilon(eps, eta):.12f},{obs:.12f},{info:.12f}"
             )
-    with open(os.path.join(out, "audit_randomizer.csv"), "w") as fh:
-        fh.write("\n".join(rows) + "\n")
-    with open(os.path.join(out, "audit_amplification.csv"), "w") as fh:
-        fh.write("\n".join(amp_rows) + "\n")
+    _write_rows(out, "audit_randomizer.csv", rows)
+    _write_rows(out, "audit_amplification.csv", amp_rows)
     print(f"wrote {out}/audit_randomizer.csv and {out}/audit_amplification.csv")
     return 0
 
@@ -288,8 +301,7 @@ def cmd_sweep(args):
     )
     rows = ["n,median_linf_error"]
     rows += [f"{n},{err:.17g}" for n, err in sorted(result["medians"].items())]
-    with open(os.path.join(out, "fo_sweep.csv"), "w") as fh:
-        fh.write("\n".join(rows) + "\n")
+    _write_rows(out, "fo_sweep.csv", rows)
     _echo("sweep", {"medians": result["medians"], "ratios": result["ratios"]})
     return 0
 
@@ -328,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, n_default=100_000)
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--dataset", default="planted")
-    p.add_argument("--planted", default="1:0.3,2:0.2")
+    p.add_argument("--planted", default=None, help=f"item:freq[,item:freq...] (default {_HIST_PLANTED})")
     p.add_argument("--k-override", type=int, default=None)
     p.add_argument("--mode", default="fast", choices=["fast", "faithful"])
     p.add_argument("--code", default="reference", choices=["reference", "concatenated"])

@@ -307,19 +307,28 @@ class PublicRandomness:
         block = _prf_block(self._keyed, index // (8 * _BLOCK), encoded)
         return 1 - 2 * ((block[index // 8 % _BLOCK] >> (index % 8)) & 1)
 
-    def signs_at(self, label: Tuple[LabelPart, ...], positions) -> np.ndarray:
+    def signs_at(self, label: Tuple[LabelPart, ...], positions, items=None) -> np.ndarray:
         """The int8 signs sign_array(label, m) holds at an array of positions,
-        hashing only the distinct blocks that the positions fall in."""
+        or with an equal-length array of items, sign_array(label + (item,), m)
+        at each item's position: each (label, block) the positions touch is
+        hashed once, and each sign is read from its byte."""
         positions = np.asarray(positions, dtype=np.int64)
-        block = positions // (8 * _BLOCK)
-        touched = np.bincount(block) > 0  # ValueError on a negative position
-        state = self._keyed.copy()
-        state.update(_encode_label(label))
-        raw = _prf_blocks(state, np.flatnonzero(touched).tolist())
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-        # Among the touched blocks' bits, a position sits one block lower
-        # for every untouched block before its own.
-        return 1 - 2 * bits[positions - 8 * _BLOCK * np.cumsum(~touched)[block]].astype(np.int8)
+        if positions.size and positions.min() < 0:
+            raise ValueError("positions must be nonnegative")
+        block, heads, rank = positions // (8 * _BLOCK), [_encode_label(label)], 0
+        if items is not None:  # label encoding is concatenative
+            values, rank = np.unique(items, return_inverse=True)
+            heads = [heads[0] + _encode_label((v,)) for v in values.tolist()]
+        width = int(block.max(initial=0)) + 1  # blocks per label in the (label, block) keys
+        keys, slot = np.unique(rank * width + block, return_inverse=True)
+        bounds = np.searchsorted(keys, np.arange(len(heads) + 1) * width).tolist()
+        raw = bytearray()
+        for r, (head, lo, hi) in enumerate(zip(heads, bounds, bounds[1:])):
+            state = self._keyed.copy()
+            state.update(head)
+            raw += _prf_blocks(state, (keys[lo:hi] - r * width).tolist())
+        byte = np.frombuffer(raw, dtype=np.uint8).reshape(-1, _BLOCK)[slot, positions // 8 % _BLOCK]
+        return 1 - 2 * (byte >> (positions % 8) & 1).astype(np.int8)
 
     def int_below(self, label: Union[Tuple[LabelPart, ...], bytes], bound: int) -> int:
         """Exactly uniform integer in [0, bound) via 64-bit rejection sampling;

@@ -15,7 +15,6 @@ report vector; it is intentionally not clipped here.
 
 from __future__ import annotations
 
-import functools
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -35,6 +34,8 @@ __all__ = [
     "fo_estimate",
     "fo_estimate_many",
 ]
+
+_FILL_BYTES = 1 << 18  # what one fill chunk may read: up to a 64-byte PRF block per draw
 
 
 @dataclass
@@ -147,27 +148,48 @@ def fo_client_report(
 
 
 def absorb_groups(
-    cells: np.ndarray,
+    table: np.ndarray,
     groups: Iterable,
-    signs_of: Callable[[int, np.ndarray], np.ndarray],
+    signs_of: Callable[[np.ndarray, np.ndarray], np.ndarray],
     eps: float,
     rng: np.random.Generator,
 ) -> None:
-    """Randomize grouped users' reports and count them, in place, in cells:
-    an (m, 2) int64 count-table row read flat, cell 2j + (s < 0) for (j, s).
+    """Randomize grouped users' reports and count them, in place, in a
+    C-contiguous (rows, m, 2) int64 count table, report (j, s) of row i
+    in cell [i, j, s < 0].  groups yields (row, item, count) triples, drawn
+    in the order given (seeded runs depend on it) with randomize_many; item
+    BOT stands for users holding nothing, whose zero input has nothing to
+    read, so their draws are counted as they come, and any other negative
+    item is refused when its group is reached.  The other draws are held in
+    chunks of _FILL_BYTES // 64 users, a group running on into the next
+    chunk, and each chunk is counted at once after one signs_of(items,
+    positions): the int8 input signs of an array of items at their
+    positions."""
+    m, step, flat = table.shape[1], _FILL_BYTES // 64, table.reshape(-1)
+    positions, flips = np.empty(step, dtype=np.int64), np.empty(step, dtype=bool)
+    runs, k = [], 0  # (row, item, count) of the draws held in positions[:k] and flips[:k]
 
-    groups yields (item, count) pairs, drawn in the order given (seeded
-    runs depend on it); the count users holding item run the basic
-    randomizer on its input, read only at their positions as
-    signs_of(item, positions), and item BOT stands for users holding
-    nothing, who randomize the zero input.  Any other negative item is
-    refused when its group is reached."""
-    for v, count in groups:
+    def flush(held):  # one sign lookup and one np.add.at for the held draws
+        rows, items, sizes = np.array(runs, dtype=np.int64).reshape(-1, 3).T
+        x = signs_of(np.repeat(items, sizes), positions[:held])
+        np.add.at(flat, 2 * (np.repeat(rows, sizes) * m + positions[:held]) + ((x < 0) ^ flips[:held]), 1)
+        runs.clear()
+    for row, v, count in groups:
         if v < BOT:
             raise ValueError(f"item {v}: items must lie in [0, d) or be {BOT} (no item)")
-        x = None if v == BOT else functools.partial(signs_of, int(v))
-        positions, signs = randomize_many(x, int(count), eps, len(cells) // 2, rng)
-        np.add.at(cells, 2 * positions + (signs < 0), 1)
+        j, f = randomize_many(int(count), eps, m, rng, zero=v == BOT)
+        if v == BOT:  # the zero input's signs count as +1
+            table[row] += np.bincount(2 * j + f, minlength=2 * m).reshape(m, 2)
+            continue
+        while len(j):
+            take = min(len(j), step - k)
+            positions[k : k + take], flips[k : k + take] = j[:take], f[:take]
+            runs.append((row, v, take))
+            j, f, k = j[take:], f[take:], k + take
+            if k == step:
+                flush(step)
+                k = 0
+    flush(k)
 
 
 def inner_estimates(agg: AggregateState, columns: Iterable[bytes]) -> np.ndarray:
@@ -209,17 +231,18 @@ def fo_simulate_reports(
 ) -> AggregateState:
     """Aggregate the reports of all users in one pass.
 
-    Sampling is grouped by distinct item, and each group hashes only the
-    column blocks its users' positions fall in; per-user draws are
-    identical in distribution to calling fo_client_report in a loop.
+    Sampling is grouped by distinct item, and each absorb_groups chunk
+    hashes only the column blocks its positions fall in; per-user draws
+    are identical in distribution to calling fo_client_report in a loop.
     Items equal to BOT denote users with no item, whose reports are
     uniform; items below BOT are refused before any draw (np.unique sorts
     them first).
     """
     values, counts = np.unique(np.asarray(items), return_counts=True)
-    cells = np.zeros(2 * m, dtype=np.int64)
-    absorb_groups(cells, zip(values, counts), lambda v, j: pub.signs_at(("phi", v), j), eps, rng)
-    return channel_aggregates(["fo"], cells.reshape(1, m, 2), eps)["fo"]
+    table = np.zeros((1, m, 2), dtype=np.int64)
+    absorb_groups(table, ((0, v, c) for v, c in zip(values.tolist(), counts.tolist())),
+                  lambda v, j: pub.signs_at(("phi",), j, v), eps, rng)
+    return channel_aggregates(["fo"], table, eps)["fo"]
 
 
 def fo_estimate(agg: AggregateState, pub: PublicRandomness, v: int) -> float:

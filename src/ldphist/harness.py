@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import time
 from dataclasses import asdict, dataclass
 from typing import Optional
@@ -247,7 +248,8 @@ def run_experiment(
 
     Writes the final trial's per-item CSV, a JSON manifest, and (for
     oracle runs) the final trial's framed aggregate blob when paths are
-    given; all outputs are byte-stable for a fixed (config, seed).
+    given, making their directories only then, so a refused run writes
+    nothing; all outputs are byte-stable for a fixed (config, seed).
     """
     started = time.time()
     spec = config.dataset
@@ -290,6 +292,9 @@ def run_experiment(
         runtime_s=time.time() - started,
         items_sha256=checksum,
     )
+    for path in (out_csv, out_manifest, out_aggregate):
+        if path:
+            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     if out_csv:
         with open(out_csv, "w", encoding="utf-8") as fh:
             fh.write(final_rows)

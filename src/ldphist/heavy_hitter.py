@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -130,8 +130,16 @@ def simulate_idle_noise(k_idle: int, m: int, rng: np.random.Generator) -> np.nda
     distribution as absorbing k_idle reports of zero-input users."""
     if k_idle < 0:
         raise ValueError("idle count must be nonnegative")
-    cells = rng.multinomial(k_idle, np.full(2 * m, 1.0 / (2 * m)))
+    cells = rng.multinomial(k_idle, _uniform_cells(m))
     return cells.astype(np.int64, copy=False).reshape(m, 2).T
+
+
+@lru_cache(maxsize=8)
+def _uniform_cells(m: int) -> np.ndarray:
+    """The read-only probabilities 1 / 2m of the 2m cells of an (m, 2) row."""
+    probs = np.full(2 * m, 1.0 / (2 * m))
+    probs.flags.writeable = False
+    return probs
 
 
 @dataclass
@@ -195,10 +203,10 @@ def pp_aggregate(
 ) -> AggregateState:
     """Aggregate promise-protocol reports for all users, grouped by item."""
     values, counts = np.unique(np.asarray(items), return_counts=True)
-    cells = np.zeros(2 * code.m, dtype=np.int64)
-    signs_of = _codeword_signs(code, values[values >= 0].tolist())
-    absorb_groups(cells, zip(values, counts), signs_of, eps, rng)
-    return channel_aggregates(["pp"], cells.reshape(1, code.m, 2), eps)["pp"]
+    table = np.zeros((1, code.m, 2), dtype=np.int64)
+    absorb_groups(table, ((0, v, c) for v, c in zip(values.tolist(), counts.tolist())),
+                  _codeword_signs(code, values[values >= 0]), eps, rng)
+    return channel_aggregates(["pp"], table, eps)["pp"]
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +267,11 @@ def _channel_map(seeds, distinct_items, K):
     return [{v: channel_of(seed, v, K) for v in distinct_items} for seed in seeds]
 
 
-def _codeword_signs(code: Code, distinct_items: list) -> Callable:
-    """signs_of(v, positions) of absorb_groups, read from one encode_many
-    of the distinct items."""
-    words = dict(zip(distinct_items, code.encode_many(distinct_items)))
-    return lambda v, positions: words[v][positions]
+def _codeword_signs(code: Code, distinct_items: np.ndarray) -> Callable:
+    """signs_of(items, positions) of absorb_groups, read from one
+    encode_many of the sorted distinct items."""
+    words = code.encode_many(distinct_items.tolist()).reshape(-1)
+    return lambda items, positions: words[np.searchsorted(distinct_items, items) * code.m + positions]
 
 
 def hh_execute(
@@ -294,29 +302,28 @@ def hh_execute(
         check_channel_cap(K, T, "faithful mode", "fast mode or a smaller K override")
 
     seeds = draw_hash_seeds(pub, T, hh_params.ell)
-    values, counts = np.unique(items[items != BOT], return_counts=True)
-    values, counts = values.tolist(), counts.tolist()
+    distinct, counts = np.unique(items[items != BOT], return_counts=True)
+    values, counts = distinct.tolist(), counts.tolist()
     chan = _channel_map(seeds, values, K)
-    signs_of = _codeword_signs(code, values)
 
     by_channel = {}
     for t in range(T):
         for v, cnt in zip(values, counts):
             by_channel.setdefault((t, chan[t][v]), []).append((v, cnt))
     keys = sorted(by_channel) if mode == "fast" else [(t, k) for t in range(T) for k in range(K)]
-    # One count table, filled row by row in (t, k) order: each channel's
-    # groups, sorted by item, then its idle users, the draw order seeded
-    # runs pin.  pp_aggs is built once it is full, so n_total counts all.
     table = np.zeros((len(keys), code.m, 2), dtype=np.int64)
-    for row, key in zip(table, keys):
-        groups = by_channel.get(key, [])
-        idle = n - sum(cnt for _, cnt in groups)
-        if mode == "faithful":
-            groups = groups + [(BOT, idle)]
-        absorb_groups(row.reshape(-1), groups, signs_of, eps_ch, rng)  # a view
-        if mode == "fast":
-            row += simulate_idle_noise(idle, code.m, rng).T
-    pp_aggs = channel_aggregates(keys, table, eps_ch)
+
+    def groups():  # the pinned draw order: rows in (t, k) order, each its groups by item, then idle users
+        for i, key in enumerate(keys):
+            mine = by_channel.get(key, [])
+            yield from ((i, v, cnt) for v, cnt in mine)
+            idle = n - sum(cnt for _, cnt in mine)
+            if mode == "faithful":
+                yield i, BOT, idle
+            else:  # drawn once the row's groups are, since absorb_groups draws each as it comes
+                table[i] += simulate_idle_noise(idle, code.m, rng).T
+    absorb_groups(table, groups(), _codeword_signs(code, distinct), eps_ch, rng)
+    pp_aggs = channel_aggregates(keys, table, eps_ch)  # once full, so n_total counts all
 
     fo_agg = fo_simulate_reports(items, fo_params.m_fo, eps_ch, pub, rng)
 

@@ -87,20 +87,18 @@ def randomize(x, m: int, eps: float, rng: np.random.Generator) -> SparseReport:
     return SparseReport(position=j, sign=sign)
 
 
-def randomize_many(
-    x: Optional[Callable], count: int, eps: float, m: int, rng: np.random.Generator
-) -> tuple:
-    """(positions, signs) of count users running the basic randomizer on
-    the same input; identical in distribution to count ``randomize`` calls.
-    All positions are drawn first, then the keep-uniforms (or, for the
-    zero input x = None, the uniform signs); x(positions) gives the input's
-    signs at the drawn positions."""
+def randomize_many(count: int, eps: float, m: int, rng: np.random.Generator,
+                   zero: bool = False) -> tuple:
+    """(positions, flips) of count users running the basic randomizer on
+    one input, drawn before the input is read; identical in distribution
+    to count ``randomize`` calls.  A user reports its input's sign at its
+    position, negated where its flip is True.  All positions are drawn
+    first, then the keep-uniforms or, for the zero input (zero=True, whose
+    signs count as +1), the uniform signs."""
     j = rng.integers(0, m, size=count)
-    if x is None:
-        return j, rng.choice(np.array([-1, 1], dtype=np.int8), size=count)
-    keep = rng.random(count) < _p_keep(eps)
-    signs = x(j)
-    return j, np.where(keep, signs, -signs)
+    if zero:
+        return j, rng.choice(np.array([-1, 1], dtype=np.int8), size=count) < 0
+    return j, rng.random(count) >= _p_keep(eps)
 
 
 def outcome_labels(m: int) -> list[str]:

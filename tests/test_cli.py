@@ -181,17 +181,24 @@ class TestCliExperiments:
          "planted counts sum to 4 > n = 3"),
         (["fo", "--dataset", "zipf:nan"], "zipf exponent s must be finite, got nan"),
         (["fo", "--dataset", "zipf:inf"], "zipf exponent s must be finite, got inf"),
+        (["fo", "--d", "16", "--n", "200", "--planted", "7:0.5"],
+         "--planted needs --dataset planted, got --dataset uniform"),
+        (["hist", "--dataset", "uniform", "--planted", "7:0.5"],
+         "--planted needs --dataset planted, got --dataset uniform"),
+        (["fo", "--d", "0", "--n", "100"], "universe size must be >= 2, got 0"),
     ], ids=["hist", "serve-one-bit", "fo-one-bit", "fo-universe", "fo-no-trials",
             "sweep-no-trials", "pp-item", "fo-planted-above", "fo-planted-negative",
             "audit-m-zero", "audit-m-negative", "audit-m-above-cap", "hist-planted-empty",
             "hist-planted-one-field", "hist-planted-three-fields", "fo-zipf-exponent",
             "fo-zipf-prefix", "fo-planted-frequency-negative", "fo-planted-frequency-nan",
-            "fo-planted-counts-above-n", "fo-zipf-nan", "fo-zipf-inf"])
+            "fo-planted-counts-above-n", "fo-zipf-nan", "fo-zipf-inf",
+            "fo-planted-without-dataset", "hist-planted-without-dataset", "fo-universe-below-two"])
     def test_refused_parameters_exit_with_message(self, tmp_path, capsys, argv, refused):
         # The library's ValueError becomes a one-line usage error, not a
-        # traceback, and no output file is written.
+        # traceback, and neither an output file nor the output directory,
+        # which does not exist yet, is made.
         with pytest.raises(SystemExit) as exc:
-            main(argv + ["--out-dir", str(tmp_path)])
+            main(argv + ["--out-dir", str(tmp_path / "out")])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert refused in err and "Traceback" not in err

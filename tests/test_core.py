@@ -234,6 +234,36 @@ class TestPublicRandomness:
         PublicRandomness.from_any(31).signs_at(("phi", 4), np.array([5000, 7, 511, 5000, 1536]))
         assert read == [[0, 3, 9]]
 
+    def test_signs_at_many_labels_match_sign_array(self, monkeypatch):
+        # Positions 0, 511 and 512 sit on a block edge and m - 1 = 1,202 in
+        # the partial last block; label ("phi", 7) spans all three blocks,
+        # and of the labels 0..9 only 3, 7 and 2^40 get positions.
+        import ldphist.core as core
+
+        read = []
+        blocks = core._prf_blocks
+        monkeypatch.setattr(core, "_prf_blocks", lambda state, idx: read.append(idx) or blocks(state, idx))
+        pub, m = PublicRandomness.from_any(31), 1_203
+        items = np.array([7, 3, 7, 3, 7, 7, 2**40, 3])
+        positions = np.array([0, 511, 512, m - 1, m - 1, 5, 511, 511])
+        got = pub.signs_at(("phi",), positions, items)
+        assert read == [[0, 2], [0, 1, 2], [0]]  # labels in item order, each (label, block) once
+        assert got.dtype == np.int8
+        assert got.tolist() == [pub.sign_array(("phi", int(v)), m)[j] for v, j in zip(items, positions)]
+        labels = np.random.default_rng(5).integers(0, 10, 3_000)
+        spread = np.random.default_rng(6).integers(0, m, 3_000)
+        columns = {v: pub.sign_array(("phi", v), m) for v in range(10)}
+        np.testing.assert_array_equal(pub.signs_at(("phi",), spread, labels),
+                                      [columns[v][j] for v, j in zip(labels.tolist(), spread)])
+
+    def test_signs_at_one_label_is_the_many_label_case(self):
+        pub = PublicRandomness.from_any(31)
+        positions = np.array([5000, 7, 511, 5000, 1536])
+        np.testing.assert_array_equal(pub.signs_at(("phi", 4), positions),
+                                      pub.signs_at(("phi",), positions, np.full(5, 4)))
+        empty = pub.signs_at(("phi",), np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+        assert empty.dtype == np.int8 and empty.shape == (0,)
+
     def test_seed_must_be_32_bytes(self):
         with pytest.raises(ValueError):
             PublicRandomness(b"short")

@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ldphist import freq_oracle
 from ldphist.core import BOT, PublicRandomness, c_eps, derive_fo_params
 from ldphist.freq_oracle import (
     AggregateState,
+    absorb_groups,
     channel_aggregates,
     fo_client_report,
     fo_estimate,
@@ -14,7 +17,8 @@ from ldphist.freq_oracle import (
     inner_estimates,
 )
 from ldphist.randomizer import (
-    ChannelMatrix, SparseReport, audit_ldp, outcome_labels, randomize, report_distribution,
+    ChannelMatrix, SparseReport, audit_ldp, outcome_labels, randomize, randomize_many,
+    report_distribution,
 )
 
 
@@ -480,3 +484,97 @@ class TestBlockPathEquivalence:
         assert read == [[report.position // 512]]
         full = randomize(PUB.sign_array(("phi", 9), params.m_fo), params.m_fo, 1.0, np.random.default_rng(5))
         assert report == full
+
+
+def _per_group_fill(rows, m, groups, column_of, eps, rng):
+    """Reference fill: each group's randomize_many draws, its signs read
+    from the whole column, then absorb_batch into its row's aggregate."""
+    aggs = [AggregateState(m=m, eps=eps) for _ in range(rows)]
+    for row, v, count in groups:
+        j, flips = randomize_many(count, eps, m, rng, zero=v == BOT)
+        x = np.ones(count, dtype=np.int8) if v == BOT else column_of(v)[j]
+        aggs[row].absorb_batch(j, np.where(flips, -x, x))
+    return aggs
+
+
+class TestAbsorbGroups:
+    """absorb_groups draws group by group but reads and counts its draws a
+    chunk at a time; with the same seed it counts exactly what the
+    per-group reference counts, wherever the chunk boundaries fall."""
+
+    M, EPS = 700, 0.9  # two PRF blocks per column, the second partial
+    WORDS = np.random.default_rng(40).choice(np.array([-1, 1], dtype=np.int8), size=(16, 700))
+
+    @classmethod
+    def _sources(cls, kind):
+        """(signs_of, column_of) over codeword-like rows or PRF columns."""
+        if kind == "words":
+            return (lambda items, j: cls.WORDS[items, j]), (lambda v: cls.WORDS[v])
+        return (lambda items, j: PUB.signs_at(("phi",), j, items)), (lambda v: PUB.sign_array(("phi", v), cls.M))
+
+    # With a 64 * 10-byte budget a chunk holds 10 draws.
+    CASES = {
+        "straddles": [(0, 3, 4), (0, 5, 9), (0, 7, 2)],  # draws 4..12 cross draw 10
+        "ends-on-a-group": [(0, 3, 4), (0, 5, 6), (0, 7, 3)],  # the first chunk is exactly 4 + 6
+        "larger-than-a-chunk": [(0, 3, 2), (0, 5, 27), (0, 7, 1)],  # 27 draws span three chunks
+        "empty-rows": [(1, 3, 5), (1, 4, 0), (4, 5, 7), (4, BOT, 0), (5, BOT, 3)],  # rows 0, 2, 3 get none
+        "bot-groups": [(r, v, c) for r in range(4) for v, c in ((2, 3), (9, 4), (BOT, 11))],
+        "one-item-many-rows": [(r, 6, 3 + r) for r in range(8)],
+    }
+
+    @pytest.mark.parametrize("kind", ["words", "prf"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_per_group_fill(self, monkeypatch, case, kind):
+        monkeypatch.setattr(freq_oracle, "_FILL_BYTES", 64 * 10)
+        groups, (signs_of, column_of) = self.CASES[case], self._sources(kind)
+        rows = 1 + max(row for row, _, _ in groups)
+        table = np.zeros((rows, self.M, 2), dtype=np.int64)
+        rng = np.random.default_rng(41)
+        absorb_groups(table, iter(groups), signs_of, self.EPS, rng)
+        ref_rng = np.random.default_rng(41)
+        want = _per_group_fill(rows, self.M, groups, column_of, self.EPS, ref_rng)
+        got = channel_aggregates(range(rows), table, self.EPS)
+        assert [got[i].to_bytes() for i in range(rows)] == [agg.to_bytes() for agg in want]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert table.sum() == sum(count for _, _, count in groups)
+
+    def test_full_budget_matches_per_group_fill(self):
+        # 9,000 draws in groups of up to 60: chunks of 4,096 split groups.
+        rng = np.random.default_rng(42)
+        groups = [(int(r), int(v), int(c)) for r, v, c in
+                  zip(rng.integers(0, 3, 300), rng.integers(-1, 16, 300), rng.integers(0, 61, 300))]
+        signs_of, column_of = self._sources("words")
+        table = np.zeros((3, self.M, 2), dtype=np.int64)
+        absorb_groups(table, iter(groups), signs_of, self.EPS, np.random.default_rng(43))
+        want = _per_group_fill(3, self.M, groups, column_of, self.EPS, np.random.default_rng(43))
+        got = channel_aggregates(range(3), table, self.EPS)
+        assert [got[i].to_bytes() for i in range(3)] == [agg.to_bytes() for agg in want]
+
+    def test_item_below_bot_refused_before_later_draws(self):
+        rng, ref = np.random.default_rng(44), np.random.default_rng(44)
+        table = np.zeros((1, self.M, 2), dtype=np.int64)
+        with pytest.raises(ValueError, match="item -2"):
+            absorb_groups(table, iter([(0, 3, 5), (0, -2, 5), (0, 4, 5)]), self._sources("words")[0],
+                          self.EPS, rng)
+        randomize_many(5, self.EPS, self.M, ref)  # the first group's draws only
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("n", [20_000, 200_000])
+    def test_memory_is_bounded(self, n):
+        # One chunk of draws is held and read at a time, so the fill's peak
+        # above its groups and its table is the same multiple of the budget
+        # at either n.  At m = 2^16 nearly every draw reads its own 64-byte
+        # PRF block: reading all 2 x 10^5 at once would take 12.8 MB.
+        m = 1 << 16
+        values, counts = np.unique(np.random.default_rng(45).integers(0, n // 10, n), return_counts=True)
+        groups = [(0, v, c) for v, c in zip(values.tolist(), counts.tolist())]
+        table = np.zeros((1, m, 2), dtype=np.int64)
+        signs_of = self._sources("prf")[0]
+        tracemalloc.start()
+        try:
+            absorb_groups(table, iter(groups), signs_of, self.EPS, np.random.default_rng(46))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.sum() == n
+        assert peak < 8 * freq_oracle._FILL_BYTES

@@ -35,7 +35,6 @@ from ldphist.randomizer import (
     ChannelMatrix,
     audit_ldp,
     outcome_labels,
-    randomize_many,
     report_distribution,
 )
 from ldphist.transport import SessionConfig, _SessionState
@@ -326,6 +325,18 @@ def test_decode_channels_memory_is_bounded():
     assert peak < 4 * codec._DECODE_BYTES
 
 
+def _randomize_many(x, count, eps, m, rng):
+    """(positions, signs) of count users running the basic randomizer on
+    input x (None for the zero input, else its signs at an array of
+    positions): every position, then every keep-uniform or zero-input sign."""
+    j = rng.integers(0, m, size=count)
+    if x is None:
+        return j, rng.choice(np.array([-1, 1], dtype=np.int8), size=count)
+    keep = rng.random(count) < math.exp(eps) / (math.exp(eps) + 1.0)
+    signs = x(j)
+    return j, np.where(keep, signs, -signs)
+
+
 def _per_group_fill(items, code, hh, fo, pub, rng, mode):
     """hh_execute's channel and oracle aggregates filled group by group
     through absorb_batch, one AggregateState per channel."""
@@ -343,7 +354,7 @@ def _per_group_fill(items, code, hh, fo, pub, rng, mode):
         idle = len(items) - sum(cnt for _, cnt in groups)
         for v, cnt in groups + ([(BOT, idle)] if mode == "faithful" else []):
             x = None if v == BOT else (lambda j, v=v: code.encode(v)[j])
-            agg.absorb_batch(*randomize_many(x, cnt, hh.eps_channel, code.m, rng))
+            agg.absorb_batch(*_randomize_many(x, cnt, hh.eps_channel, code.m, rng))
         if mode == "fast":
             plus, minus = simulate_idle_noise(idle, code.m, rng)
             agg.plus += plus
@@ -353,7 +364,7 @@ def _per_group_fill(items, code, hh, fo, pub, rng, mode):
     values, counts = np.unique(items, return_counts=True)
     for v, cnt in zip(values.tolist(), counts.tolist()):
         x = None if v == BOT else (lambda j, v=v: pub.signs_at(("phi", v), j))
-        fo_agg.absorb_batch(*randomize_many(x, cnt, hh.eps_channel, fo.m_fo, rng))
+        fo_agg.absorb_batch(*_randomize_many(x, cnt, hh.eps_channel, fo.m_fo, rng))
     return pp, fo_agg
 
 
