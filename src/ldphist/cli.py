@@ -20,6 +20,7 @@ import time
 
 import numpy as np
 
+from .core import check_eps
 from .harness import DatasetSpec, ExperimentConfig, fo_scaling_sweep, run_experiment
 from .randomizer import (
     amplified_epsilon,
@@ -193,6 +194,8 @@ def cmd_audit(args):
     refused = [m for m in args.m_list if not 1 <= m <= _AUDIT_M_MAX]
     if refused:
         raise ValueError(f"--m-list takes m in [1, {_AUDIT_M_MAX}], got {refused[0]}")
+    for eps in args.eps_list:
+        check_eps(eps)
     out = _out_dir(args)
     rows = ["m,eps,eps_observed,delta_at_eps"]
     for m in args.m_list:

@@ -23,6 +23,7 @@ import hashlib
 import itertools
 import math
 import struct
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple, Union
 
@@ -37,6 +38,7 @@ __all__ = [
     "prf_below",
     "derive_fo_params",
     "derive_hh_params",
+    "check_eps",
     "c_eps",
     "report_magnitude",
 ]
@@ -91,13 +93,22 @@ class HhParams:
     beta: float
 
 
+_EPS_MAX = math.log(sys.float_info.max)  # the largest eps whose e^eps is a finite float
+
+
+def check_eps(eps: float) -> None:
+    """Refuse an eps the formulas cannot use: it must be finite, > 0 and at
+    most _EPS_MAX, so that e^eps, c_eps and the keep probability are finite."""
+    if not 0 < eps <= _EPS_MAX:
+        raise ValueError(f"eps must be finite, > 0 and at most ln(max float) = {_EPS_MAX:.2f}, got {eps}")
+
+
 def _check_common(d: int, n: int, eps: float, beta: float) -> None:
     if d < 2:
         raise ValueError(f"universe size must be >= 2, got {d}")
     if n < 1:
         raise ValueError(f"user count must be >= 1, got {n}")
-    if not eps > 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
+    check_eps(eps)
     if not (0 < beta < 1):
         raise ValueError(f"beta must be in (0, 1), got {beta}")
 
@@ -160,8 +171,7 @@ def derive_hh_params(
 
 def c_eps(eps: float) -> float:
     """Debiasing scale (e^eps + 1) / (e^eps - 1) of the basic randomizer."""
-    if not eps > 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
+    check_eps(eps)
     e = math.exp(eps)
     return (e + 1.0) / (e - 1.0)
 
@@ -307,18 +317,17 @@ class PublicRandomness:
         block = _prf_block(self._keyed, index // (8 * _BLOCK), encoded)
         return 1 - 2 * ((block[index // 8 % _BLOCK] >> (index % 8)) & 1)
 
-    def signs_at(self, label: Tuple[LabelPart, ...], positions, items=None) -> np.ndarray:
-        """The int8 signs sign_array(label, m) holds at an array of positions,
-        or with an equal-length array of items, sign_array(label + (item,), m)
-        at each item's position: each (label, block) the positions touch is
-        hashed once, and each sign is read from its byte."""
+    def signs_at(self, label: Tuple[LabelPart, ...], positions, items) -> np.ndarray:
+        """The int8 signs sign_array(label + (item,), m) holds at each item's
+        position, over equal-length arrays of positions and items: each
+        (label, block) the positions touch is hashed once, and each sign is
+        read from its byte."""
         positions = np.asarray(positions, dtype=np.int64)
         if positions.size and positions.min() < 0:
             raise ValueError("positions must be nonnegative")
-        block, heads, rank = positions // (8 * _BLOCK), [_encode_label(label)], 0
-        if items is not None:  # label encoding is concatenative
-            values, rank = np.unique(items, return_inverse=True)
-            heads = [heads[0] + _encode_label((v,)) for v in values.tolist()]
+        block, (values, rank) = positions // (8 * _BLOCK), np.unique(items, return_inverse=True)
+        head = _encode_label(label)  # label encoding is concatenative
+        heads = [head + _encode_label((v,)) for v in values.tolist()]
         width = int(block.max(initial=0)) + 1  # blocks per label in the (label, block) keys
         keys, slot = np.unique(rank * width + block, return_inverse=True)
         bounds = np.searchsorted(keys, np.arange(len(heads) + 1) * width).tolist()

@@ -28,7 +28,6 @@ __all__ = [
     "AggregateState",
     "channel_aggregates",
     "absorb_groups",
-    "inner_estimates",
     "fo_client_report",
     "fo_simulate_reports",
     "fo_estimate",
@@ -144,7 +143,7 @@ def fo_client_report(
         return randomize(None, params.m_fo, eps, rng)
     if not (0 <= v < params.d):
         raise ValueError(f"item {v} outside universe of size {params.d}")
-    return randomize(lambda j: pub.signs_at(("phi", v), j), params.m_fo, eps, rng)
+    return randomize(lambda j: pub.sign_at(("phi", v), j), params.m_fo, eps, rng)
 
 
 def absorb_groups(
@@ -192,36 +191,6 @@ def absorb_groups(
     flush(k)
 
 
-def inner_estimates(agg: AggregateState, columns: Iterable[bytes]) -> np.ndarray:
-    """c_eps(eps) / n_total * <column, plus - minus> for every packed sign
-    column (the estimate of the item the column encodes): 8 * ceil(m / 64)
-    bytes, bit j (little bit order) set where the sign is -1, bits past m
-    ignored, as sign_array reads the PRF stream; other sizes are refused.
-
-    The product is the exact integer sum(diff) - 2 * sum_l w_l *
-    popcount(column & plane_l) over the bit planes of plus (w_l = 2^l) and
-    of minus (w_l = -2^l), packed one plane at a time, in Python ints."""
-    if agg.n_total < 1:
-        raise ValueError("no reports absorbed")
-    nbytes = 8 * -(-agg.m // 64)
-    rows = [(counts, sign << l) for counts, sign in ((agg.plus, 1), (agg.minus, -1))
-            for l in range(int(counts.max()).bit_length())]
-    planes = np.zeros((len(rows), nbytes), dtype=np.uint8)
-    for plane, (counts, w) in zip(planes, rows):
-        packed = np.packbits(counts & abs(w), bitorder="little")
-        plane[: len(packed)] = packed
-    planes, weights = planes.view("<u8"), [w for _, w in rows]
-
-    def weighted(bits):  # sum_l w_l * popcount(bits_l)
-        return sum(w * c for w, c in zip(weights, np.bitwise_count(bits).sum(axis=1).tolist()))
-    total, scale, out = weighted(planes), c_eps(agg.eps) / agg.n_total, []
-    for col in columns:
-        if memoryview(col).nbytes != nbytes:
-            raise ValueError(f"packed column has {memoryview(col).nbytes} bytes, expected shape ({nbytes},)")
-        out.append(scale * float(total - 2 * weighted(planes & np.frombuffer(col, dtype="<u8"))))
-    return np.array(out, dtype=np.float64)
-
-
 def fo_simulate_reports(
     items: np.ndarray,
     m: int,
@@ -253,7 +222,27 @@ def fo_estimate(agg: AggregateState, pub: PublicRandomness, v: int) -> float:
 
 
 def fo_estimate_many(agg: AggregateState, pub: PublicRandomness, items) -> np.ndarray:
-    """Estimates for several items; identical results to fo_estimate.  Each
-    column is read packed: the ceil(m / 512) PRF blocks sign_array hashes."""
+    """Estimates for several items; identical results to fo_estimate:
+    c_eps(eps) / n_total * <column, plus - minus>, each item's column read
+    packed as the first 8 * ceil(m / 64) bytes of its PRF stream (the
+    blocks sign_array hashes), bit j (little bit order) set where the sign
+    is -1 and bits past m ignored.  The product is the exact integer
+    sum(diff) - 2 * sum_l w_l * popcount(column & plane_l) over the bit
+    planes of plus (w_l = 2^l) and of minus (w_l = -2^l), packed one plane
+    at a time, in Python ints."""
+    if agg.n_total < 1:
+        raise ValueError("no reports absorbed")
     nbytes = 8 * -(-agg.m // 64)
-    return inner_estimates(agg, (pub.bytes_at(("phi", int(v)), nbytes) for v in items))
+    rows = [(counts, sign << l) for counts, sign in ((agg.plus, 1), (agg.minus, -1))
+            for l in range(int(counts.max()).bit_length())]
+    planes = np.zeros((len(rows), nbytes), dtype=np.uint8)
+    for plane, (counts, w) in zip(planes, rows):
+        packed = np.packbits(counts & abs(w), bitorder="little")
+        plane[: len(packed)] = packed
+    planes, weights = planes.view("<u8"), [w for _, w in rows]
+
+    def weighted(bits):  # sum_l w_l * popcount(bits_l)
+        return sum(w * c for w, c in zip(weights, np.bitwise_count(bits).sum(axis=1).tolist()))
+    total, scale = weighted(planes), c_eps(agg.eps) / agg.n_total
+    columns = (np.frombuffer(pub.bytes_at(("phi", int(v)), nbytes), dtype="<u8") for v in items)
+    return np.array([scale * float(total - 2 * weighted(planes & col)) for col in columns], dtype=np.float64)

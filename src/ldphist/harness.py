@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .codec import Code, build_code
-from .core import BOT, FoParams, HhParams, PublicRandomness, derive_fo_params, derive_hh_params
+from .core import BOT, FoParams, HhParams, PublicRandomness, check_eps, derive_fo_params, derive_hh_params
 from .freq_oracle import fo_estimate_many, fo_simulate_reports
 from .heavy_hitter import MERSENNE_P, SuccinctHistogram, hh_execute, hh_finalize, pp_run
 from .onebit import OneBitStructure, PublicString, collect_aggregates, onebit_client
@@ -76,13 +76,14 @@ def protocol_setup(protocol: str, d: int, n: int, eps: float, beta: float,
     """A protocol's code and parameters, for experiment runs and the
     aggregation service alike.  "hist" runs its hash channels and oracle at
     eps/(2T+1), the oracle at confidence beta/3.  Refuses (with ValueError)
-    a "hist" d above the channel-hash prime 2^61 - 1, whose larger items
-    cannot be hashed, and an "fo" d above FO_UNIVERSE_CAP."""
+    an eps check_eps refuses, a "hist" d above the hash prime 2^61 - 1,
+    whose larger items cannot be hashed, and an "fo" d above FO_UNIVERSE_CAP."""
     if protocol == "fo":
         if d > FO_UNIVERSE_CAP:
             raise ValueError(f"an fo run estimates all d = {d} items; cap is {FO_UNIVERSE_CAP}")
         return ProtocolSetup(None, None, derive_fo_params(d, n, eps, beta))
     if protocol == "pp":
+        check_eps(eps)
         return ProtocolSetup(build_code(d, code_kind), None, None)
     if protocol != "hist":
         raise ValueError(f"unknown protocol {protocol!r}")

@@ -120,7 +120,8 @@ def pp_client_report(
     (v is None or the BOT sentinel)."""
     if v is None or v == BOT:
         return randomize(None, code.m, eps, rng)
-    return randomize(code.encode(v), code.m, eps, rng)
+    word = code.encode(v)  # a refused item draws nothing
+    return randomize(lambda j: word[j], code.m, eps, rng)
 
 
 def simulate_idle_noise(k_idle: int, m: int, rng: np.random.Generator) -> np.ndarray:

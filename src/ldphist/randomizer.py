@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import c_eps
+from .core import c_eps, check_eps
 
 __all__ = [
     "SparseReport",
@@ -73,15 +73,14 @@ def _p_keep(eps: float) -> float:
 
 def randomize(x, m: int, eps: float, rng: np.random.Generator) -> SparseReport:
     """Run the basic randomizer on input x: a sign vector, a function giving
-    its signs at an array of positions (read at the drawn one only), or
-    None (the zero input)."""
-    if not eps > 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
+    its sign at one position (called at the drawn one only), or None (the
+    zero input)."""
+    check_eps(eps)
     j = int(rng.integers(0, m))
     if x is None:
         sign = 1 if rng.random() < 0.5 else -1
     else:
-        xj = int(x(np.array([j]))[0] if callable(x) else _check_signs(x, m)[j])
+        xj = int(x(j) if callable(x) else _check_signs(x, m)[j])
         keep = rng.random() < _p_keep(eps)
         sign = xj if keep else -xj
     return SparseReport(position=j, sign=sign)
@@ -250,8 +249,7 @@ def compose(first: ChannelMatrix, second: ChannelMatrix) -> ChannelMatrix:
 def amplified_epsilon(eps: float, eta: float) -> float:
     """Exact pure-privacy bound ln(1 + eta * e^eps * (e^eps - 1)) for a
     randomizer preceded by an eta-degrading channel."""
-    if not eps > 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
+    check_eps(eps)
     if not (0.0 <= eta <= 1.0):
         raise ValueError(f"eta must be in [0, 1], got {eta}")
     e = math.exp(eps)

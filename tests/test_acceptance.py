@@ -139,7 +139,7 @@ class TestWholeUserPrivacy:
         pub = PublicRandomness.from_any(f"whole-user:{eps}:{T}:{K}")
         seeds = draw_hash_seeds(pub, T, 2 * code.t)
         # One pmf per item for each report: the oracle column, then channel (t, k).
-        reports = [[report_distribution(pub.signs_at(("phi", v), np.arange(m_fo)), m_fo, eps_ch)
+        reports = [[report_distribution(pub.sign_array(("phi", v), m_fo), m_fo, eps_ch)
                     for v in range(d)]]
         for seed in seeds:
             own = [channel_of(seed, v, K) for v in range(d)]

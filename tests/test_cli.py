@@ -14,6 +14,9 @@ from ldphist.freq_oracle import fo_client_report
 from ldphist.harness import DatasetSpec, ExperimentConfig, run_experiment
 from ldphist.transport import _REPORT_BITS
 
+# An eps whose e^eps overflows a float makes c_eps and the keep probability
+# meaningless, and an eps^2 n that overflows makes the oracle's gamma zero.
+_EPS_REFUSED = "eps must be finite, > 0 and at most ln(max float) = 709.78, got "
 
 def _run(argv, capsys):
     code = main(argv)
@@ -186,13 +189,28 @@ class TestCliExperiments:
         (["hist", "--dataset", "uniform", "--planted", "7:0.5"],
          "--planted needs --dataset planted, got --dataset uniform"),
         (["fo", "--d", "0", "--n", "100"], "universe size must be >= 2, got 0"),
+        (["fo", "--eps", "inf"], _EPS_REFUSED + "inf"),
+        (["hist", "--eps", "inf"], _EPS_REFUSED + "inf"),
+        (["serve", "--eps", "inf", "--port", "0"], _EPS_REFUSED + "inf"),
+        (["sweep", "--eps", "inf"], _EPS_REFUSED + "inf"),
+        (["fo", "--eps", "1e300"], _EPS_REFUSED + "1e+300"),
+        (["hist", "--eps", "1e300"], _EPS_REFUSED + "1e+300"),
+        (["serve", "--eps", "1e300", "--port", "0"], _EPS_REFUSED + "1e+300"),
+        (["sweep", "--eps", "1e300"], _EPS_REFUSED + "1e+300"),
+        (["fo", "--eps", "800"], _EPS_REFUSED + "800.0"),
+        (["audit", "--eps-list", "800"], _EPS_REFUSED + "800.0"),
+        (["pp", "--eps", "inf"], _EPS_REFUSED + "inf"),
+        (["audit", "--eps-list", "1", "inf"], _EPS_REFUSED + "inf"),
     ], ids=["hist", "serve-one-bit", "fo-one-bit", "fo-universe", "fo-no-trials",
             "sweep-no-trials", "pp-item", "fo-planted-above", "fo-planted-negative",
             "audit-m-zero", "audit-m-negative", "audit-m-above-cap", "hist-planted-empty",
             "hist-planted-one-field", "hist-planted-three-fields", "fo-zipf-exponent",
             "fo-zipf-prefix", "fo-planted-frequency-negative", "fo-planted-frequency-nan",
             "fo-planted-counts-above-n", "fo-zipf-nan", "fo-zipf-inf",
-            "fo-planted-without-dataset", "hist-planted-without-dataset", "fo-universe-below-two"])
+            "fo-planted-without-dataset", "hist-planted-without-dataset", "fo-universe-below-two",
+            "fo-eps-inf", "hist-eps-inf", "serve-eps-inf", "sweep-eps-inf", "fo-eps-1e300",
+            "hist-eps-1e300", "serve-eps-1e300", "sweep-eps-1e300", "fo-eps-800", "audit-eps-800",
+            "pp-eps-inf", "audit-eps-inf"])
     def test_refused_parameters_exit_with_message(self, tmp_path, capsys, argv, refused):
         # The library's ValueError becomes a one-line usage error, not a
         # traceback, and neither an output file nor the output directory,

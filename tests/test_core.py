@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from ldphist.core import (
     _draw_args,
     _encode_label,
     c_eps,
+    check_eps,
     derive_fo_params,
     derive_hh_params,
     prf_below,
@@ -93,6 +95,21 @@ class TestReportMagnitude:
     def test_c_eps_positive_inputs_only(self):
         with pytest.raises(ValueError):
             c_eps(0.0)
+
+    def test_eps_whose_exponential_overflows_is_refused(self):
+        # e^eps is a finite float up to ln(max float) = 709.78..., where the
+        # scale and the keep probability are still finite numbers.
+        from ldphist.randomizer import amplified_epsilon, randomize
+
+        top = math.log(sys.float_info.max)
+        assert c_eps(top) == 1.0
+        assert randomize(np.ones(4), 4, top, np.random.default_rng(1)).sign == 1
+        for eps in (math.nextafter(top, math.inf), 800.0, 1e300, math.inf, math.nan, 0.0, -1.0):
+            for refuse in (c_eps, lambda e: randomize(None, 4, e, np.random.default_rng(1)),
+                           lambda e: amplified_epsilon(e, 0.5), lambda e: derive_fo_params(16, 100, e, 0.1),
+                           lambda e: derive_hh_params(16, 100, e, 0.1), check_eps):
+                with pytest.raises(ValueError, match="eps must be finite, > 0"):
+                    refuse(eps)
 
 
 class TestPublicRandomness:
@@ -213,17 +230,17 @@ class TestPublicRandomness:
             "every": list(range(m)),
         }
         for name, positions in cases.items():
-            got = pub.signs_at(("phi", 4), np.array(positions))
+            got = pub.signs_at(("phi",), np.array(positions), np.full(len(positions), 4))
             assert got.dtype == np.int8, name
             np.testing.assert_array_equal(got, column[positions], err_msg=name)
             assert got.tolist() == [pub.sign_at(("phi", 4), j) for j in positions], name
 
     def test_signs_at_empty_and_negative(self):
         pub = PublicRandomness.from_any(31)
-        empty = pub.signs_at(("phi", 4), np.array([], dtype=np.int64))
+        empty = pub.signs_at(("phi",), np.array([], dtype=np.int64), np.array([], dtype=np.int64))
         assert empty.dtype == np.int8 and empty.shape == (0,)
         with pytest.raises(ValueError):
-            pub.signs_at(("phi", 4), np.array([5, -1]))
+            pub.signs_at(("phi",), np.array([5, -1]), np.array([4, 4]))
 
     def test_signs_at_hashes_only_touched_blocks(self, monkeypatch):
         import ldphist.core as core
@@ -231,7 +248,7 @@ class TestPublicRandomness:
         read = []
         blocks = core._prf_blocks
         monkeypatch.setattr(core, "_prf_blocks", lambda state, idx: read.append(idx) or blocks(state, idx))
-        PublicRandomness.from_any(31).signs_at(("phi", 4), np.array([5000, 7, 511, 5000, 1536]))
+        PublicRandomness.from_any(31).signs_at(("phi",), np.array([5000, 7, 511, 5000, 1536]), np.full(5, 4))
         assert read == [[0, 3, 9]]
 
     def test_signs_at_many_labels_match_sign_array(self, monkeypatch):
@@ -257,12 +274,15 @@ class TestPublicRandomness:
                                       [columns[v][j] for v, j in zip(labels.tolist(), spread)])
 
     def test_signs_at_one_label_is_the_many_label_case(self):
+        # Each label's signs in a many-label call are the signs of a call
+        # that holds only that label's positions.
         pub = PublicRandomness.from_any(31)
-        positions = np.array([5000, 7, 511, 5000, 1536])
-        np.testing.assert_array_equal(pub.signs_at(("phi", 4), positions),
-                                      pub.signs_at(("phi",), positions, np.full(5, 4)))
-        empty = pub.signs_at(("phi",), np.array([], dtype=np.int64), np.array([], dtype=np.int64))
-        assert empty.dtype == np.int8 and empty.shape == (0,)
+        items = np.random.default_rng(7).integers(0, 4, 400)
+        positions = np.random.default_rng(8).integers(0, 5_000, 400)
+        got = pub.signs_at(("phi",), positions, items)
+        for v in range(4):
+            mine = items == v
+            np.testing.assert_array_equal(got[mine], pub.signs_at(("phi",), positions[mine], items[mine]))
 
     def test_seed_must_be_32_bytes(self):
         with pytest.raises(ValueError):

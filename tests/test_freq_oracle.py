@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ldphist import freq_oracle
-from ldphist.core import BOT, PublicRandomness, c_eps, derive_fo_params
+from ldphist.core import BOT, FoParams, PublicRandomness, c_eps, derive_fo_params
 from ldphist.freq_oracle import (
     AggregateState,
     absorb_groups,
@@ -14,7 +14,6 @@ from ldphist.freq_oracle import (
     fo_estimate,
     fo_estimate_many,
     fo_simulate_reports,
-    inner_estimates,
 )
 from ldphist.randomizer import (
     ChannelMatrix, SparseReport, audit_ldp, outcome_labels, randomize, randomize_many,
@@ -230,6 +229,26 @@ class TestClientReport:
         for _ in range(50):
             assert fo_client_report(v, params, PUB, 1.0, rng) == randomize(None, params.m_fo, 1.0, ref)
 
+    # m = 1,203 ends in a partial block and a partial byte; each seed's
+    # first draw is the given position: a block edge or the last one.
+    @pytest.mark.parametrize("position, seed", [(0, 5945), (511, 199), (512, 2392), (1_202, 757)])
+    def test_reads_the_drawn_coordinate(self, position, seed):
+        m = 1_203
+        params = FoParams(gamma=1.0, m_fo=m, beta=0.1, d=64, n=100, eps=0.5)
+        for v in (0, 9, 63):
+            report = fo_client_report(v, params, PUB, 0.5, np.random.default_rng(seed))
+            assert report.position == position
+            assert report == randomize(PUB.sign_array(("phi", v), m), m, 0.5, np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("v", [16, -2])
+    def test_item_outside_the_universe_draws_nothing(self, v):
+        params = derive_fo_params(16, 100, 1.0, 0.2)
+        rng = np.random.default_rng(7)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"item {v} outside universe"):
+            fo_client_report(v, params, PUB, 1.0, rng)
+        assert rng.bit_generator.state == before
+
     def test_toy_channel_audits_to_eps(self):
         # Exact channel over 4 items with an 8-coordinate projection.
         m, eps, d = 8, 1.0, 4
@@ -342,19 +361,19 @@ class TestEstimate:
     @pytest.mark.parametrize("plus0, minus1", [(2**24 - 1, 1), (2**24 + 1, 0), (2**24, 1)])
     def test_inner_estimates_exact_past_float32(self, plus0, minus1):
         # sum(|plus - minus|) is 2^24, 2^24 + 1 and 2^24 + 1, where a float32
-        # product would round; the column (+1, -1, ...) sums the last case
-        # to 2^24 + 1.  The popcount kernel's integers are exact at any size.
+        # product would round.  The columns of items 0..7 start with all four
+        # sign pairs, and item 7's starts (+1, -1), so its product is the
+        # whole sum: 2^24 + 1 in the last two cases.  The popcount kernel's
+        # integers are exact at any size.
         m, eps = 40, 1.0
         plus, minus = np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64)
         plus[0], minus[1] = plus0, minus1
         agg = AggregateState(m=m, eps=eps, n_total=plus0 + minus1, plus=plus, minus=minus)
-        ones = np.ones(m, dtype=np.int8)
-        cols = [PUB.sign_array(("phi", v), m) for v in range(6)] + [ones, -ones, ones.copy()]
-        cols[-1][1] = -1
-        assert inner_estimates(agg, [_packed(col) for col in cols]).tolist() == \
-            [_python_estimate(agg, col) for col in cols]
-        assert fo_estimate_many(agg, PUB, range(6)).tolist() == \
-            [_python_estimate(agg, col) for col in cols[:6]]
+        cols = [PUB.sign_array(("phi", v), m) for v in range(8)]
+        assert {tuple(col[:2].tolist()) for col in cols} == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
+        assert cols[7][:2].tolist() == [1, -1]
+        assert fo_estimate_many(agg, PUB, range(8)).tolist() == [_python_estimate(agg, col) for col in cols]
+        assert fo_estimate_many(agg, PUB, [7]).tolist() == [c_eps(eps) / agg.n_total * float(plus0 + minus1)]
 
     @pytest.mark.parametrize("m", [1, 63, 64, 65, 511, 513, 4099])
     def test_estimates_match_python_ints(self, m):
@@ -398,25 +417,11 @@ class TestEstimate:
         fo_estimate_many(agg, PUB, range(5))
         assert len(read) == 5 * -(-m // 512)
 
-    @pytest.mark.parametrize("shape", [(39,), (41,), (1,), (0,), (1, 40), (40, 1)])
-    def test_inner_estimates_rejects_wrong_shape(self, shape):
-        agg = AggregateState(m=40, eps=1.0)
-        agg.absorb_batch(np.array([3]), np.array([1]))
-        with pytest.raises(ValueError, match="shape"):
-            inner_estimates(agg, [np.ones(shape, dtype=np.int8)])
-
     def test_estimate_many_of_no_items(self):
         agg = AggregateState(m=8, eps=1.0)
         agg.absorb_batch(np.array([3]), np.array([1]))
         est = fo_estimate_many(agg, PUB, [])
         assert est.dtype == np.float64 and est.shape == (0,)
-
-
-def _packed(column: np.ndarray) -> bytes:
-    """A +-1 column as inner_estimates reads it: bit j set where the sign is
-    -1, little bit order, zero-padded to whole 64-bit words."""
-    raw = np.packbits(column < 0, bitorder="little").tobytes()
-    return raw + bytes(-len(raw) % 8)
 
 
 def _python_estimate(agg: AggregateState, column: np.ndarray) -> float:
@@ -477,11 +482,13 @@ class TestBlockPathEquivalence:
         import ldphist.core as core
 
         read = []
-        blocks = core._prf_blocks
+        block, blocks = core._prf_block, core._prf_blocks
+        monkeypatch.setattr(core, "_prf_block",
+                            lambda state, i, *suffix: read.append(i) or block(state, i, *suffix))
         monkeypatch.setattr(core, "_prf_blocks", lambda state, idx: read.append(idx) or blocks(state, idx))
         params = derive_fo_params(64, 10_000, 1.0, 0.1)
         report = fo_client_report(9, params, PUB, 1.0, np.random.default_rng(5))
-        assert read == [[report.position // 512]]
+        assert read == [report.position // 512]
         full = randomize(PUB.sign_array(("phi", 9), params.m_fo), params.m_fo, 1.0, np.random.default_rng(5))
         assert report == full
 

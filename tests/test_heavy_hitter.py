@@ -35,6 +35,7 @@ from ldphist.randomizer import (
     ChannelMatrix,
     audit_ldp,
     outcome_labels,
+    randomize,
     report_distribution,
 )
 from ldphist.transport import SessionConfig, _SessionState
@@ -109,6 +110,26 @@ class TestPpClientReport:
         expected = trials / (2 * code.m)
         chi2 = ((counts - expected) ** 2 / expected).sum()
         assert stats.chi2.sf(chi2, 2 * code.m - 1) > 0.001
+
+    @pytest.mark.parametrize("kind, d", [("reference", 64), ("concatenated", 2**16)])
+    def test_reads_the_drawn_coordinate(self, kind, d):
+        # The same draws as the randomizer on the whole codeword, item by
+        # item, for items at both ends of the universe and for no item.
+        code = build_code(d, kind)
+        for v in (0, 5, d - 1, BOT, None):
+            x = None if v is None or v == BOT else code.encode(v)
+            for seed in range(20):
+                assert pp_client_report(v, code, 0.7, np.random.default_rng(seed)) == \
+                    randomize(x, code.m, 0.7, np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("kind, d", [("reference", 64), ("concatenated", 2**16)])
+    def test_item_outside_the_universe_draws_nothing(self, kind, d):
+        code, rng = build_code(d, kind), np.random.default_rng(8)
+        before = rng.bit_generator.state
+        for v in (d, -2):
+            with pytest.raises(ValueError, match=f"item {v} outside universe"):
+                pp_client_report(v, code, 1.0, rng)
+        assert rng.bit_generator.state == before
 
     def test_channel_audit_toy_code(self):
         code = build_code(16, "reference")
@@ -363,7 +384,7 @@ def _per_group_fill(items, code, hh, fo, pub, rng, mode):
     fo_agg = AggregateState(m=fo.m_fo, eps=hh.eps_channel)
     values, counts = np.unique(items, return_counts=True)
     for v, cnt in zip(values.tolist(), counts.tolist()):
-        x = None if v == BOT else (lambda j, v=v: pub.signs_at(("phi", v), j))
+        x = None if v == BOT else (lambda j, v=v: pub.sign_array(("phi", v), fo.m_fo)[j])
         fo_agg.absorb_batch(*_randomize_many(x, cnt, hh.eps_channel, fo.m_fo, rng))
     return pp, fo_agg
 
