@@ -18,7 +18,9 @@ families are provided:
   error pattern touching fewer than m/16 coordinates (zeta_eff = 1/8).
   Outer decoding failures are reported as None.
 
-``round_to_hypercube`` maps a real vector to signs with ties going to +1.
+Each code owns the rule by which a verifying caller keeps a decode
+(``Code.accepts``).  ``round_to_hypercube`` maps a real vector to signs
+with ties going to +1.
 """
 
 from __future__ import annotations
@@ -44,6 +46,11 @@ REFERENCE_CODE_RATE_DEN = 4  # m = 4 * t
 REFERENCE_D_CAP = 1 << 16
 CONCATENATED_D_CAP = 1 << 64
 _DECODE_BYTES = 1 << 20  # the widest array of one decode chunk, whatever the row count
+# What a verifying caller may accept of pure noise: at most _JUNK_BOUND
+# expected junk decodes over _JUNK_ROWS noise rows, the occupied channels
+# of a d = 2^32 run over 2^16 + 2 items in T = 3 repetitions.
+_JUNK_BOUND = 0.1
+_JUNK_ROWS = 197_000
 
 _GF_PRIM_POLY = 0x11D  # x^8 + x^4 + x^3 + x^2 + 1
 
@@ -98,6 +105,12 @@ class Code:
     def correctable_flips(self) -> float:
         """Strict upper limit on correctable coordinate corruptions, m*zeta/2."""
         return self.m * self.zeta_eff / 2.0
+
+    def accepts(self, Y: np.ndarray, words: np.ndarray) -> np.ndarray:
+        """Whether a verifying caller keeps the decode of each rounded row of
+        Y to the codeword in the same row of words: here when fewer than
+        correctable_flips() coordinates differ."""
+        return np.count_nonzero(words != Y, axis=1) < self.correctable_flips()
 
     def header(self) -> dict:
         return {
@@ -261,19 +274,20 @@ class _ReedSolomon:
         return _evaluate(words, self._synd_pow)
 
     def decode(self, received: np.ndarray) -> tuple:
-        """(messages, ok): the (rows, k) message symbols of each received
-        row and whether it decoded.  The symbols of a failed row are not
-        meaningful.  A row fails when its error locator is longer than
-        floor((n-k)/2), has other than that many roots, or corrects to a
-        word with a nonzero syndrome."""
+        """(messages, ok, corrected): the (rows, k) message symbols of each
+        received row, whether it decoded and how many symbols it corrected
+        (its error locator's degree, 0 for a zero syndrome).  The symbols
+        and count of a failed row are not meaningful.  A row fails when its
+        error locator is longer than floor((n-k)/2), has other than that
+        many roots, or corrects to a word with a nonzero syndrome."""
         words = np.array(received, dtype=np.uint8)
         if words.ndim != 2 or words.shape[1] != self.n:
             raise ValueError(f"received words must be rows of {self.n} symbols")
         synd = self._syndromes(words)
-        ok = np.ones(len(words), dtype=bool)
+        ok, corrected = np.ones(len(words), dtype=bool), np.zeros(len(words), dtype=np.int64)
         bad = np.flatnonzero(synd.any(axis=1))  # rows with no error pass as they are
-        ok[bad], words[bad] = self._correct(words[bad], synd[bad])
-        return words[:, : self.k], ok
+        ok[bad], words[bad], corrected[bad] = self._correct(words[bad], synd[bad])
+        return words[:, : self.k], ok, corrected
 
     def _correct(self, words: np.ndarray, synd: np.ndarray) -> tuple:
         npar = self.nparity
@@ -290,7 +304,7 @@ class _ReedSolomon:
         fixed = words ^ np.where(roots, _GF_MUL[omega_at, _GF_INV[deriv_at]], 0)
         # L distinct roots of a degree-L locator are simple: deriv_at is nonzero at each.
         ok = (L <= npar // 2) & (roots.sum(axis=1) == L)
-        return ok & ~self._syndromes(fixed).any(axis=1), fixed
+        return ok & ~self._syndromes(fixed).any(axis=1), fixed, L
 
 
 def _evaluate(coeffs: np.ndarray, powers: np.ndarray) -> np.ndarray:
@@ -337,6 +351,22 @@ _HADAMARD = _hadamard_sign_table()
 _HADAMARD_F = _HADAMARD.astype(np.float32)
 
 
+def _acceptance_radius(sigma: int) -> int:
+    """The largest r <= sigma // 2 at which _JUNK_ROWS uniform words
+    decoded by RS(2 sigma, sigma) with at most r corrected symbols give at
+    most _JUNK_BOUND decodes in expectation: a uniform word lies within r
+    symbols of some codeword with probability
+    sum_{i <= r} C(2 sigma, i) 255^i / 256^sigma.  -1 where even r = 0
+    gives more (sigma <= 2), so that no decode is accepted."""
+    radius, ball = -1, 0
+    for r in range(sigma // 2 + 1):
+        ball += math.comb(2 * sigma, r) * 255**r
+        if _JUNK_ROWS * ball / 256**sigma > _JUNK_BOUND:
+            break
+        radius = r
+    return radius
+
+
 class ConcatenatedCode(Code):
     kind = "concatenated"
     zeta_eff = 1.0 / 8.0
@@ -350,6 +380,7 @@ class ConcatenatedCode(Code):
         self.n_out = 2 * self.sigma  # rate-1/2 outer code
         self.m = self._decode_width = 256 * self.n_out
         self._rs = _ReedSolomon(self.n_out, self.sigma)
+        self.accept_symbols = _acceptance_radius(self.sigma)
         self._byte_shifts = 8 * np.arange(self.sigma, dtype=np.uint64)  # data is little endian
 
     def encode_many(self, vs: Iterable[int]) -> np.ndarray:
@@ -357,12 +388,19 @@ class ConcatenatedCode(Code):
         data = items.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)[:, : self.sigma]
         return _HADAMARD[self._rs.encode(data)].reshape(len(items), self.m)
 
+    def accepts(self, Y: np.ndarray, words: np.ndarray) -> np.ndarray:
+        """Whether a verifying caller keeps each decoded row of Y: when its
+        outer decode corrected at most accept_symbols symbols."""
+        return self._rs.decode(self._symbols(Y.astype(np.float32)))[2] <= self.accept_symbols
+
+    def _symbols(self, Y: np.ndarray) -> np.ndarray:
+        """The inner maximum-likelihood symbol of every 256-block of float32 rows."""
+        return np.argmax(Y.reshape(-1, 256) @ _HADAMARD_F.T, axis=1).reshape(len(Y), self.n_out)
+
     def _decode_rows(self, Y: np.ndarray) -> list:
         """Inner maximum-likelihood decode of every block, then one outer
         decode of all rows; a payload of d or more is a failure too."""
-        corr = Y.reshape(-1, 256) @ _HADAMARD_F.T
-        symbols = np.argmax(corr, axis=1).reshape(len(Y), self.n_out)
-        msgs, ok = self._rs.decode(symbols)
+        msgs, ok, _ = self._rs.decode(self._symbols(Y))
         values = np.bitwise_or.reduce(msgs.astype(np.uint64) << self._byte_shifts, axis=1)
         return [v if good and v < self.d else None for v, good in zip(values.tolist(), ok.tolist())]
 

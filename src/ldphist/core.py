@@ -103,6 +103,17 @@ def check_eps(eps: float) -> None:
         raise ValueError(f"eps must be finite, > 0 and at most ln(max float) = {_EPS_MAX:.2f}, got {eps}")
 
 
+_TABLE_BYTES = 1 << 31  # the most a run may allocate up front for one count table
+
+
+def check_table_bytes(rows: int, m: int, what: str) -> None:
+    """Refuse, before it is allocated, a (rows, m, 2) int64 count table of
+    more than _TABLE_BYTES, naming its bytes and what drives them."""
+    if 16 * rows * m > _TABLE_BYTES:
+        raise ValueError(f"{what} needs a count table of {16 * rows * m:,} bytes; "
+                         f"the budget is {_TABLE_BYTES:,}")
+
+
 def _check_common(d: int, n: int, eps: float, beta: float) -> None:
     if d < 2:
         raise ValueError(f"universe size must be >= 2, got {d}")

@@ -16,6 +16,7 @@ report vector; it is intentionally not clipped here.
 from __future__ import annotations
 
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -124,13 +125,38 @@ class AggregateState:
         return cls(m=int(m), eps=float(eps), n_total=int(n_total), plus=counts[:m], minus=counts[m:])
 
 
-def channel_aggregates(keys, table: np.ndarray, eps: float) -> dict:
-    """{key: aggregate of row i} for the i-th of keys, over a (rows, m, 2)
-    int64 count table: plus counts at [i, :, 0], minus at [i, :, 1] (views
-    that write through to the table) and n_total the row sum."""
-    m, totals = table.shape[1], table.sum(axis=(1, 2)).tolist()
-    return {key: AggregateState(m=m, eps=eps, n_total=n, plus=row[:, 0], minus=row[:, 1])
-            for key, row, n in zip(keys, table, totals, strict=True)}
+class ChannelTable(Mapping):
+    """Read-only {key: aggregate of row i} for the i-th of keys, over a
+    (rows, m, 2) int64 count table.  ``table``, ``eps``, ``row_of`` (each
+    key's row, in the order of keys) and the row sums ``totals`` (one table sum, so
+    it is made once the table is full) are what hh_finalize decodes from.
+    A key's aggregate (plus counts at [i, :, 0], minus at [i, :, 1], views
+    that write through to the table, and n_total its row sum) is built the
+    first time that key is read, and kept."""
+
+    def __init__(self, keys, table: np.ndarray, eps: float):
+        self.row_of = {key: i for i, key in enumerate(keys)}
+        if len(self.row_of) != len(table):
+            raise ValueError(f"{len(self.row_of)} distinct keys for {len(table)} count-table rows")
+        self.table, self.eps, self.totals, self._views = table, eps, table.sum(axis=(1, 2)), {}
+
+    def __getitem__(self, key) -> AggregateState:
+        if key not in self._views:
+            i = self.row_of[key]
+            self._views[key] = AggregateState(m=self.table.shape[1], eps=self.eps, n_total=int(self.totals[i]),
+                                              plus=self.table[i, :, 0], minus=self.table[i, :, 1])
+        return self._views[key]
+
+    def __iter__(self):
+        return iter(self.row_of)
+
+    def __len__(self) -> int:
+        return len(self.row_of)
+
+
+def channel_aggregates(keys, table: np.ndarray, eps: float) -> ChannelTable:
+    """The ChannelTable of a (rows, m, 2) int64 count table, row i for the i-th of keys."""
+    return ChannelTable(keys, table, eps)
 
 
 def fo_client_report(

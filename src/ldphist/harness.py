@@ -20,7 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .codec import Code, build_code
-from .core import BOT, FoParams, HhParams, PublicRandomness, check_eps, derive_fo_params, derive_hh_params
+from .core import (BOT, FoParams, HhParams, PublicRandomness, check_eps, check_table_bytes, derive_fo_params,
+                   derive_hh_params)
 from .freq_oracle import fo_estimate_many, fo_simulate_reports
 from .heavy_hitter import MERSENNE_P, SuccinctHistogram, hh_execute, hh_finalize, pp_run
 from .onebit import OneBitStructure, PublicString, collect_aggregates, onebit_client
@@ -77,11 +78,12 @@ def protocol_setup(protocol: str, d: int, n: int, eps: float, beta: float,
     aggregation service alike.  "hist" runs its hash channels and oracle at
     eps/(2T+1), the oracle at confidence beta/3.  Refuses (with ValueError)
     an eps check_eps refuses, a "hist" d above the hash prime 2^61 - 1,
-    whose larger items cannot be hashed, and an "fo" d above FO_UNIVERSE_CAP."""
+    whose larger items cannot be hashed, an "fo" d above FO_UNIVERSE_CAP,
+    and an oracle whose m_fo count table exceeds the table byte budget."""
     if protocol == "fo":
         if d > FO_UNIVERSE_CAP:
             raise ValueError(f"an fo run estimates all d = {d} items; cap is {FO_UNIVERSE_CAP}")
-        return ProtocolSetup(None, None, derive_fo_params(d, n, eps, beta))
+        return ProtocolSetup(None, None, _oracle_params(d, n, eps, beta))
     if protocol == "pp":
         check_eps(eps)
         return ProtocolSetup(build_code(d, code_kind), None, None)
@@ -90,8 +92,13 @@ def protocol_setup(protocol: str, d: int, n: int, eps: float, beta: float,
     if d > MERSENNE_P:
         raise ValueError(f"a hist universe must have d <= 2^61 - 1 to be hashed, got {d}")
     hh = derive_hh_params(d, n, eps, beta, k_override)
-    fo = derive_fo_params(d, n, hh.eps_channel, beta / 3)
-    return ProtocolSetup(build_code(d, code_kind), hh, fo)
+    return ProtocolSetup(build_code(d, code_kind), hh, _oracle_params(d, n, hh.eps_channel, beta / 3))
+
+
+def _oracle_params(d: int, n: int, eps: float, beta: float) -> FoParams:
+    fo = derive_fo_params(d, n, eps, beta)
+    check_table_bytes(1, fo.m_fo, f"the oracle's m_fo = {fo.m_fo} (from eps = {eps:g}, n = {n})")
+    return fo
 
 
 @dataclass(frozen=True)

@@ -31,14 +31,15 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .codec import Code, _chunk_rows, round_to_hypercube
-from .core import BOT, FoParams, HhParams, PublicRandomness, c_eps, prf_below
+from .core import BOT, FoParams, HhParams, PublicRandomness, c_eps, check_table_bytes, prf_below
 from .freq_oracle import (
     AggregateState,
+    ChannelTable,
     absorb_groups,
     channel_aggregates,
     fo_estimate_many,
@@ -156,34 +157,66 @@ def decode_channels(aggs: Sequence[AggregateState], code: Code, verify: bool) ->
     decode, and estimate the decoded item's frequency as c_eps / n_total
     times its codeword's exact int64 product with the count differences.
     Decoding failure gives item None and estimate 0, and so does, with
-    verify=True, a codeword not strictly inside the correction radius of
-    the rounded vector (which keeps noise-only channels from emitting
-    candidates).  Rows go in chunks whose int64 count differences fit
-    codec's byte budget, so no transient grows with the number of rows."""
-    if any(agg.n_total < 1 for agg in aggs):
+    verify=True, a decode that the code does not accept (Code.accepts:
+    the reference code's flips below its correction radius, the
+    concatenated code's corrected symbols within its acceptance radius),
+    which keeps noise-only channels from emitting candidates.  Rows go in
+    chunks whose int64 count differences fit codec's byte budget, so no
+    transient grows with the number of rows."""
+    _, diff, scale = _channel_rows(dict(enumerate(aggs)))
+    items, estimates, flips = _decode(diff, scale, code, verify)
+    return [PpDecodeResult(item=v, estimate=e, flips=f) for v, e, f in zip(items, estimates.tolist(), flips)]
+
+
+def _channel_rows(pp_aggs: Mapping) -> tuple:
+    """(row_of, diff, scale) of a mapping of aggregates: row_of maps each
+    key to its row, in row order; diff(rows, out) writes the
+    int64 count differences of the rows that a slice or index array picks
+    into out, and scale[i] = c_eps(eps) / n_total of row i.  Over
+    channel_aggregates' count table, diff is one subtraction of table rows;
+    any other mapping's rows are its sorted keys' aggregates, subtracted
+    one by one."""
+    if isinstance(pp_aggs, ChannelTable):
+        row_of, table, c, n_totals = pp_aggs.row_of, pp_aggs.table, c_eps(pp_aggs.eps), pp_aggs.totals
+
+        def diff(rows, out):
+            return np.subtract(table[rows, :, 0], table[rows, :, 1], out=out)
+    else:
+        row_of = {key: i for i, key in enumerate(sorted(pp_aggs))}
+        aggs = [pp_aggs[key] for key in row_of]
+        c = np.array([c_eps(agg.eps) for agg in aggs], dtype=np.float64)
+        n_totals = np.array([agg.n_total for agg in aggs], dtype=np.int64)
+
+        def diff(rows, out):
+            for row, i in zip(out, np.arange(len(aggs))[rows].tolist()):
+                np.subtract(aggs[i].plus, aggs[i].minus, out=row)
+            return out
+    if (n_totals < 1).any():
         raise ValueError("no reports absorbed")
-    step = _chunk_rows(8 * code.m)
-    buf = np.empty((min(step, len(aggs)), code.m), dtype=np.int64)  # every chunk's count differences
-    return [r for s in range(0, len(aggs), step) for r in _decode_chunk(aggs[s : s + step], buf, code, verify)]
+    return row_of, diff, c / n_totals
 
 
-def _decode_chunk(aggs: Sequence[AggregateState], buf: np.ndarray, code: Code, verify: bool) -> list:
-    """decode_channels on one chunk of rows at once, their count differences in buf's first rows."""
-    diff = buf[: len(aggs)]
-    for row, agg in zip(diff, aggs):  # one pass over the strided count-table views
-        np.subtract(agg.plus, agg.minus, out=row)
-    Y = round_to_hypercube(diff)
-    decoded = code.decode_many(Y)
-    rows = [i for i, v in enumerate(decoded) if v is not None]
-    words = code.encode_many([decoded[i] for i in rows])
-    flips = np.count_nonzero(words != Y[rows], axis=1)
-    keep = (flips < code.correctable_flips()) | (not verify)
-    dots = np.einsum("ij,ij->i", diff[rows], words)
-    out = [None] * len(aggs)
-    for i, f, dot, ok in zip(rows, flips.tolist(), dots.tolist(), keep.tolist()):
-        est = c_eps(aggs[i].eps) / aggs[i].n_total * float(dot) if ok else 0.0
-        out[i] = PpDecodeResult(item=decoded[i] if ok else None, estimate=est, flips=f)
-    return [r if r is not None else PpDecodeResult(item=None, estimate=0.0) for r in out]
+def _decode(diff, scale: np.ndarray, code: Code, verify: bool) -> tuple:
+    """decode_channels over the len(scale) rows that diff writes, as
+    (items, estimates, flips): a list with None where decoding failed or
+    verify rejected, a float64 array, and a list with None where decoding
+    failed.  Each chunk of rows is written by one diff call into one
+    reused int64 buffer."""
+    rows, step = len(scale), _chunk_rows(8 * code.m)
+    buf = np.empty((min(step, rows), code.m), dtype=np.int64)
+    items, flips, estimates = [None] * rows, [None] * rows, np.zeros(rows)
+    for lo in range(0, rows, step):
+        counts = diff(slice(lo, lo + step), buf[: min(step, rows - lo)])
+        Y = round_to_hypercube(counts)
+        decoded = code.decode_many(Y)
+        hit = [i for i, v in enumerate(decoded) if v is not None]
+        words = code.encode_many([decoded[i] for i in hit])
+        keep = code.accepts(Y[hit], words) if verify else np.ones(len(hit), dtype=bool)
+        at = lo + np.array(hit, dtype=np.int64)[keep]
+        estimates[at] = scale[at] * np.einsum("ij,ij->i", counts[hit], words)[keep]
+        for i, f, ok in zip(hit, np.count_nonzero(words != Y[hit], axis=1).tolist(), keep.tolist()):
+            items[lo + i], flips[lo + i] = decoded[i] if ok else None, f
+    return items, estimates, flips
 
 
 def pp_run(
@@ -255,12 +288,17 @@ def prune(candidates: Sequence, threshold: float) -> SuccinctHistogram:
 
 @dataclass
 class HhResult:
+    """hh_finalize's (histogram, candidates, decodes), with the run's hash
+    seeds, oracle aggregate and channel aggregates: the read-only
+    channel_aggregates mapping over the run's count table, which builds a
+    channel's AggregateState only when that channel is read."""
+
     histogram: SuccinctHistogram
     candidates: list  # (item, published estimate) after dedup, discovery order
     decodes: list  # (t, k, item, pp_estimate) for decoded channels
     seeds: list
     fo_agg: AggregateState
-    pp_aggs: dict = field(repr=False, default=None)
+    pp_aggs: Mapping = field(repr=False, default=None)
 
 
 def _channel_map(seeds, distinct_items, K):
@@ -312,6 +350,8 @@ def hh_execute(
         for v, cnt in zip(values, counts):
             by_channel.setdefault((t, chan[t][v]), []).append((v, cnt))
     keys = sorted(by_channel) if mode == "fast" else [(t, k) for t in range(T) for k in range(K)]
+    check_table_bytes(len(keys), code.m, f"{mode} mode's {len(keys)} channel rows at m = {code.m} "
+                      f"({len(values)} distinct items, K = {K}, T = {T})")
     table = np.zeros((len(keys), code.m, 2), dtype=np.int64)
 
     def groups():  # the pinned draw order: rows in (t, k) order, each its groups by item, then idle users
@@ -375,9 +415,12 @@ def hh_finalize(
     (t, k) order and candidate deduplication keeps the first occurrence.
     Used verbatim by both in-process runs and the aggregation service.
     """
-    keys = sorted(pp_aggs)
-    results = decode_channels([pp_aggs[key] for key in keys], code, verify=True)
-    decodes = [(t, k, r.item, r.estimate) for (t, k), r in zip(keys, results) if r.item is not None]
+    row_of, diff, scale = _channel_rows(pp_aggs)
+    keys = list(row_of)
+    items, estimates, _ = _decode(diff, scale, code, verify=True)
+    estimates = estimates.tolist()
+    decodes = [(*keys[i], items[i], estimates[i]) for i in sorted(range(len(keys)), key=keys.__getitem__)
+               if items[i] is not None]
     candidate_items = list(dict.fromkeys(v for _, _, v, _ in decodes))
     candidates = []
     if candidate_items:
@@ -385,11 +428,14 @@ def hh_finalize(
         if hh_params.iso_failure_bound <= hh_params.beta / 3:
             seeds = draw_hash_seeds(pub, hh_params.T, hh_params.ell)
             chan = _channel_map(seeds, candidate_items, hh_params.K)
-            words = code.encode_many(candidate_items)
-            for i, v in enumerate(candidate_items):
-                own = [pp_aggs[(t, c[v])] for t, c in enumerate(chan) if (t, c[v]) in pp_aggs]
-                parts = [c_eps(agg.eps) / agg.n_total * float(agg.count_diff() @ words[i]) for agg in own]
-                ests[i] = (ests[i] + sum(parts)) / (1 + len(parts))
+            own = [[row_of[t, c[v]] for t, c in enumerate(chan) if (t, c[v]) in row_of] for v in candidate_items]
+            rows = np.array([i for mine in own for i in mine], dtype=np.int64)
+            words = np.repeat(code.encode_many(candidate_items), [len(mine) for mine in own], axis=0)
+            counts = diff(rows, np.empty((len(rows), code.m), dtype=np.int64))
+            parts = iter((scale[rows] * np.einsum("ij,ij->i", counts, words)).tolist())
+            for i, mine in enumerate(own):
+                part = [next(parts) for _ in mine]
+                ests[i] = (ests[i] + sum(part)) / (1 + len(part))
         candidates = list(zip(candidate_items, ests))
     histogram = prune(candidates, hh_params.threshold)
     return histogram, candidates, decodes

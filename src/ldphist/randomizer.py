@@ -248,12 +248,17 @@ def compose(first: ChannelMatrix, second: ChannelMatrix) -> ChannelMatrix:
 
 def amplified_epsilon(eps: float, eta: float) -> float:
     """Exact pure-privacy bound ln(1 + eta * e^eps * (e^eps - 1)) for a
-    randomizer preceded by an eta-degrading channel."""
+    randomizer preceded by an eta-degrading channel, computed from
+    ln(eta * e^eps * (e^eps - 1)) = ln eta + 2 eps + ln(1 - e^-eps), so it
+    stays finite for every eps check_eps accepts (e^(2 eps) overflows past
+    eps = 354.9)."""
     check_eps(eps)
     if not (0.0 <= eta <= 1.0):
         raise ValueError(f"eta must be in [0, 1], got {eta}")
-    e = math.exp(eps)
-    return math.log(1.0 + eta * e * (e - 1.0))
+    if eta == 0.0:
+        return 0.0
+    log_x = math.log(eta) + 2.0 * eps + math.log(-math.expm1(-eps))
+    return log_x + math.log1p(math.exp(-log_x)) if log_x > 0 else math.log1p(math.exp(log_x))
 
 
 def mutual_information(prior: np.ndarray, channel: ChannelMatrix) -> float:

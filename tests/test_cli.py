@@ -1,4 +1,5 @@
 import json
+import math
 import socket
 import subprocess
 import sys
@@ -201,6 +202,15 @@ class TestCliExperiments:
         (["audit", "--eps-list", "800"], _EPS_REFUSED + "800.0"),
         (["pp", "--eps", "inf"], _EPS_REFUSED + "inf"),
         (["audit", "--eps-list", "1", "inf"], _EPS_REFUSED + "inf"),
+        # Count tables past the 2 GiB budget, each larger than this 8 GB machine class.
+        (["fo", "--eps", "700"], "the oracle's m_fo = 10250823175 (from eps = 700, n = 10000) "
+         "needs a count table of 164,013,170,800 bytes; the budget is 2,147,483,648"),
+        (["sweep", "--eps", "700"], "m_fo = 10250823175"),
+        (["serve", "--eps", "700", "--n", "100000", "--port", "0"],
+         "the oracle's m_fo = 1042487741 (from eps = 63.6364, n = 100000) needs a count table of 16,679,803,856"),
+        (["hist", "--d", "4294967296", "--n", "100000", "--eps", "2", "--beta", "0.5", "--code",
+          "concatenated", "--dataset", "uniform"], "fast mode's 299477 channel rows at m = 2048 "
+         "(99997 distinct items, K = 31622776, T = 3) needs a count table of 9,813,262,336 bytes"),
     ], ids=["hist", "serve-one-bit", "fo-one-bit", "fo-universe", "fo-no-trials",
             "sweep-no-trials", "pp-item", "fo-planted-above", "fo-planted-negative",
             "audit-m-zero", "audit-m-negative", "audit-m-above-cap", "hist-planted-empty",
@@ -210,7 +220,7 @@ class TestCliExperiments:
             "fo-planted-without-dataset", "hist-planted-without-dataset", "fo-universe-below-two",
             "fo-eps-inf", "hist-eps-inf", "serve-eps-inf", "sweep-eps-inf", "fo-eps-1e300",
             "hist-eps-1e300", "serve-eps-1e300", "sweep-eps-1e300", "fo-eps-800", "audit-eps-800",
-            "pp-eps-inf", "audit-eps-inf"])
+            "pp-eps-inf", "audit-eps-inf", "fo-table", "sweep-table", "serve-table", "hist-table"])
     def test_refused_parameters_exit_with_message(self, tmp_path, capsys, argv, refused):
         # The library's ValueError becomes a one-line usage error, not a
         # traceback, and neither an output file nor the output directory,
@@ -287,6 +297,15 @@ class TestCliExperiments:
         for line in amp[1:]:
             eta, eps, bound, observed, info = line.split(",")
             assert float(observed) <= float(bound) + 1e-9
+
+    def test_audit_bound_is_finite_at_large_eps(self, tmp_path, capsys):
+        # e^(2 eps) overflows past eps = 354.9; the bound is ln eta + 2 eps there.
+        _run(["audit", "--m-list", "2", "--eps-list", "400", "--out-dir", str(tmp_path)], capsys)
+        amp = (tmp_path / "audit_amplification.csv").read_text().strip().split("\n")
+        bounds = {float(line.split(",")[0]): float(line.split(",")[2]) for line in amp[1:]}
+        assert bounds[0.0] == 0.0 and bounds[1.0] == 800.0
+        assert all(math.isfinite(b) and b == pytest.approx(800 + math.log(eta), abs=1e-9)
+                   for eta, b in bounds.items() if eta > 0)
 
     @pytest.mark.parametrize("argv, config, names", [
         (["fo", "--d", "16", "--n", "300", "--seed", "2"],

@@ -367,7 +367,7 @@ class ScalarReedSolomon:
 
 
 def _decoded(rs, words):
-    msgs, ok = rs.decode(words)
+    msgs, ok, _ = rs.decode(words)
     return [m.tolist() if good else None for m, good in zip(msgs, ok)]
 
 
@@ -380,8 +380,9 @@ class TestReedSolomon:
         for row in bad:
             pos = rng.choice(16, size=4, replace=False)
             row[pos] ^= rng.integers(1, 256, 4, dtype=np.uint8)
-        got, ok = rs.decode(bad)
+        got, ok, corrected = rs.decode(bad)
         assert ok.all() and np.array_equal(got, msgs)
+        assert corrected.tolist() == [4] * len(msgs)
 
     def test_beyond_capacity_flagged_or_wrong_codeword(self):
         rs = _ReedSolomon(8, 4)
@@ -390,16 +391,19 @@ class TestReedSolomon:
         for row in bad:
             pos = rng.choice(8, size=4, replace=False)  # 4 > capacity 2
             row[pos] ^= rng.integers(1, 256, 4, dtype=np.uint8)
-        got, ok = rs.decode(bad)
+        got, ok, corrected = rs.decode(bad)
         assert not ok.all()
+        # a miscorrection changed at most capacity symbols: those it counts
+        assert np.array_equal(corrected[ok], np.count_nonzero(rs.encode(got[ok]) != bad[ok], axis=1))
+        assert (corrected[ok] <= 2).all()
         # whatever comes back must itself re-encode consistently
-        again, ok_again = rs.decode(rs.encode(got[ok]))
-        assert ok_again.all() and np.array_equal(again, got[ok])
+        again, ok_again, none = rs.decode(rs.encode(got[ok]))
+        assert ok_again.all() and np.array_equal(again, got[ok]) and not none.any()
 
     def test_zero_error_fast_path(self):
         rs = _ReedSolomon(4, 2)
-        got, ok = rs.decode(rs.encode([[7, 200]]))
-        assert ok.tolist() == [True] and got.tolist() == [[7, 200]]
+        got, ok, corrected = rs.decode(rs.encode([[7, 200]]))
+        assert ok.tolist() == [True] and got.tolist() == [[7, 200]] and corrected.tolist() == [0]
 
     def test_rejects_words_of_the_wrong_shape(self):
         rs = _ReedSolomon(8, 4)
@@ -468,10 +472,19 @@ class TestFailureRules:
         rs = _ReedSolomon(8, 4)
         word = rs.encode([[7, 200, 0, 31]])
         word[0, list(hit)] ^= 99
-        got, ok = rs.decode(word)
+        got, ok, _ = rs.decode(word)
         assert ok.tolist() == [decodes]
         if decodes:
             assert got.tolist() == [[7, 200, 0, 31]]
+
+
+def test_acceptance_radius_from_the_junk_bound():
+    # The largest r whose expected junk decodes over 197,000 uniform words,
+    # 197,000 * sum_{i <= r} C(2 sigma, i) 255^i / 256^sigma, stay at or
+    # below 0.1: d = 2^32 (sigma = 4) gives 0.094 at r = 1 and 83 at r = 2;
+    # at sigma <= 2 even r = 0 gives more (3.0 at sigma = 2).
+    assert [codec._acceptance_radius(s) for s in range(1, 9)] == [-1, -1, 0, 1, 1, 2, 3, 4]
+    assert [build_code(d, "concatenated").accept_symbols for d in (256, 2**16, 2**24, 2**32)] == [-1, -1, 0, 1]
 
 
 class TestRounding:

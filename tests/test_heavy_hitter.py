@@ -230,10 +230,22 @@ class TestPpDecode:
         assert rejected >= 48
 
 
+def _accepted(code, y, cw):
+    """The code's acceptance of one decode, counted here: for the
+    concatenated code, the 256-blocks whose inner maximum-likelihood
+    symbol (first maximum) differs between the rounded row and the
+    codeword, which are the symbols the outer decode corrected."""
+    if code.kind == "reference":
+        return np.count_nonzero(y != cw) < code.correctable_flips()
+    H = codec._HADAMARD.astype(np.int64)
+    inner = [np.argmax(block @ H.T, axis=1) for block in (y.reshape(-1, 256).astype(np.int64), cw.reshape(-1, 256))]
+    return np.count_nonzero(inner[0] != inner[1]) <= code.accept_symbols
+
+
 def _decode_loop(aggs, code, verify):
-    """decode_channels as a loop over channels: flip count, encode and
-    the exact Python-int product for each decoded row, as (item, estimate,
-    flips)."""
+    """decode_channels as a loop over channels: flip count, the code's
+    acceptance, encode and the exact Python-int product for each decoded
+    row, as (item, estimate, flips)."""
     if not aggs:
         return []
     Y = round_to_hypercube(np.stack([agg.count_diff() for agg in aggs]))
@@ -244,7 +256,7 @@ def _decode_loop(aggs, code, verify):
             continue
         cw = code.encode(v)
         flips = np.count_nonzero(y != cw)
-        if verify and not flips < code.correctable_flips():
+        if verify and not _accepted(code, y, cw):
             out.append((None, 0.0, flips))
             continue
         dot = sum(int(c) * int(w) for c, w in zip(cw, agg.count_diff()))
@@ -252,14 +264,15 @@ def _decode_loop(aggs, code, verify):
     return out
 
 
-def _count_table(code, flip_counts, rng, scale=40):
+def _count_table(code, flip_counts, rng, scale=40, block=1):
     """One (m, 2) count row per flip count: the signs of a random codeword
-    with that many coordinates flipped, carried by random magnitudes
-    (zeros included, which round to +1) over a random common base."""
+    with that many blocks of `block` coordinates flipped, carried by random
+    magnitudes (zeros included, which round to +1) over a random common
+    base.  A flipped 256-block of the concatenated code is one symbol error."""
     table = np.empty((len(flip_counts), code.m, 2), dtype=np.int64)
     for row, f in zip(table, flip_counts):
         y = code.encode(int(rng.integers(code.d))).astype(np.int64)
-        y[rng.choice(code.m, size=f, replace=False)] *= -1
+        y.reshape(-1, block)[rng.choice(code.m // block, size=f, replace=False)] *= -1
         mag, base = rng.integers(0, scale, code.m), rng.integers(0, scale // 2 + 1, code.m)
         row[:, 0] = base + np.where(y > 0, mag, 0)
         row[:, 1] = base + np.where(y < 0, mag, 0)
@@ -276,12 +289,12 @@ class TestDecodeChannelsEquivalence:
         "concatenated": [0, 10, 40, 63, 64, 90, 120, 300, 512] * 3,
     }
 
-    @pytest.mark.parametrize("kind, d", [("reference", 256), ("concatenated", 2**16)])
+    @pytest.mark.parametrize("kind, d", [("reference", 256), ("concatenated", 2**32)])
     @pytest.mark.parametrize("verify", [False, True])
     def test_matches_per_channel_loop(self, kind, d, verify, monkeypatch):
         self._check(kind, d, verify, monkeypatch, small_chunks=False)
 
-    @pytest.mark.parametrize("kind, d", [("reference", 256), ("concatenated", 2**16)])
+    @pytest.mark.parametrize("kind, d", [("reference", 256), ("concatenated", 2**32)])
     @pytest.mark.parametrize("verify", [False, True])
     def test_matches_per_channel_loop_in_small_chunks(self, kind, d, verify, monkeypatch):
         self._check(kind, d, verify, monkeypatch, small_chunks=True)
@@ -292,6 +305,8 @@ class TestDecodeChannelsEquivalence:
         table = _count_table(code, self.FLIPS[kind], rng)
         # Counts past 2^24 in sum(|diff|), where the loop's kernel leaves float32.
         table = np.concatenate([table, _count_table(code, [0, 3], rng, scale=1 << 22)])
+        if kind == "concatenated":  # 0 to 3 symbol errors: accepted, rejected and failed decodes
+            table = np.concatenate([table, _count_table(code, [0, 1, 2, 3] * 2, rng, block=256)])
         aggs = list(channel_aggregates(range(len(table)), table, 0.7).values())
         want = [(v, est.hex(), f) for v, est, f in _decode_loop(aggs, code, verify)]
         sizes, decode_many = [], code.decode_many
@@ -344,6 +359,78 @@ def test_decode_channels_memory_is_bounded():
         tracemalloc.stop()
     assert [r.item for r in results[:16]] == items.tolist()
     assert peak < 4 * codec._DECODE_BYTES
+
+
+@pytest.mark.parametrize("mode", ["fast", "faithful"])
+@pytest.mark.parametrize("kind, d", [("reference", 64), ("concatenated", 2**32)])
+def test_table_and_dict_paths_agree(kind, d, mode):
+    """hh_finalize decodes and fuses straight from hh_execute's count table,
+    and through per-row aggregates from a plain dict of the same views:
+    both give the same histogram, candidates and decodes, floats to the
+    bit.  The mapping builds no view during the run; a view, once read, is
+    kept, writes through to its table row and serializes that row."""
+    n, eps, beta = 4000, 20.0, 0.2
+    hh = derive_hh_params(d, n, eps, beta, 8)
+    fo = derive_fo_params(d, n, hh.eps_channel, beta / 3)
+    code = build_code(d, kind)
+    rng = np.random.default_rng(23)
+    items = rng.integers(0, d, n)
+    items[:2000], items[2000:2600], items[3600:] = 3, 11, BOT
+    res = hh_execute(items, code, hh, fo, PUB, rng, mode=mode)
+    table = res.pp_aggs.table
+    assert res.pp_aggs._views == {}
+    as_dict = dict(res.pp_aggs)
+    got, want = (hh_finalize(aggs, res.fo_agg, code, hh, PUB) for aggs in (res.pp_aggs, as_dict))
+
+    def exact(out):
+        histogram, candidates, decodes = out
+        return ([(v, f.hex()) for v, f in histogram.entries], [(v, f.hex()) for v, f in candidates],
+                [(t, k, v, f.hex()) for t, k, v, f in decodes])
+    assert exact(got) == exact(want) == exact((res.histogram, res.candidates, res.decodes))
+    assert 3 in got[0].items() and len(got[2]) > 0
+    assert len(as_dict) == len(table) and (mode == "fast" or len(table) == hh.K * hh.T)
+    for key, agg in as_dict.items():
+        row = table[res.pp_aggs.row_of[key]]
+        assert res.pp_aggs[key] is agg and np.shares_memory(agg.plus, table)
+        back = AggregateState.from_bytes(agg.to_bytes())
+        assert (back.m, back.eps, back.n_total) == (code.m, hh.eps_channel, n)
+        assert back.plus.tolist() == row[:, 0].tolist() and back.minus.tolist() == row[:, 1].tolist()
+    row = table[res.pp_aggs.row_of[min(as_dict)]]
+    before = int(row[0, 1])
+    as_dict[min(as_dict)].minus[0] += 5
+    assert row[0, 1] == before + 5
+
+
+def test_concatenated_acceptance_at_the_paper_universe():
+    """At d = 2^32 the concatenated code accepts a decode that corrected at
+    most accept_symbols = 1 symbol.  A uniform word passes that with
+    probability (1 + 8 * 255) / 2^32, so 20,000 random +-1 rows expect
+    0.0095 accepted junk decodes: more than one fails (Poisson tail 5e-5),
+    while accepting two symbols would expect 8.5.  A codeword with one
+    flipped 256-block (one symbol error) is accepted with its estimate; with
+    two it still decodes but is rejected."""
+    code = build_code(2**32, "concatenated")
+    assert code.accept_symbols == 1
+    rng, junk, decoded = np.random.default_rng(31), 0, 0
+    for _ in range(10):
+        signs = rng.integers(0, 2, (2_000, code.m))
+        aggs = list(channel_aggregates(range(len(signs)), np.stack([signs, 1 - signs], axis=2), 1.0).values())
+        results = decode_channels(aggs, code, verify=True)  # a rejected decode keeps its flips
+        junk += sum(r.item is not None for r in results)
+        decoded += sum(r.flips is not None for r in results)
+    assert junk <= 1
+    assert decoded >= 1  # the rule, not the outer decoder alone, keeps the junk out
+    v = 0x9E3779B9
+    planted = []
+    for errors in (1, 2):
+        word = code.encode(v).astype(np.int64).reshape(code.n_out, 256)
+        word[rng.choice(code.n_out, size=errors, replace=False)] *= -1
+        planted.append((word.reshape(-1) > 0).astype(np.int64))
+    table = np.stack([np.stack([w, 1 - w], axis=1) for w in planted])
+    one, two = decode_channels(list(channel_aggregates("ab", table, 1.0).values()), code, verify=True)
+    assert one.item == v and one.flips == 256 and one.estimate > 0
+    assert two.item is None and two.flips == 512
+    assert code.decode_many(round_to_hypercube(table[:, :, 0] - table[:, :, 1])) == [v, v]
 
 
 def _randomize_many(x, count, eps, m, rng):

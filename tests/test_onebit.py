@@ -202,6 +202,32 @@ class TestPrivacy:
                 assert lo - 1e-12 <= (1 - pa) / (1 - pb) <= hi + 1e-12
 
 
+    def test_worst_string_ratio_between_the_splits(self):
+        """The per-string directional maximum of |ln p_a / p_b| and
+        |ln (1 - p_a) / (1 - p_b)| over ordered item pairs, on the toy
+        (T = 1, total ln 2, eps_channel = ln 2 / 3 = 0.2310), is 0.4750:
+        above (T + 1) * eps_channel = 0.4621, within the total 0.6931.  An
+        item's acceptance probability is p = a^i b^(T+1-i) / 2 for the i of
+        its T + 1 components that match the string, a = 2e/(e+1) and
+        b = 2/(e+1) at e = e^eps_channel (no clipping at 1 here), so the
+        accept ratios reach (a/b)^(T+1) = e^((T+1) eps_channel), and the
+        reject ratio reaches ln((1 - b^(T+1)/2) / (1 - a^(T+1)/2)), the
+        worst: the transform's rejection step costs privacy of its own, so
+        a (T + 1) split would not carry over to the one-bit path unchanged."""
+        s = composite_toy(m_fo=2, d=4)
+        worst = 0.0
+        for y in _enumerate_strings(s):
+            ps = [acceptance_prob(v, y, s) for v in range(4)]
+            for pa, pb in itertools.permutations(ps, 2):
+                worst = max(worst, abs(math.log(pa / pb)), abs(math.log((1 - pa) / (1 - pb))))
+        e = math.exp(s.eps_channel)
+        a, b = 2 * e / (e + 1), 2 / (e + 1)
+        assert worst == pytest.approx(math.log((1 - b**(s.T + 1) / 2) / (1 - a**(s.T + 1) / 2)), rel=1e-12)
+        assert (s.T + 1) * s.eps_channel < worst <= s.total_eps()
+        assert (round((s.T + 1) * s.eps_channel, 4), round(worst, 4), round(s.total_eps(), 4)) == \
+            (0.4621, 0.4750, 0.6931)
+
+
 class TestServerCollect:
     def test_all_rejected_empty(self):
         s = composite_toy()

@@ -120,8 +120,10 @@ def hh_digest(k: int, mode: str) -> str:
 def hh_concatenated_digest() -> tuple:
     """Digest of a concatenated-code run, with every channel's verified
     decode, and its (decoding failures, verify rejections, accepted
-    decodes) counts."""
-    d, n, eps, beta = 256, 8000, 20.0, 0.2
+    decodes) counts.  The run is at d = 2^32, where the code accepts a
+    decode that corrected at most one symbol and so can reject one: at
+    d = 256 every outer decode corrects none."""
+    d, n, eps, beta = 2**32, 8000, 20.0, 0.2
     hh = derive_hh_params(d, n, eps, beta, 8)
     fo = derive_fo_params(d, n, hh.eps_channel, beta / 3)
     code = build_code(d, "concatenated")
@@ -249,7 +251,7 @@ HH = {
     (8, "faithful"): "72df78165d7329743615f73b4aa73dae77bac81064c7f034bcf711e310da14e9",
     (64, "faithful"): "32d0ecdf09131a541b439a1687e46d692a5436663d848c34cb0e0d366aa1d5b8",
 }
-HH_CONCATENATED = "5dba1c417f989739ad8bec1d25e27f8d966ba41b625f61a736078ef2dad068db"
+HH_CONCATENATED = "d6927c369a56593c789a72ad00e92515406aed15c05546461e20086f95df92ed"
 CONCATENATED_ENCODE = {
     256: "e8b5d87053735316870a16bd6fce6d9a1cd0ff5a4d7ddc92546b18f05e78e14e",
     1000: "9bdcf66271476d783f144ccbf8321753b34991b6f92fa0908a6e19eebb74dbc5",

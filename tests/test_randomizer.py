@@ -180,6 +180,20 @@ class TestAmplification:
         assert amplified_epsilon(1.0, 0.0) == pytest.approx(0.0, abs=1e-15)
         assert amplified_epsilon(math.log(2), 1.0) == pytest.approx(math.log(3), abs=1e-12)
 
+    def test_finite_for_every_accepted_eps(self):
+        # The direct formula where it is finite; ln eta + 2 eps (to 1e-12)
+        # once e^(2 eps) overflows, where the direct formula gives inf.
+        from ldphist.core import _EPS_MAX
+        for eps in (0.05, 0.25, 1.0, 5.0, 50.0, 300.0, 354.0):
+            for eta in (0.05, 0.3, 1.0):
+                e = math.exp(eps)
+                assert amplified_epsilon(eps, eta) == pytest.approx(math.log(1.0 + eta * e * (e - 1.0)), rel=1e-12)
+        assert amplified_epsilon(356.0, 0.5) == pytest.approx(712.0 + math.log(0.5), rel=1e-15)
+        for eps in (355.0, 400.0, _EPS_MAX):
+            for eta in (1e-100, 0.5, 1.0):
+                got = amplified_epsilon(eps, eta)
+                assert math.isfinite(got) and got == pytest.approx(2 * eps + math.log(eta), rel=1e-12)
+
     def test_monotone_in_eta(self):
         vals = [amplified_epsilon(0.8, eta) for eta in np.linspace(0, 1, 21)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
