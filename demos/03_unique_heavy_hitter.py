@@ -33,15 +33,13 @@ noise_only = pp_run(np.full(n, BOT, dtype=np.int64), code, eps, rng)
 print(f"all users idle: decoded item = {noise_only.item}, estimate {noise_only.estimate:.4f}")
 
 # A verifying caller (hh_finalize) keeps a decode only when the code
-# accepts it.  The reference code accepts a codeword within m/16 flips of
-# the rounded vector.  The concatenated code accepts an outer decode that
-# corrected at most `accept_symbols` symbols, and at d <= 2^16 none at all:
-# pure noise would pass its outer decoder too often there, so that universe
-# is the reference code's.
-ref = build_code(d, "reference")
-agg = pp_aggregate(np.full(n, secret, dtype=np.int64), ref, eps, rng)
-res = decode_channels([agg], ref, verify=True)[0]
-accepts = "no decode" if code.accept_symbols < 0 else f"up to {code.accept_symbols} corrected symbols"
-print(f"verified reference-code decode at full support: item {res.item}, "
-      f"{res.flips} flipped coordinates (radius {ref.correctable_flips():.0f}); "
-      f"the concatenated code accepts {accepts} at this d")
+# accepts it.  The concatenated code accepts an outer decode that corrected
+# at most `accept_errors` Reed-Solomon symbols, the most at which pure noise
+# rarely passes.  At d <= 2^16 that is none at all, so a verified run
+# refuses the concatenated code there (that universe is the reference
+# code's); at d = 2^32 it is one symbol.
+wide = build_code(2**32, "concatenated")
+agg = pp_aggregate(np.full(n, secret, dtype=np.int64), wide, eps, rng)
+res = decode_channels([agg], wide, verify=True)[0]
+print(f"verified decode at d = 2^32: item {res.item}, {res.flips} flipped coordinates "
+      f"(up to {wide.accept_errors} corrected symbol accepted; none at d = {d})")

@@ -18,9 +18,11 @@ families are provided:
   error pattern touching fewer than m/16 coordinates (zeta_eff = 1/8).
   Outer decoding failures are reported as None.
 
-Each code owns the rule by which a verifying caller keeps a decode
-(``Code.accepts``).  ``round_to_hypercube`` maps a real vector to signs
-with ties going to +1.
+Each decode also counts the errors it corrected (flipped coordinates
+for the reference code, Reed-Solomon symbols for the concatenated code),
+and each code owns the rule by which a verifying caller keeps a decode:
+at most ``accept_errors`` of them.
+``round_to_hypercube`` maps a real vector to signs with ties going to +1.
 """
 
 from __future__ import annotations
@@ -75,6 +77,7 @@ class Code:
     t: int
     m: int
     zeta_eff: float
+    accept_errors: int  # the most corrected errors a verified decode may have; -1 accepts none
     _decode_width: int
 
     def encode(self, v: int) -> np.ndarray:
@@ -87,30 +90,37 @@ class Code:
     def decode(self, y: np.ndarray) -> Optional[int]:
         return self.decode_many(np.asarray(y)[None, :])[0]
 
-    def decode_many(self, Y: np.ndarray) -> list:
+    def decode_many(self, Y: np.ndarray, errors: Optional[np.ndarray] = None) -> list:
         """The item of each row of an (rows, m) array, or None on a decoding
-        failure; rows go through float32 chunks whose widest array in
-        _decode_rows, of _decode_width floats a row, fits _DECODE_BYTES."""
+        failure.  Given errors, an int64 array of one entry a row, each
+        row's entry is set to the errors its decode corrected (meaningless
+        where decoding failed).  Rows go through float32 chunks whose
+        widest array in _decode_rows, of _decode_width floats a row, fits
+        _DECODE_BYTES."""
         Y = np.asarray(Y)
         if Y.ndim != 2 or Y.shape[1] != self.m:
             raise ValueError(f"expected an array of shape (rows, {self.m}), got {Y.shape}")
         out, step = [], _chunk_rows(4 * self._decode_width)
         for start in range(0, len(Y), step):
-            out += self._decode_rows(Y[start : start + step].astype(np.float32))
+            items, corrected = self._decode_rows(Y[start : start + step].astype(np.float32))
+            out += items
+            if errors is not None:
+                errors[start : start + step] = corrected
         return out
 
-    def _decode_rows(self, Y: np.ndarray) -> list:
+    def _decode_rows(self, Y: np.ndarray) -> tuple:
         raise NotImplementedError
 
     def correctable_flips(self) -> float:
         """Strict upper limit on correctable coordinate corruptions, m*zeta/2."""
         return self.m * self.zeta_eff / 2.0
 
-    def accepts(self, Y: np.ndarray, words: np.ndarray) -> np.ndarray:
-        """Whether a verifying caller keeps the decode of each rounded row of
-        Y to the codeword in the same row of words: here when fewer than
-        correctable_flips() coordinates differ."""
-        return np.count_nonzero(words != Y, axis=1) < self.correctable_flips()
+    def check_verifiable(self) -> None:
+        """Refuse (ValueError) a verified run with a code that accepts no decode."""
+        if self.accept_errors < 0:
+            raise ValueError(f"the {self.kind} code at d = {self.d} accepts no verified decode: pure noise "
+                             f"passes its decoder too often there, so a histogram would be empty; "
+                             f"use the reference code (d <= {REFERENCE_D_CAP})")
 
     def header(self) -> dict:
         return {
@@ -159,6 +169,7 @@ class ReferenceCode(Code):
         if dmin == 0:  # a nonzero message maps to zero: the generator is rank deficient
             raise RuntimeError(f"generator for (t={self.t}, m={self.m}) is rank deficient; bump the build tag")
         self.zeta_eff = dmin / self.m
+        self.accept_errors = math.ceil(self.correctable_flips()) - 1  # flips < m * zeta / 2
         self._codebook = (1 - 2 * span_bits[: self.d].astype(np.int8)).astype(np.int8)
         self._codebook_f = self._codebook.astype(np.float32)
         self._decode_width = max(self.m, min(self.d, math.isqrt(_DECODE_BYTES // 4)))  # square blocks
@@ -184,10 +195,11 @@ class ReferenceCode(Code):
     def encode_many(self, vs: Iterable[int]) -> np.ndarray:
         return self._codebook[self._items(vs)]
 
-    def _decode_rows(self, Y: np.ndarray) -> list:
+    def _decode_rows(self, Y: np.ndarray) -> tuple:
         """Nearest codeword, correlating one codebook slice at a time; a later
         slice takes a row only on a strictly greater maximum, so ties go to the
-        smallest item.  +-1 correlations are integers within +-m, exact in float32."""
+        smallest item.  +-1 correlations are integers within +-m, exact in
+        float32, and a row's flips to its codeword are (m - correlation) / 2."""
         step, rows = self._decode_width, np.arange(len(Y))
         best, arg = np.full(len(Y), -np.inf, dtype=np.float32), np.zeros(len(Y), dtype=np.int64)
         buf = np.empty((len(Y), step), dtype=np.float32)  # every slice's correlations
@@ -197,7 +209,7 @@ class ReferenceCode(Code):
             top = np.argmax(corr, axis=1)
             better = corr[rows, top] > best
             best[better], arg[better] = corr[rows, top][better], top[better] + start
-        return arg.tolist()
+        return arg.tolist(), ((self.m - best) // 2).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +369,8 @@ def _acceptance_radius(sigma: int) -> int:
     most _JUNK_BOUND decodes in expectation: a uniform word lies within r
     symbols of some codeword with probability
     sum_{i <= r} C(2 sigma, i) 255^i / 256^sigma.  -1 where even r = 0
-    gives more (sigma <= 2), so that no decode is accepted."""
+    gives more (sigma <= 2): no decode is accepted, and a verified run
+    refuses the code (Code.check_verifiable)."""
     radius, ball = -1, 0
     for r in range(sigma // 2 + 1):
         ball += math.comb(2 * sigma, r) * 255**r
@@ -380,7 +393,7 @@ class ConcatenatedCode(Code):
         self.n_out = 2 * self.sigma  # rate-1/2 outer code
         self.m = self._decode_width = 256 * self.n_out
         self._rs = _ReedSolomon(self.n_out, self.sigma)
-        self.accept_symbols = _acceptance_radius(self.sigma)
+        self.accept_errors = _acceptance_radius(self.sigma)
         self._byte_shifts = 8 * np.arange(self.sigma, dtype=np.uint64)  # data is little endian
 
     def encode_many(self, vs: Iterable[int]) -> np.ndarray:
@@ -388,21 +401,14 @@ class ConcatenatedCode(Code):
         data = items.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)[:, : self.sigma]
         return _HADAMARD[self._rs.encode(data)].reshape(len(items), self.m)
 
-    def accepts(self, Y: np.ndarray, words: np.ndarray) -> np.ndarray:
-        """Whether a verifying caller keeps each decoded row of Y: when its
-        outer decode corrected at most accept_symbols symbols."""
-        return self._rs.decode(self._symbols(Y.astype(np.float32)))[2] <= self.accept_symbols
-
-    def _symbols(self, Y: np.ndarray) -> np.ndarray:
-        """The inner maximum-likelihood symbol of every 256-block of float32 rows."""
-        return np.argmax(Y.reshape(-1, 256) @ _HADAMARD_F.T, axis=1).reshape(len(Y), self.n_out)
-
-    def _decode_rows(self, Y: np.ndarray) -> list:
+    def _decode_rows(self, Y: np.ndarray) -> tuple:
         """Inner maximum-likelihood decode of every block, then one outer
-        decode of all rows; a payload of d or more is a failure too."""
-        msgs, ok, _ = self._rs.decode(self._symbols(Y))
+        decode of all rows, which counts the symbols it corrected; a
+        payload of d or more is a failure too."""
+        symbols = np.argmax(Y.reshape(-1, 256) @ _HADAMARD_F.T, axis=1).reshape(len(Y), self.n_out)
+        msgs, ok, corrected = self._rs.decode(symbols)
         values = np.bitwise_or.reduce(msgs.astype(np.uint64) << self._byte_shifts, axis=1)
-        return [v if good and v < self.d else None for v, good in zip(values.tolist(), ok.tolist())]
+        return [v if good and v < self.d else None for v, good in zip(values.tolist(), ok.tolist())], corrected
 
 
 def build_code(d: int, kind: str = "reference") -> Code:

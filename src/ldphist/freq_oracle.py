@@ -127,24 +127,24 @@ class AggregateState:
 
 class ChannelTable(Mapping):
     """Read-only {key: aggregate of row i} for the i-th of keys, over a
-    (rows, m, 2) int64 count table.  ``table``, ``eps``, ``row_of`` (each
-    key's row, in the order of keys) and the row sums ``totals`` (one table sum, so
-    it is made once the table is full) are what hh_finalize decodes from.
-    A key's aggregate (plus counts at [i, :, 0], minus at [i, :, 1], views
-    that write through to the table, and n_total its row sum) is built the
-    first time that key is read, and kept."""
+    (rows, m, 2) int64 count table.  ``table``, ``eps`` and ``row_of``
+    (each key's row, in the order of keys) are what hh_finalize decodes
+    from, reading every n_total from the table.  A key's aggregate (plus
+    counts at [i, :, 0], minus at [i, :, 1], views that write through to
+    the table, and n_total its row sum then) is built the first time that
+    key is read, and kept."""
 
     def __init__(self, keys, table: np.ndarray, eps: float):
         self.row_of = {key: i for i, key in enumerate(keys)}
         if len(self.row_of) != len(table):
             raise ValueError(f"{len(self.row_of)} distinct keys for {len(table)} count-table rows")
-        self.table, self.eps, self.totals, self._views = table, eps, table.sum(axis=(1, 2)), {}
+        self.table, self.eps, self._views = table, eps, {}
 
     def __getitem__(self, key) -> AggregateState:
         if key not in self._views:
-            i = self.row_of[key]
-            self._views[key] = AggregateState(m=self.table.shape[1], eps=self.eps, n_total=int(self.totals[i]),
-                                              plus=self.table[i, :, 0], minus=self.table[i, :, 1])
+            row = self.table[self.row_of[key]]
+            self._views[key] = AggregateState(m=self.table.shape[1], eps=self.eps, n_total=int(row.sum()),
+                                              plus=row[:, 0], minus=row[:, 1])
         return self._views[key]
 
     def __iter__(self):

@@ -78,8 +78,10 @@ def protocol_setup(protocol: str, d: int, n: int, eps: float, beta: float,
     aggregation service alike.  "hist" runs its hash channels and oracle at
     eps/(2T+1), the oracle at confidence beta/3.  Refuses (with ValueError)
     an eps check_eps refuses, a "hist" d above the hash prime 2^61 - 1,
-    whose larger items cannot be hashed, an "fo" d above FO_UNIVERSE_CAP,
-    and an oracle whose m_fo count table exceeds the table byte budget."""
+    whose larger items cannot be hashed, a "hist" code that accepts no
+    verified decode (the concatenated code at d <= 2^16), an "fo" d above
+    FO_UNIVERSE_CAP, and an oracle whose m_fo count table exceeds the
+    table byte budget."""
     if protocol == "fo":
         if d > FO_UNIVERSE_CAP:
             raise ValueError(f"an fo run estimates all d = {d} items; cap is {FO_UNIVERSE_CAP}")
@@ -91,8 +93,9 @@ def protocol_setup(protocol: str, d: int, n: int, eps: float, beta: float,
         raise ValueError(f"unknown protocol {protocol!r}")
     if d > MERSENNE_P:
         raise ValueError(f"a hist universe must have d <= 2^61 - 1 to be hashed, got {d}")
-    hh = derive_hh_params(d, n, eps, beta, k_override)
-    return ProtocolSetup(build_code(d, code_kind), hh, _oracle_params(d, n, hh.eps_channel, beta / 3))
+    hh, code = derive_hh_params(d, n, eps, beta, k_override), build_code(d, code_kind)
+    code.check_verifiable()
+    return ProtocolSetup(code, hh, _oracle_params(d, n, hh.eps_channel, beta / 3))
 
 
 def _oracle_params(d: int, n: int, eps: float, beta: float) -> FoParams:

@@ -157,12 +157,11 @@ def decode_channels(aggs: Sequence[AggregateState], code: Code, verify: bool) ->
     decode, and estimate the decoded item's frequency as c_eps / n_total
     times its codeword's exact int64 product with the count differences.
     Decoding failure gives item None and estimate 0, and so does, with
-    verify=True, a decode that the code does not accept (Code.accepts:
-    the reference code's flips below its correction radius, the
-    concatenated code's corrected symbols within its acceptance radius),
-    which keeps noise-only channels from emitting candidates.  Rows go in
-    chunks whose int64 count differences fit codec's byte budget, so no
-    transient grows with the number of rows."""
+    verify=True, a decode that corrected more errors than the code's
+    accept_errors (the reference code's flips, the concatenated code's
+    Reed-Solomon symbols), which keeps noise-only channels from emitting
+    candidates.  Rows go in chunks whose int64 count differences fit
+    codec's byte budget, so no transient grows with the number of rows."""
     _, diff, scale = _channel_rows(dict(enumerate(aggs)))
     items, estimates, flips = _decode(diff, scale, code, verify)
     return [PpDecodeResult(item=v, estimate=e, flips=f) for v, e, f in zip(items, estimates.tolist(), flips)]
@@ -173,11 +172,13 @@ def _channel_rows(pp_aggs: Mapping) -> tuple:
     key to its row, in row order; diff(rows, out) writes the
     int64 count differences of the rows that a slice or index array picks
     into out, and scale[i] = c_eps(eps) / n_total of row i.  Over
-    channel_aggregates' count table, diff is one subtraction of table rows;
+    channel_aggregates' count table, diff is one subtraction of table rows
+    and n_total is read from the table as it is now, in one table sum;
     any other mapping's rows are its sorted keys' aggregates, subtracted
     one by one."""
     if isinstance(pp_aggs, ChannelTable):
-        row_of, table, c, n_totals = pp_aggs.row_of, pp_aggs.table, c_eps(pp_aggs.eps), pp_aggs.totals
+        row_of, table, c = pp_aggs.row_of, pp_aggs.table, c_eps(pp_aggs.eps)
+        n_totals = table.sum(axis=(1, 2))
 
         def diff(rows, out):
             return np.subtract(table[rows, :, 0], table[rows, :, 1], out=out)
@@ -196,22 +197,34 @@ def _channel_rows(pp_aggs: Mapping) -> tuple:
     return row_of, diff, c / n_totals
 
 
+def _diff_chunks(diff, rows, m: int):
+    """(start, counts) for each chunk of rows, the first `rows` rows (an
+    int, read by slices) or those an index array picks: each chunk's int64
+    count differences, written by one diff call into one buffer reused by
+    every chunk and sized to codec's byte budget."""
+    total, step = (rows if isinstance(rows, int) else len(rows)), _chunk_rows(8 * m)
+    buf = np.empty((min(step, total), m), dtype=np.int64)
+    for lo in range(0, total, step):
+        pick = slice(lo, lo + step) if isinstance(rows, int) else rows[lo : lo + step]
+        yield lo, diff(pick, buf[: min(step, total - lo)])
+
+
 def _decode(diff, scale: np.ndarray, code: Code, verify: bool) -> tuple:
     """decode_channels over the len(scale) rows that diff writes, as
     (items, estimates, flips): a list with None where decoding failed or
     verify rejected, a float64 array, and a list with None where decoding
-    failed.  Each chunk of rows is written by one diff call into one
-    reused int64 buffer."""
-    rows, step = len(scale), _chunk_rows(8 * code.m)
-    buf = np.empty((min(step, rows), code.m), dtype=np.int64)
+    failed.  With verify, a code that accepts no decode is refused."""
+    if verify:
+        code.check_verifiable()
+    rows = len(scale)
     items, flips, estimates = [None] * rows, [None] * rows, np.zeros(rows)
-    for lo in range(0, rows, step):
-        counts = diff(slice(lo, lo + step), buf[: min(step, rows - lo)])
+    for lo, counts in _diff_chunks(diff, rows, code.m):
         Y = round_to_hypercube(counts)
-        decoded = code.decode_many(Y)
+        errors = np.empty(len(Y), dtype=np.int64)
+        decoded = code.decode_many(Y, errors)
         hit = [i for i, v in enumerate(decoded) if v is not None]
         words = code.encode_many([decoded[i] for i in hit])
-        keep = code.accepts(Y[hit], words) if verify else np.ones(len(hit), dtype=bool)
+        keep = errors[hit] <= code.accept_errors if verify else np.ones(len(hit), dtype=bool)
         at = lo + np.array(hit, dtype=np.int64)[keep]
         estimates[at] = scale[at] * np.einsum("ij,ij->i", counts[hit], words)[keep]
         for i, f, ok in zip(hit, np.count_nonzero(words != Y[hit], axis=1).tolist(), keep.tolist()):
@@ -330,6 +343,7 @@ def hh_execute(
     """
     if mode not in ("fast", "faithful"):
         raise ValueError(f"unknown mode {mode!r}")
+    code.check_verifiable()
     items = np.asarray(items, dtype=np.int64)
     if np.any((items < BOT) | (items >= code.d)):
         raise ValueError("items must lie in [0, d) or be the BOT sentinel")
@@ -364,7 +378,7 @@ def hh_execute(
             else:  # drawn once the row's groups are, since absorb_groups draws each as it comes
                 table[i] += simulate_idle_noise(idle, code.m, rng).T
     absorb_groups(table, groups(), _codeword_signs(code, distinct), eps_ch, rng)
-    pp_aggs = channel_aggregates(keys, table, eps_ch)  # once full, so n_total counts all
+    pp_aggs = channel_aggregates(keys, table, eps_ch)
 
     fo_agg = fo_simulate_reports(items, fo_params.m_fo, eps_ch, pub, rng)
 
@@ -430,9 +444,11 @@ def hh_finalize(
             chan = _channel_map(seeds, candidate_items, hh_params.K)
             own = [[row_of[t, c[v]] for t, c in enumerate(chan) if (t, c[v]) in row_of] for v in candidate_items]
             rows = np.array([i for mine in own for i in mine], dtype=np.int64)
-            words = np.repeat(code.encode_many(candidate_items), [len(mine) for mine in own], axis=0)
-            counts = diff(rows, np.empty((len(rows), code.m), dtype=np.int64))
-            parts = iter((scale[rows] * np.einsum("ij,ij->i", counts, words)).tolist())
+            of = np.repeat(np.arange(len(own)), [len(mine) for mine in own])  # each row's candidate
+            words, dots = code.encode_many(candidate_items), np.zeros(len(rows), dtype=np.int64)
+            for lo, counts in _diff_chunks(diff, rows, code.m):
+                dots[lo : lo + len(counts)] = np.einsum("ij,ij->i", counts, words[of[lo : lo + len(counts)]])
+            parts = iter((scale[rows] * dots).tolist())
             for i, mine in enumerate(own):
                 part = [next(parts) for _ in mine]
                 ests[i] = (ests[i] + sum(part)) / (1 + len(part))

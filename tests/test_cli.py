@@ -211,6 +211,11 @@ class TestCliExperiments:
         (["hist", "--d", "4294967296", "--n", "100000", "--eps", "2", "--beta", "0.5", "--code",
           "concatenated", "--dataset", "uniform"], "fast mode's 299477 channel rows at m = 2048 "
          "(99997 distinct items, K = 31622776, T = 3) needs a count table of 9,813,262,336 bytes"),
+        # Pure noise passes the outer decoder too often at d <= 2^16 for any verified decode.
+        (["hist", "--d", "256", "--n", "20000", "--eps", "2", "--code", "concatenated"],
+         "the concatenated code at d = 256 accepts no verified decode"),
+        (["serve", "--n", "100000", "--eps", "2", "--code", "concatenated", "--port", "0"],
+         "the concatenated code at d = 1024 accepts no verified decode"),
     ], ids=["hist", "serve-one-bit", "fo-one-bit", "fo-universe", "fo-no-trials",
             "sweep-no-trials", "pp-item", "fo-planted-above", "fo-planted-negative",
             "audit-m-zero", "audit-m-negative", "audit-m-above-cap", "hist-planted-empty",
@@ -220,7 +225,8 @@ class TestCliExperiments:
             "fo-planted-without-dataset", "hist-planted-without-dataset", "fo-universe-below-two",
             "fo-eps-inf", "hist-eps-inf", "serve-eps-inf", "sweep-eps-inf", "fo-eps-1e300",
             "hist-eps-1e300", "serve-eps-1e300", "sweep-eps-1e300", "fo-eps-800", "audit-eps-800",
-            "pp-eps-inf", "audit-eps-inf", "fo-table", "sweep-table", "serve-table", "hist-table"])
+            "pp-eps-inf", "audit-eps-inf", "fo-table", "sweep-table", "serve-table", "hist-table",
+            "hist-concatenated-small-d", "serve-concatenated-small-d"])
     def test_refused_parameters_exit_with_message(self, tmp_path, capsys, argv, refused):
         # The library's ValueError becomes a one-line usage error, not a
         # traceback, and neither an output file nor the output directory,

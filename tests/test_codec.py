@@ -484,7 +484,26 @@ def test_acceptance_radius_from_the_junk_bound():
     # below 0.1: d = 2^32 (sigma = 4) gives 0.094 at r = 1 and 83 at r = 2;
     # at sigma <= 2 even r = 0 gives more (3.0 at sigma = 2).
     assert [codec._acceptance_radius(s) for s in range(1, 9)] == [-1, -1, 0, 1, 1, 2, 3, 4]
-    assert [build_code(d, "concatenated").accept_symbols for d in (256, 2**16, 2**24, 2**32)] == [-1, -1, 0, 1]
+    assert [build_code(d, "concatenated").accept_errors for d in (256, 2**16, 2**24, 2**32)] == [-1, -1, 0, 1]
+
+
+@pytest.mark.parametrize("kind, d, block", [("reference", 1000, 1), ("concatenated", 2**32, 256)])
+def test_decode_many_counts_corrected_errors(kind, d, block, monkeypatch):
+    # Up to the correction capacity, every decode recovers its item and
+    # counts the flipped blocks: coordinates for the reference code, 256-
+    # blocks (Reed-Solomon symbols) for the concatenated code; in 3-row chunks.
+    monkeypatch.setattr(codec, "_DECODE_BYTES", 3 * 4 * build_code(d, kind).m)
+    c = build_code(d, kind)
+    rng = np.random.default_rng(32)
+    capacity = math.ceil(c.correctable_flips()) - 1 if kind == "reference" else c.sigma // 2
+    flips = list(range(capacity + 1)) * 2
+    items = rng.integers(0, d, len(flips)).tolist()
+    Y = c.encode_many(items)
+    for y, f in zip(Y, flips):
+        y.reshape(-1, block)[rng.choice(c.m // block, size=f, replace=False)] *= -1
+    errors = np.full(len(Y), -1, dtype=np.int64)
+    assert c.decode_many(Y, errors) == items
+    assert errors.tolist() == flips
 
 
 class TestRounding:

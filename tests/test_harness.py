@@ -226,6 +226,10 @@ class TestProtocolSetup:
         assert protocol_setup("hist", MERSENNE_P, **hist).hh.d == MERSENNE_P
         with pytest.raises(ValueError, match="2\\^61 - 1"):
             protocol_setup("hist", MERSENNE_P + 1, **hist)
+        assert protocol_setup("hist", 2**16 + 1, **hist).code.accept_errors == 0
+        with pytest.raises(ValueError, match="the concatenated code at d = 65536 accepts no verified decode"):
+            protocol_setup("hist", 2**16, **hist)
+        assert protocol_setup("pp", 2**16, **hist).code.kind == "concatenated"  # pp verifies nothing
 
     def test_built_once_per_run(self, monkeypatch):
         calls = []

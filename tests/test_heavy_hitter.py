@@ -19,6 +19,7 @@ from ldphist.heavy_hitter import (
     BOT,
     FAITHFUL_CHANNEL_CAP,
     HashSeed,
+    _channel_map,
     channel_of,
     decode_channels,
     draw_hash_seeds,
@@ -239,7 +240,7 @@ def _accepted(code, y, cw):
         return np.count_nonzero(y != cw) < code.correctable_flips()
     H = codec._HADAMARD.astype(np.int64)
     inner = [np.argmax(block @ H.T, axis=1) for block in (y.reshape(-1, 256).astype(np.int64), cw.reshape(-1, 256))]
-    return np.count_nonzero(inner[0] != inner[1]) <= code.accept_symbols
+    return np.count_nonzero(inner[0] != inner[1]) <= code.accept_errors
 
 
 def _decode_loop(aggs, code, verify):
@@ -310,7 +311,7 @@ class TestDecodeChannelsEquivalence:
         aggs = list(channel_aggregates(range(len(table)), table, 0.7).values())
         want = [(v, est.hex(), f) for v, est, f in _decode_loop(aggs, code, verify)]
         sizes, decode_many = [], code.decode_many
-        monkeypatch.setattr(code, "decode_many", lambda Y: sizes.append(len(Y)) or decode_many(Y))
+        monkeypatch.setattr(code, "decode_many", lambda Y, errors: sizes.append(len(Y)) or decode_many(Y, errors))
         if small_chunks:  # eight rows of int64 count differences a chunk
             monkeypatch.setattr(codec, "_DECODE_BYTES", 8 * 8 * code.m)
         got = [(r.item, r.estimate.hex(), r.flips) for r in decode_channels(aggs, code, verify)]
@@ -329,7 +330,12 @@ class TestDecodeChannelsEquivalence:
     @pytest.mark.parametrize("kind, d", [("reference", 256), ("concatenated", 2**16)])
     def test_empty_list_and_no_decoded_row(self, kind, d):
         code = build_code(d, kind)
-        assert decode_channels([], code, verify=True) == []
+        assert decode_channels([], code, verify=False) == []
+        if kind == "reference":
+            assert decode_channels([], code, verify=True) == []
+        else:  # d = 2^16: no decode accepted, so a verified decode is refused, rows or none
+            with pytest.raises(ValueError, match="accepts no verified decode"):
+                decode_channels([], code, verify=True)
         if kind == "concatenated":  # pure noise: Reed-Solomon signals failure
             rng = np.random.default_rng(20)
             table = rng.integers(0, 30, (4, code.m, 2))
@@ -358,6 +364,33 @@ def test_decode_channels_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert [r.item for r in results[:16]] == items.tolist()
+    assert peak < 4 * codec._DECODE_BYTES
+
+
+def test_hh_finalize_memory_is_bounded():
+    """hh_finalize fuses its candidates' own channels in chunks of codec's
+    byte budget too: 300 candidates in T repetitions fuse 900 rows, whose
+    gathered plus and minus counts, differences and codewords would take
+    about 44 MiB at once."""
+    d, n = 2**32, 10_000
+    code = build_code(d, "concatenated")
+    hh = derive_hh_params(d, n, 2.0, 0.5, 10**9)
+    fo = derive_fo_params(d, n, hh.eps_channel, 0.5 / 3)
+    assert hh.T == 3 and hh.iso_failure_bound <= hh.beta / 3  # the fusion runs
+    items = np.random.default_rng(24).choice(d, 300, replace=False).tolist()
+    chan = _channel_map(draw_hash_seeds(PUB, hh.T, hh.ell), items, hh.K)
+    keys = [(t, c[v]) for v in items for t, c in enumerate(chan)]
+    words = np.repeat(code.encode_many(items), hh.T, axis=0)
+    table = np.stack([60 * (words > 0), 60 * (words < 0)], axis=2).astype(np.int64)
+    fo_agg = AggregateState(m=fo.m_fo, eps=hh.eps_channel, n_total=1)
+    tracemalloc.start()
+    try:
+        _, candidates, decodes = hh_finalize(channel_aggregates(keys, table, hh.eps_channel), fo_agg, code, hh, PUB)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(decodes) == 900 and sorted(v for v, _ in candidates) == sorted(items)
+    assert all(f == pytest.approx(0.75 * c_eps(hh.eps_channel)) for _, f in candidates)  # 3 of 4 parts hold
     assert peak < 4 * codec._DECODE_BYTES
 
 
@@ -399,18 +432,42 @@ def test_table_and_dict_paths_agree(kind, d, mode):
     before = int(row[0, 1])
     as_dict[min(as_dict)].minus[0] += 5
     assert row[0, 1] == before + 5
+    as_dict[min(as_dict)].minus[0] -= 5
+    # Reports absorbed through a view count in both paths, in n_total too.
+    key = next((t, k) for t, k, v, _ in res.decodes if v == 3)
+    as_dict[key].absorb_batch(np.arange(code.m), code.encode(3))
+    assert as_dict[key].n_total == n + code.m == table[res.pp_aggs.row_of[key]].sum()
+    got, want = (hh_finalize(aggs, res.fo_agg, code, hh, PUB) for aggs in (res.pp_aggs, as_dict))
+    assert exact(got) == exact(want) != exact((res.histogram, res.candidates, res.decodes))
+
+
+def test_verified_runs_refuse_a_code_that_accepts_nothing():
+    """At d <= 2^16 the concatenated code accepts no decode: a uniform word
+    passes its RS(4, 2) outer decoder with probability 2^-16, too often for
+    any radius.  hh_execute refuses it before drawing, rather than publish
+    an empty histogram."""
+    d, n = 2**16, 1000
+    code = build_code(d, "concatenated")
+    assert code.accept_errors == -1
+    hh = derive_hh_params(d, n, 2.0, 0.5, 8)
+    fo = derive_fo_params(d, n, hh.eps_channel, 0.5 / 3)
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="the concatenated code at d = 65536 accepts no verified decode"):
+        hh_execute(np.zeros(n, dtype=np.int64), code, hh, fo, PUB, rng)
+    assert rng.bit_generator.state == before
 
 
 def test_concatenated_acceptance_at_the_paper_universe():
     """At d = 2^32 the concatenated code accepts a decode that corrected at
-    most accept_symbols = 1 symbol.  A uniform word passes that with
+    most accept_errors = 1 symbol.  A uniform word passes that with
     probability (1 + 8 * 255) / 2^32, so 20,000 random +-1 rows expect
     0.0095 accepted junk decodes: more than one fails (Poisson tail 5e-5),
     while accepting two symbols would expect 8.5.  A codeword with one
     flipped 256-block (one symbol error) is accepted with its estimate; with
     two it still decodes but is rejected."""
     code = build_code(2**32, "concatenated")
-    assert code.accept_symbols == 1
+    assert code.accept_errors == 1
     rng, junk, decoded = np.random.default_rng(31), 0, 0
     for _ in range(10):
         signs = rng.integers(0, 2, (2_000, code.m))
