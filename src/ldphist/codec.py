@@ -139,6 +139,13 @@ class Code:
         return v
 
     def _items(self, vs: Iterable[int]) -> np.ndarray:
+        """Items as a uint64 array, each checked as _item checks it: an integer
+        ndarray by one range test, anything else item by item."""
+        if isinstance(vs, np.ndarray) and vs.ndim == 1 and vs.dtype.kind in "iu":
+            bad = (vs < 0) | (vs >= self.d)
+            if bad.any():
+                raise ValueError(f"item {vs[bad][0]} outside universe of size {self.d}")
+            return vs.astype(np.uint64)
         return np.array([self._item(v) for v in vs], dtype=np.uint64)
 
 

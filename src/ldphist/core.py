@@ -12,9 +12,12 @@ PRF, ``prf_bytes`` and its rejection sampler ``prf_below``, under three
 (key, prefix) uses: ``PublicRandomness`` (master seed, encoded label; keyed
 once), the channel hash's (a, b) in ``heavy_hitter`` and the reference
 code's generator matrix in ``codec``.  The tests pin the v1 bytes of all
-three.  The sampler costs one digest when word 0 of block 0 is accepted,
-as it almost always is for small bounds; ``ints_below`` draws a grid of
-encoded label heads x ``_draw_args`` tuples, absorbing each head once.
+three.  A block costs one copy of a keyed state, one update and one
+digest: label streams copy ``PublicRandomness``'s one keyed state, and block
+indices below 2^12 read their u64le from ``_INDICES``.  The sampler costs one
+digest when word 0 of block 0 is accepted, as it almost always is for small
+bounds; ``ints_below`` draws a grid of encoded label heads x ``_draw_args``
+tuples, absorbing each head once.
 """
 
 from __future__ import annotations
@@ -200,7 +203,7 @@ def report_magnitude(eps: float, m: int) -> float:
 
 _BLOCK = 64  # bytes per PRF block
 _WORD = struct.Struct("<Q")
-_ZERO = bytes(8)  # u64le(0), the index of block 0
+_INDICES = tuple(_WORD.pack(i) for i in range(1 << 12))  # u64le(i), i < 2^12: columns of up to 2^21 signs
 
 
 def _prf_state(key: bytes, prefix: bytes):
@@ -213,16 +216,16 @@ def _prf_state(key: bytes, prefix: bytes):
 def _prf_block(state, index: int, suffix: bytes = b"") -> bytes:
     """Block i: BLAKE2b-512(key, prefix || suffix || u64le(i)), state holding (key, prefix)."""
     h = state.copy()
-    h.update(suffix + index.to_bytes(8, "little"))
+    h.update(suffix + (_INDICES[index] if 0 <= index < len(_INDICES) else index.to_bytes(8, "little")))
     return h.digest()
 
 
 def _prf_blocks(state, indices) -> bytes:
-    """_prf_block(state, i) for each int i in indices, joined, in one tight loop."""
-    copy, pack, out = state.copy, _WORD.pack, []
+    """_prf_block(state, i) for each int i >= 0 in indices, joined, in one tight loop."""
+    copy, table, size, pack, out = state.copy, _INDICES, len(_INDICES), _WORD.pack, []
     for i in indices:
         h = copy()
-        h.update(pack(i))
+        h.update(table[i] if i < size else pack(i))
         out.append(h.digest())
     return b"".join(out)
 
@@ -255,7 +258,7 @@ def _draw_args(bound: int, suffix: bytes) -> tuple:
     bits, which the sampler keeps words below."""
     if not (1 <= bound <= 1 << 63):
         raise ValueError(f"bound out of range: {bound}")
-    return bound, suffix, suffix + _ZERO, ((1 << 64) // bound) * bound
+    return bound, suffix, suffix + _INDICES[0], ((1 << 64) // bound) * bound
 
 
 def prf_below(key: bytes, prefix: bytes, bound: int) -> int:
@@ -310,8 +313,10 @@ class PublicRandomness:
         return cls(hashlib.blake2b(material, digest_size=32).digest())
 
     def bytes_at(self, label: Tuple[LabelPart, ...], nbytes: int) -> bytes:
-        """First nbytes bytes of the stream for this label."""
-        return prf_bytes(self.master_seed, _encode_label(label), nbytes)
+        """First nbytes bytes of the stream for this label, read from a copy of the keyed state."""
+        state = self._keyed.copy()
+        state.update(_encode_label(label))
+        return _prf_blocks(state, range(-(-nbytes // _BLOCK)))[:nbytes]
 
     def sign_array(self, label: Tuple[LabelPart, ...], count: int) -> np.ndarray:
         """count pseudorandom signs in {-1, +1} as int8 (bit k of byte k//8,

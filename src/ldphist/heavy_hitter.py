@@ -223,7 +223,7 @@ def _decode(diff, scale: np.ndarray, code: Code, verify: bool) -> tuple:
         errors = np.empty(len(Y), dtype=np.int64)
         decoded = code.decode_many(Y, errors)
         hit = [i for i, v in enumerate(decoded) if v is not None]
-        words = code.encode_many([decoded[i] for i in hit])
+        words = code.encode_many(np.array([decoded[i] for i in hit], dtype=np.uint64))
         keep = errors[hit] <= code.accept_errors if verify else np.ones(len(hit), dtype=bool)
         at = lo + np.array(hit, dtype=np.int64)[keep]
         estimates[at] = scale[at] * np.einsum("ij,ij->i", counts[hit], words)[keep]
@@ -322,7 +322,7 @@ def _channel_map(seeds, distinct_items, K):
 def _codeword_signs(code: Code, distinct_items: np.ndarray) -> Callable:
     """signs_of(items, positions) of absorb_groups, read from one
     encode_many of the sorted distinct items."""
-    words = code.encode_many(distinct_items.tolist()).reshape(-1)
+    words = code.encode_many(distinct_items).reshape(-1)
     return lambda items, positions: words[np.searchsorted(distinct_items, items) * code.m + positions]
 
 
@@ -445,7 +445,8 @@ def hh_finalize(
             own = [[row_of[t, c[v]] for t, c in enumerate(chan) if (t, c[v]) in row_of] for v in candidate_items]
             rows = np.array([i for mine in own for i in mine], dtype=np.int64)
             of = np.repeat(np.arange(len(own)), [len(mine) for mine in own])  # each row's candidate
-            words, dots = code.encode_many(candidate_items), np.zeros(len(rows), dtype=np.int64)
+            words = code.encode_many(np.array(candidate_items, dtype=np.uint64))
+            dots = np.zeros(len(rows), dtype=np.int64)
             for lo, counts in _diff_chunks(diff, rows, code.m):
                 dots[lo : lo + len(counts)] = np.einsum("ij,ij->i", counts, words[of[lo : lo + len(counts)]])
             parts = iter((scale[rows] * dots).tolist())

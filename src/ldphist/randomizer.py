@@ -122,10 +122,9 @@ def report_distribution(x: Optional[np.ndarray], m: int, eps: float) -> np.ndarr
         probs[:] = 1.0 / (2 * m)
         return probs
     x = _check_signs(x, m)
-    p_keep = _p_keep(eps)
-    plus = np.where(x > 0, p_keep, 1.0 - p_keep) / m
-    probs[0::2] = plus
-    probs[1::2] = 1.0 / m - plus
+    keep, flip = _p_keep(eps) / m, 1.0 / (math.exp(eps) + 1.0) / m  # flip is not 1 - keep, which is 0 at large eps
+    probs[0::2] = np.where(x > 0, keep, flip)
+    probs[1::2] = np.where(x > 0, flip, keep)
     return probs
 
 

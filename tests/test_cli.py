@@ -313,6 +313,19 @@ class TestCliExperiments:
         assert all(math.isfinite(b) and b == pytest.approx(800 + math.log(eta), abs=1e-9)
                    for eta, b in bounds.items() if eta > 0)
 
+    def test_audit_observes_large_eps(self, tmp_path, capsys):
+        # The flip cells are e^-400 / m, not 0: eps_observed reads 400, not
+        # inf, and delta at 400 reads 0, not 1, in both files.
+        _run(["audit", "--m-list", "2", "--eps-list", "400", "--out-dir", str(tmp_path)], capsys)
+        (header, row) = (tmp_path / "audit_randomizer.csv").read_text().strip().split("\n")
+        m, eps, observed, delta = row.split(",")
+        assert float(observed) == pytest.approx(400.0, rel=1e-9)
+        assert float(delta) <= 1e-12
+        amp = (tmp_path / "audit_amplification.csv").read_text().strip().split("\n")[1:]
+        observed = {float(line.split(",")[0]): float(line.split(",")[3]) for line in amp}
+        assert observed[1.0] == pytest.approx(400.0, rel=1e-9)
+        assert all(math.isfinite(o) for o in observed.values())
+
     @pytest.mark.parametrize("argv, config, names", [
         (["fo", "--d", "16", "--n", "300", "--seed", "2"],
          ExperimentConfig("fo", DatasetSpec("uniform", 16, 300, 2), eps=1.0, beta=0.1, seed=2),

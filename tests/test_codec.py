@@ -91,6 +91,34 @@ class TestEncode:
             assert c.encode_many([]).shape == (0, c.m)
             assert np.array_equal(c.encode_many([np.int64(5), np.uint64(5)]), c.encode_many([5, 5]))
 
+    @pytest.mark.parametrize("kind", ["reference", "concatenated"])
+    def test_item_arrays_are_checked_as_lists_are(self, kind):
+        # An integer ndarray is range-checked in one vectorized test; every
+        # input gets the error that checking its items one by one gives.
+        c = build_code(16, kind)
+        for bad in ([-1], [16], np.array([0, -1]), np.array([3, 16]), np.array([16], dtype=np.uint64),
+                    np.array([5, 2**62], dtype=np.int64)):
+            with pytest.raises(ValueError, match="outside universe of size 16"):
+                c.encode_many(bad)
+        for bad in ([1.0], np.array([1.0, 2.0]), np.array([True, False]), [np.True_],
+                    np.array([[1, 2]]), np.array(3)):
+            with pytest.raises(TypeError):
+                c.encode_many(bad)
+        for dtype in (np.int8, np.int64, np.uint16, np.uint64):
+            items = np.array([0, 7, 15], dtype=dtype)
+            assert np.array_equal(c.encode_many(items), c.encode_many([0, 7, 15]))
+        assert c.encode_many(np.array([], dtype=np.int64)).shape == (0, c.m)
+
+    def test_items_reach_two_to_the_64(self):
+        c = build_code(2**64, "concatenated")
+        top = [0, 2**63, 2**64 - 2, 2**64 - 1]
+        words = c.encode_many(np.array(top, dtype=np.uint64))
+        assert np.array_equal(words, c.encode_many(top))
+        assert c.decode_many(words) == top
+        for bad in ([-1], [2**64], np.array([-1, 0], dtype=np.int64)):
+            with pytest.raises(ValueError):
+                c.encode_many(bad)
+
     def test_reference_pairwise_distance_exhaustive(self):
         c = build_code(256, "reference")
         cb = c.encode_many(np.arange(256)).astype(np.float64) / math.sqrt(c.m)

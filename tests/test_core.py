@@ -1,3 +1,4 @@
+import hashlib
 import math
 import sys
 
@@ -6,6 +7,7 @@ import pytest
 
 from ldphist.core import (
     PublicRandomness,
+    _INDICES,
     _draw_args,
     _encode_label,
     c_eps,
@@ -301,3 +303,84 @@ _GOLDEN_LABELS = [
     ((True,), "691000000001000000000000000000000000000000"),
     ((12345,), "691000000039300000000000000000000000000000"),
 ]
+
+
+def _reference_label(label) -> bytes:
+    """The label encoding, written out: tag, u32le length, data per part."""
+    out = b""
+    for part in label:
+        if isinstance(part, bytes):
+            tag, data = b"b", part
+        elif isinstance(part, str):
+            tag, data = b"s", part.encode("utf-8")
+        else:
+            tag, data = b"i", int(part).to_bytes(16, "little", signed=True)
+        out += tag + len(data).to_bytes(4, "little") + data
+    return out
+
+
+def _reference_block(seed: bytes, label, index: int) -> bytes:
+    """Block index of the label's stream, hashed from scratch: keyed
+    BLAKE2b-512 of the encoded label and u64le(index)."""
+    return hashlib.blake2b(_reference_label(label) + index.to_bytes(8, "little"),
+                           key=seed, digest_size=64).digest()
+
+
+def _reference_sign(seed: bytes, label, position: int) -> int:
+    block = _reference_block(seed, label, position // 512)
+    return 1 - 2 * ((block[position // 8 % 64] >> (position % 8)) & 1)
+
+
+class TestStreamsAtTheIndexTable:
+    """Every read of a label stream against hashlib from scratch, on both
+    sides of the last block index whose u64le comes from the table."""
+
+    SEED = bytes(range(32))
+    TABLE = len(_INDICES)
+    BLOCKS = (0, TABLE - 1, TABLE, TABLE + 1, 2**32)
+
+    def test_table_is_the_u64le_of_its_indices(self):
+        assert self.TABLE == 4096
+        assert all(word == i.to_bytes(8, "little") for i, word in enumerate(_INDICES))
+
+    @pytest.mark.parametrize("nbytes", [1, 63, 64, 65, 26_152])
+    def test_bytes_at(self, nbytes):
+        label = ("phi", 1023)
+        reference = b"".join(_reference_block(self.SEED, label, i) for i in range(-(-nbytes // 64)))
+        assert PublicRandomness(self.SEED).bytes_at(label, nbytes) == reference[:nbytes]
+
+    def test_bytes_at_across_the_table_edge(self):
+        label, nbytes = ("x", b"\x00", -5), (self.TABLE + 2) * 64 - 3
+        stream = PublicRandomness(self.SEED).bytes_at(label, nbytes)
+        for i in self.BLOCKS[:-1]:
+            assert stream[64 * i : 64 * i + 64] == _reference_block(self.SEED, label, i)[: nbytes - 64 * i]
+
+    def test_sign_at_and_signs_at(self):
+        pub, positions = PublicRandomness(self.SEED), []
+        for block in self.BLOCKS:
+            positions += [512 * block + k for k in (0, 7, 8, 300, 511)]
+        for item in (3, 2**40):
+            expected = [_reference_sign(self.SEED, ("phi", item), j) for j in positions]
+            assert [pub.sign_at(("phi", item), j) for j in positions] == expected
+            assert [pub.sign_at(_encode_label(("phi", item)), j) for j in positions] == expected
+        items = np.repeat([3, 2**40], len(positions))
+        got = pub.signs_at(("phi",), np.tile(positions, 2), items)
+        assert got.tolist() == [_reference_sign(self.SEED, ("phi", int(v)), j)
+                                for v, j in zip(items, np.tile(positions, 2).tolist())]
+
+    def test_rejected_int_below_word(self):
+        # At bound 2^64 // 3 + 1 the sampler keeps words below 2 * bound, a
+        # third of them are rejected; the label searched for rejects all 8
+        # words of block 0, so the draw is read from block 1.
+        bound = 2**64 // 3 + 1
+        limit = 2 * bound
+
+        def words(label, blocks):
+            stream = b"".join(_reference_block(self.SEED, label, i) for i in range(blocks))
+            return [int.from_bytes(stream[o : o + 8], "little") for o in range(0, len(stream), 8)]
+
+        label = next(("r", i) for i in range(100_000) if min(words(("r", i), 1)) >= limit)
+        expected = next(w for w in words(label, 4) if w < limit) % bound
+        pub = PublicRandomness(self.SEED)
+        assert pub.int_below(label, bound) == expected
+        assert pub.ints_below([_encode_label(label)], [_draw_args(bound, b"")]).tolist() == [[expected]]

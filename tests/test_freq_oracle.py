@@ -409,13 +409,16 @@ class TestEstimate:
     def test_estimates_hash_only_the_column_blocks(self, m, monkeypatch):
         import ldphist.core as core
 
-        read = []
-        blocks = core._prf_blocks
+        read, keyed = [], []
+        blocks, blake2b = core._prf_blocks, core.hashlib.blake2b
         monkeypatch.setattr(core, "_prf_blocks", lambda state, idx: read.extend(idx) or blocks(state, idx))
+        # Each column copies the oracle's one keyed state; none builds its own.
+        monkeypatch.setattr(core.hashlib, "blake2b", lambda *a, **k: keyed.append(k) or blake2b(*a, **k))
         agg = AggregateState(m=m, eps=1.0)
         agg.absorb_batch(np.array([0]), np.array([1]))
         fo_estimate_many(agg, PUB, range(5))
         assert len(read) == 5 * -(-m // 512)
+        assert keyed == []
 
     def test_estimate_many_of_no_items(self):
         agg = AggregateState(m=8, eps=1.0)

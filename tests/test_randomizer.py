@@ -99,6 +99,18 @@ class TestReportDistribution:
         with pytest.raises(ValueError):
             report_distribution(None, 2**20, 1.0)
 
+    @pytest.mark.parametrize("eps", [20.0, 400.0, 709.0])
+    def test_flip_cells_do_not_vanish_at_large_eps(self, eps):
+        # 1 - e^eps / (e^eps + 1) rounds to 0 past eps = 37; the flip cell
+        # is 1 / (m (e^eps + 1)), which is 1.9e-174 / m at eps = 400.
+        for m in (1, 2, 5):
+            for x in all_sign_vectors(m):
+                probs = report_distribution(x, m, eps)
+                flip = np.where(x > 0, probs[1::2], probs[0::2])
+                assert np.all(flip > 0)
+                assert flip == pytest.approx(1 / (m * (math.exp(eps) + 1)), rel=1e-12)
+                assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+
     def test_unbiasedness_closed_form(self):
         # E[report vector] equals the scaled input x for random codewords.
         rng = np.random.default_rng(3)
@@ -145,6 +157,13 @@ class TestAudit:
         for eps_query in (0.0, 0.3, 0.7):
             expected = p - math.exp(eps_query) * (1 - p)
             assert res.delta_at(eps_query) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("eps", [20.0, 400.0])
+    def test_large_eps_audits_to_eps(self, eps):
+        ch = randomizer_channel(all_sign_vectors(2), 2, eps)
+        res = audit_ldp(ch)
+        assert res.eps_observed == pytest.approx(eps, rel=1e-9)
+        assert res.delta_at(eps) <= 1e-12
 
     def test_zero_included_does_not_change_eps(self):
         m, eps = 4, 0.8
